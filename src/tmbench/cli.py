@@ -18,8 +18,8 @@ from tmbench.convergence import (
     verify_restriction,
     verify_step_count,
 )
-from tmbench.cost import COUNT_ALL, counted_set, parse_cost_model
-from tmbench.machine import Verdict, initial_configuration, require_valid, run, run_configuration
+from tmbench.cost import COUNT_ALL, parse_cost_model
+from tmbench.machine import Verdict, _compile, run
 from tmbench.measures import BoundSpec, check_bound, parse_measure
 from tmbench.nondet import (
     DEFAULT_CERTIFICATE_BUDGET,
@@ -83,7 +83,7 @@ def _family_words(family: str, length: int) -> list[str]:
 def cmd_run(args) -> int:
     machine = _load_machine(args.machine)
     cost = parse_cost_model(args.cost)
-    result = run(machine, _word(args.input), cost, fuel=args.fuel)
+    result = run(machine, _word(args.input), cost, fuel=args.fuel, record_trace=False)
     print(f"verdict: {result.verdict.value}")
     print(f"total_steps: {result.total_steps}")
     print(f"counted_steps: {result.counted_steps}")
@@ -127,16 +127,32 @@ def cmd_converge(args) -> int:
     return 0
 
 
+def _parse_random_family(spec: str) -> tuple[int, int]:
+    """The count and seed of 'random:count=<k>,seed=<s>', both required."""
+    params = {}
+    for item in spec[len("random:"):].split(","):
+        name, sep, value = item.partition("=")
+        if not sep or name not in ("count", "seed") or name in params:
+            raise ValueError(f"bad random family parameter {item!r} in {spec!r}")
+        try:
+            params[name] = int(value)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer in {spec!r}") from None
+    if len(params) != 2:
+        raise ValueError(f"random family needs count and seed: "
+                         f"'random:count=<k>,seed=<s>', got {spec!r}")
+    if params["count"] < 1:
+        raise ValueError(f"count must be at least 1 in {spec!r}")
+    return params["count"], params["seed"]
+
+
 def cmd_profile(args) -> int:
     machine = _load_machine(args.machine)
-    require_valid(machine)
-    cost = parse_cost_model(args.cost)
-    keys = counted_set(machine, cost)
+    compiled = _compile(machine, parse_cost_model(args.cost))
 
     family, count, seed = args.family, None, None
     if family.startswith("random:"):
-        params = dict(item.split("=", 1) for item in family[len("random:"):].split(","))
-        count, seed = int(params["count"]), int(params["seed"])
+        count, seed = _parse_random_family(family)
         family = "random"
 
     print(f"# profile machine={args.machine} cost={args.cost} family={args.family}"
@@ -151,9 +167,7 @@ def cmd_profile(args) -> int:
             words = _family_words(family, length)
         best, best_word = -1, ""
         for word in words:
-            config = initial_configuration(machine, word)
-            result = run_configuration(machine, config, keys, args.fuel,
-                                       record_trace=False)
+            result = compiled.run(word, args.fuel)
             if result.counted_steps > best:
                 best, best_word = result.counted_steps, word
         print(f"{length},{best},{_render_word(best_word)}")

@@ -14,15 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from tmbench.machine import (
-    BLANK,
-    RIGHT,
-    Machine,
-    Verdict,
-    all_words,
-    initial_configuration,
-    run_configuration,
-)
+from tmbench.cost import COUNT_ALL
+from tmbench.machine import BLANK, RIGHT, Machine, Verdict, _compile, _mark_valid, all_words
 
 MAX_TRIE_DEPTH = 20
 LONG_WORD_SAMPLE = 256
@@ -160,6 +153,9 @@ def build_trie_machine(L: LanguageOracle, n: int,
         reject_state=reject,
         transitions=transitions,
     )
+    # total over {0,1,_} for every non-halting state by construction, so
+    # running or verifying it skips validate_machine
+    _mark_valid(machine)
     return TrieMachineReport(
         machine=machine, n=n, oracle_queries=queries, state_count=len(states)
     )
@@ -180,24 +176,19 @@ def _bit_tuples(length: int):
     return product("01", repeat=length)
 
 
-def _run_trie(machine: Machine, word: str, fuel: int):
-    config = initial_configuration(machine, word)
-    return run_configuration(machine, config, None, fuel, record_trace=False)
-
-
 def verify_restriction(report: TrieMachineReport, L: LanguageOracle
                        ) -> tuple[bool, list[str]]:
     """Exhaustively check that the machine accepts exactly the oracle's words
     up to length n, and rejects the sampled words of length n+1."""
-    machine, n = report.machine, report.n
+    trie, n = _compile(report.machine, COUNT_ALL), report.n
     fuel = n + 4
     counterexamples = []
     for word in all_words("01", n):
-        result = _run_trie(machine, word, fuel)
+        result = trie.run(word, fuel)
         if (result.verdict is Verdict.ACCEPTED) != L(word):
             counterexamples.append(word)
     for word in _long_word_sample(n):
-        result = _run_trie(machine, word, fuel)
+        result = trie.run(word, fuel)
         if result.verdict is not Verdict.REJECTED:
             counterexamples.append(word)
     return not counterexamples, counterexamples
@@ -207,13 +198,13 @@ def verify_step_count(report: TrieMachineReport) -> bool:
     """Check |w| + 1 total steps for words within the depth bound, and n + 1
     for the sampled longer words (n consumptions to full depth, then the
     capped transition rejects on the (n+1)-th symbol)."""
-    machine, n = report.machine, report.n
+    trie, n = _compile(report.machine, COUNT_ALL), report.n
     fuel = n + 4
     for word in all_words("01", n):
-        if _run_trie(machine, word, fuel).total_steps != len(word) + 1:
+        if trie.run(word, fuel).total_steps != len(word) + 1:
             return False
     for word in _long_word_sample(n):
-        if _run_trie(machine, word, fuel).total_steps != n + 1:
+        if trie.run(word, fuel).total_steps != n + 1:
             return False
     return True
 
@@ -235,10 +226,10 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int,
     words = all_words("01", k)
 
     def agrees(n: int) -> bool:
-        machine = build_trie_machine(L, n).machine
+        trie = _compile(build_trie_machine(L, n).machine, COUNT_ALL)
         fuel = n + 4
         return all(
-            (_run_trie(machine, w, fuel).verdict is Verdict.ACCEPTED) == L(w)
+            (trie.run(w, fuel).verdict is Verdict.ACCEPTED) == L(w)
             for w in words
         )
 

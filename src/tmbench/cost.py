@@ -9,9 +9,10 @@ computed once per (machine, model) pair and applied to any run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from tmbench.machine import Machine, RunResult
+if TYPE_CHECKING:  # machine imports this module to compile cost models
+    from tmbench.machine import Machine, RunResult
 
 # predicate arguments: (source state, read symbol, write symbol, move, target state)
 TransitionPredicate = Callable[[str, str, str, str, str], bool]

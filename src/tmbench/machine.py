@@ -4,13 +4,20 @@ A machine halts exactly in its accept or reject state; every other
 (state, symbol) pair must have a transition. The tape is two-way infinite;
 the head starts on cell 0, which holds the first input symbol. Moves are
 'L'/'R', i.e. head index -1/+1.
+
+Runs execute on a compiled form of the machine (_CompiledMachine), built
+once per (machine, cost model) and cached on the machine. The dict-based
+`step` is the reference the compiled loop is tested against.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
+
+from tmbench.cost import COUNT_ALL, CostModel, counted_set
 
 BLANK = "_"
 LEFT = "L"
@@ -32,6 +39,14 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class Machine:
+    """A deterministic single-tape machine.
+
+    A machine is an immutable value once it has run: running it caches its
+    validation and its compiled table, per cost model, on the instance, so
+    its transition mapping must not be mutated afterwards. The cache is not
+    a field, so equality, repr and the file format do not see it.
+    """
+
     input_alphabet: frozenset[str]
     tape_alphabet: frozenset[str]
     states: frozenset[str]
@@ -39,10 +54,6 @@ class Machine:
     accept_state: str
     reject_state: str
     transitions: Mapping[tuple[str, str], Transition]
-
-    @property
-    def halting_states(self) -> frozenset[str]:
-        return frozenset({self.accept_state, self.reject_state})
 
     def is_halting(self, state: str) -> bool:
         return state == self.accept_state or state == self.reject_state
@@ -69,6 +80,18 @@ class Configuration:
 
     def scanned(self) -> str:
         return self.tape.get(self.head, BLANK)
+
+    def __getattr__(self, name):
+        # The final configuration of a compiled run holds its cells packed
+        # and decodes them into the tape dict on first read.
+        packed = self.__dict__.get("_packed")
+        if name != "tape" or packed is None:
+            raise AttributeError(name)
+        symbols, cells, origin = packed
+        edge = len(symbols)
+        self.tape = {i - origin: symbols[v] for i, v in enumerate(cells) if 0 < v < edge}
+        del self._packed
+        return self.tape
 
 
 @dataclass(frozen=True)
@@ -123,9 +146,19 @@ def validate_machine(m: Machine) -> list[str]:
 
 
 def require_valid(m: Machine) -> None:
+    """Raise ValueError if m is defective. A machine that passes is marked
+    valid on the instance and never checked again."""
+    if "_valid" in m.__dict__:
+        return
     defects = validate_machine(m)
     if defects:
         raise ValueError("invalid machine: " + "; ".join(defects))
+    _mark_valid(m)
+
+
+def _mark_valid(m: Machine) -> None:
+    """Record on m that it is valid; for machines valid by construction."""
+    object.__setattr__(m, "_valid", True)
 
 
 def initial_configuration(m: Machine, input_word: str) -> Configuration:
@@ -160,6 +193,163 @@ def step(m: Machine, c: Configuration) -> Optional[tuple[Configuration, StepReco
     return c, record
 
 
+class _CompiledMachine:
+    """A valid machine's transition table under one cost model, in integers.
+
+    Symbols are numbered with blank 0; the next number, `edge`, is a sentinel
+    cell at both ends of the tape. States are numbered with the two halting
+    states last and stored premultiplied by the row width edge + 1, so the
+    entry for (state, symbol) is table[state + symbol]. An entry is
+    (target, written symbol, head move -1/+1, counted 0/1), filled in the
+    first time a run needs it, so a run costs the entries it uses rather
+    than the whole table. Unfilled entries, the halting rows and the
+    sentinel column hold None: unpacking it raises TypeError, which is how
+    the step loop notices a halt, a tape end or an entry to fill without
+    testing for any of them on every step.
+
+    A tape is a bytearray of symbol numbers framed by sentinels, or an
+    array('L') for a tape alphabet of 256 symbols or more. The compiled form
+    holds no reference to the machine, so caching it there makes no cycle.
+    """
+
+    def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
+        self.transitions = m.transitions
+        self.counted_keys = counted_keys  # None counts every entry
+        self.symbols = [BLANK] + sorted(m.tape_alphabet - {BLANK})
+        self.edge = edge = len(self.symbols)
+        self.width = width = edge + 1
+        self.states = list(m.states - {m.accept_state, m.reject_state})
+        self.states += [m.accept_state, m.reject_state]
+        self.row = dict(zip(self.states, range(0, len(self.states) * width, width)))
+        self.code = {s: i for i, s in enumerate(self.symbols)}
+        self.start = self.row[m.start_state]
+        self.accept = self.row[m.accept_state]
+        self.reject = self.row[m.reject_state]
+        self.inputs = m.input_alphabet
+        self.translation = {ord(s): i for s, i in self.code.items()}  # for str.translate
+        size = len(self.states) * width
+        self.table: list[Optional[tuple[int, int, int, int]]] = [None] * size
+        if edge < 256:
+            self.tape_type = bytearray
+            self.pack = lambda coded: coded.encode("latin-1")
+        else:
+            self.tape_type = lambda cells: array("L", cells)
+            self.pack = lambda coded: array("L", map(ord, coded))
+        self.blank = self.pack("\0")
+        self.sentinel = self.pack(chr(edge))
+        self.right_end = self.blank + self.sentinel
+        # per entry, the fields of its StepRecord but the head; allocated by
+        # the first traced run and filled with the table from then on
+        self.records: Optional[list] = None
+
+    def _fill(self, entry: int) -> None:
+        q, symbol = divmod(entry, self.width)
+        key = (self.states[q], self.symbols[symbol])
+        target, write, move = self.transitions[key]
+        counted = self.counted_keys is None or key in self.counted_keys
+        self.table[entry] = (self.row[target], self.code[write], 1 if move == RIGHT else -1,
+                             int(counted))
+        if self.records is not None:
+            self.records[entry] = (key[0], key[1], write, move, target, counted)
+
+    def encode(self, word: str, alphabet: frozenset[str], what: str = "input"):
+        """word's cells as symbol numbers; every symbol must be in alphabet."""
+        if not alphabet.issuperset(word):
+            bad = next(ch for ch in word if ch not in alphabet)
+            raise InvalidInputError(f"symbol {bad!r} not in {what} alphabet")
+        return self.pack(word.translate(self.translation))
+
+    def tape(self, *runs):
+        """A fresh tape: the given runs of cells and one blank, between
+        sentinels. Most runs then halt before the tape needs to grow."""
+        tape = self.tape_type(self.sentinel)
+        for cells in runs:
+            tape += cells
+        tape += self.right_end
+        return tape
+
+    def run(self, word: str, fuel: int, record_trace: bool = False) -> RunResult:
+        """Run on word from the start configuration."""
+        return self.execute(self.tape(self.encode(word, self.inputs)), 1, 1, self.start,
+                            fuel, record_trace)
+
+    def execute(self, tape, i: int, origin: int, q: int, fuel: int,
+                record_trace: bool = False) -> RunResult:
+        """Run from state row q with the head on tape[i], where tape[origin]
+        is cell 0, until a halt or fuel total steps. The tape is consumed."""
+        if fuel <= 0:
+            raise ValueError("fuel must be positive")
+        table = self.table
+        total = counted = 0
+        trace: Optional[list[StepRecord]] = [] if record_trace else None
+        while True:
+            k = 0
+            try:
+                if trace is None:
+                    for k in range(fuel - total):
+                        q, w, d, c = table[q + tape[i]]
+                        tape[i] = w
+                        i += d
+                        counted += c
+                else:
+                    if self.records is None:
+                        self.records = [None] * len(table)
+                    records = self.records
+                    for k in range(fuel - total):
+                        entry = q + tape[i]
+                        state, read, write, move, target, is_counted = records[entry]
+                        q, w, d, c = table[entry]
+                        tape[i] = w
+                        trace.append(StepRecord(state, i - origin, read, write, move,
+                                                target, is_counted))
+                        i += d
+                        counted += c
+            except TypeError:  # a halting state, a sentinel or an unfilled entry
+                total += k
+                if q >= self.accept:  # the two halting rows come last
+                    break
+                if tape[i] != self.edge:
+                    self._fill(q + tape[i])
+                    continue
+                grow = len(tape)
+                if i == 0:
+                    tape[:1] = self.sentinel + self.blank * grow
+                    i += grow
+                    origin += grow
+                else:
+                    tape[i:] = self.blank * grow + self.sentinel
+            else:
+                total = fuel
+                break
+        if q == self.accept:
+            verdict = Verdict.ACCEPTED
+        elif q == self.reject:
+            verdict = Verdict.REJECTED
+        else:
+            verdict = Verdict.FUEL_EXHAUSTED
+        final = Configuration.__new__(Configuration)
+        final.state = self.states[q // self.width]
+        final.head = i - origin
+        final._packed = (self.symbols, tape, origin)
+        return RunResult(verdict, total, counted,
+                         tuple(trace) if trace is not None else None, final)
+
+
+def _compile(m: Machine, cost: CostModel) -> _CompiledMachine:
+    """m compiled under cost: validated and built on first use, then cached
+    on m per CostModel value."""
+    cache = m.__dict__.get("_compiled")
+    if cache is None:
+        cache = {}
+        object.__setattr__(m, "_compiled", cache)
+    compiled = cache.get(cost)
+    if compiled is None:
+        require_valid(m)
+        counted = None if cost == COUNT_ALL else counted_set(m, cost)
+        compiled = cache[cost] = _CompiledMachine(m, counted)
+    return compiled
+
+
 def run_configuration(
     m: Machine,
     config: Configuration,
@@ -170,55 +360,31 @@ def run_configuration(
     """Iterate from an arbitrary configuration until halt or fuel runs out.
 
     counted_keys is the set of (state, read symbol) table entries the active
-    cost model counts; None counts everything.
+    cost model counts; None counts everything. config is updated in place to
+    the final configuration, which the result holds. The tape is simulated
+    densely from its lowest to its highest stored cell.
     """
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    total = 0
-    counted = 0
-    trace: list[StepRecord] = []
-    while total < fuel:
-        result = step(m, config)
-        if result is None:
-            break
-        _, record = result
-        total += 1
-        is_counted = counted_keys is None or (record.state, record.read) in counted_keys
-        counted += is_counted
-        if record_trace:
-            trace.append(
-                record if is_counted else
-                StepRecord(record.state, record.head, record.read, record.write,
-                           record.move, record.target, counted=False)
-            )
-    if config.state == m.accept_state:
-        verdict = Verdict.ACCEPTED
-    elif config.state == m.reject_state:
-        verdict = Verdict.REJECTED
-    else:
-        verdict = Verdict.FUEL_EXHAUSTED
-    return RunResult(
-        verdict=verdict,
-        total_steps=total,
-        counted_steps=counted,
-        trace=tuple(trace) if record_trace else None,
-        final=config,
-    )
+    require_valid(m)
+    compiled = _CompiledMachine(m, counted_keys)
+    lo = min(min(config.tape, default=0), config.head)
+    hi = max(max(config.tape, default=0), config.head)
+    cells = [BLANK] * (hi - lo + 1)
+    for i, sym in config.tape.items():
+        cells[i - lo] = sym
+    tape = compiled.tape(compiled.encode("".join(cells), m.tape_alphabet, "tape"))
+    result = compiled.execute(tape, config.head - lo + 1, 1 - lo, compiled.row[config.state],
+                              fuel, record_trace)
+    config.state, config.head, config.tape = (result.final.state, result.final.head,
+                                              result.final.tape)
+    return RunResult(result.verdict, result.total_steps, result.counted_steps,
+                     result.trace, config)
 
 
-def run(m: Machine, input_word: str, cost=None, fuel: int = 10_000,
+def run(m: Machine, input_word: str, cost: Optional[CostModel] = None, fuel: int = 10_000,
         record_trace: bool = True) -> RunResult:
     """Simulate m on input_word under a cost model, bounded by fuel total steps."""
-    # local import: cost depends on machine, not the other way around
-    from tmbench.cost import COUNT_ALL, counted_set
-
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    require_valid(m)
-    cost = cost if cost is not None else COUNT_ALL
-    keys = frozenset(counted_set(m, cost))
-    config = initial_configuration(m, input_word)
-    return run_configuration(m, config, keys, fuel, record_trace=record_trace)
+    return _compile(m, cost if cost is not None else COUNT_ALL).run(input_word, fuel,
+                                                                    record_trace)
 
 
 def all_words(alphabet: Iterable[str], max_len: int) -> list[str]:

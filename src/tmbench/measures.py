@@ -11,14 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from tmbench.cost import CostModel, counted_set
-from tmbench.machine import (
-    Machine,
-    Verdict,
-    initial_configuration,
-    require_valid,
-    run_configuration,
-)
+from tmbench.cost import CostModel
+from tmbench.machine import Machine, Verdict, _compile
 
 FAMILIES = ("identity", "linear", "log", "power", "exp2")
 
@@ -151,13 +145,11 @@ def check_bound(
     """
     if not inputs:
         raise ValueError("inputs must be non-empty")
-    require_valid(m)
-    keys = counted_set(m, cost)
+    compiled = _compile(m, cost)
     rows = []
     worst = -math.inf
     for word in inputs:
-        config = initial_configuration(m, word)
-        result = run_configuration(m, config, keys, fuel, record_trace=False)
+        result = compiled.run(word, fuel)
         bound = spec.bound(max(len(word), 1))
         if result.verdict is Verdict.FUEL_EXHAUSTED:
             rows.append(BoundRow(word, len(word), result.counted_steps, bound, False))

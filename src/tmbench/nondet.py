@@ -16,15 +16,14 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from tmbench.cost import CostModel, COUNT_ALL, counted_set
+from tmbench.cost import CostModel, COUNT_ALL
 from tmbench.machine import (
     BLANK,
     RIGHT,
     Configuration,
     Machine,
     Verdict,
-    require_valid,
-    run_configuration,
+    _compile,
 )
 from tmbench.measures import EPS, MeasureFunction, evaluate
 
@@ -68,7 +67,10 @@ class CertificateSearchReport:
 
 
 def deliver(rel: CheckingRelation, x: str, y: str) -> Configuration:
-    """Initial checker configuration for the pair (x, y)."""
+    """Initial checker configuration for the pair (x, y).
+
+    The search lays out the same tape directly in compiled form; this is the
+    reference it is tested against."""
     m = rel.checker
     if rel.delivery == DELIVERY_INLINE:
         word = x + SEPARATOR + y
@@ -87,8 +89,19 @@ def certificates_up_to(alphabet: frozenset[str], max_len: int):
             yield "".join(tup)
 
 
-def _count_certificates(alphabet_size: int, max_len: int) -> int:
-    return sum(alphabet_size ** l for l in range(max_len + 1))
+def _exceeds_budget(alphabet_size: int, max_len: int, budget: int) -> bool:
+    """True when more than budget certificates have length <= max_len. Their
+    number is the sum of k^l for l = 0..max_len; it is compared in closed
+    form, so no huge power is ever computed."""
+    if alphabet_size <= 1:
+        return (max_len + 1 if alphabet_size else 1) > budget
+    # the sum is (k^(max_len+1) - 1) / (k - 1), so it exceeds the budget iff
+    # k^(max_len+1) > budget*(k-1) + 1; past that bound's bit length the
+    # power, at least 2^(max_len+1), certainly does
+    limit = budget * (alphabet_size - 1) + 1
+    if max_len + 1 > limit.bit_length():
+        return True
+    return alphabet_size ** (max_len + 1) > limit
 
 
 def _search(
@@ -100,13 +113,19 @@ def _search(
     fuel: int,
     budget: int,
 ) -> CertificateSearchReport:
-    require_valid(rel.checker)
-    total = _count_certificates(len(rel.certificate_alphabet), max_len)
-    if total > budget:
+    checker = _compile(rel.checker, cost)
+    if _exceeds_budget(len(rel.certificate_alphabet), max_len, budget):
         raise CertificateBudgetError(
-            f"{total} certificates admitted by the length bound exceed the budget {budget}"
+            f"the length bound admits more certificates than the budget {budget}"
         )
-    keys = counted_set(rel.checker, cost)
+    # x is encoded once; each certificate copies those cells into a new tape,
+    # laid out as deliver() would: x#y with the head on x, or x with the head
+    # on the cell that y numbers (cell 0 follows the left sentinel at index 0)
+    symbols = rel.checker.tape_alphabet
+    cells = checker.encode(x, symbols, "tape")
+    inline = rel.delivery == DELIVERY_INLINE
+    if inline:
+        cells += checker.encode(SEPARATOR, symbols, "tape")
     tried = 0
     max_counted = 0
     witness = None
@@ -114,8 +133,14 @@ def _search(
         if not lengths_ok(len(y)):
             continue
         tried += 1
-        result = run_configuration(rel.checker, deliver(rel, x, y), keys, fuel,
-                                   record_trace=False)
+        if inline:
+            tape = checker.tape(cells, checker.encode(y, symbols, "tape"))
+            head = 1
+        else:
+            position = int(y, 2) if y else 0
+            tape = checker.tape(cells, checker.blank * (position - len(x)))
+            head = position + 1
+        result = checker.execute(tape, head, 1, checker.start, fuel)
         max_counted = max(max_counted, result.counted_steps)
         if result.verdict is Verdict.ACCEPTED:
             witness = y
@@ -166,7 +191,7 @@ def decide_nt(
     max_len = 0
     while lengths_ok(max_len + 1):
         max_len += 1
-        if _count_certificates(len(rel.certificate_alphabet), max_len) > budget:
+        if _exceeds_budget(len(rel.certificate_alphabet), max_len, budget):
             raise CertificateBudgetError(
                 f"transformed length bound exceeds the certificate budget {budget}"
             )

@@ -15,7 +15,7 @@ alphabet but not the input alphabet. One trans line per (state, symbol) pair.
 
 from __future__ import annotations
 
-from tmbench.machine import BLANK, LEFT, RIGHT, Machine, validate_machine
+from tmbench.machine import BLANK, LEFT, RIGHT, Machine, require_valid
 
 
 class MachineParseError(ValueError):
@@ -25,7 +25,8 @@ class MachineParseError(ValueError):
 
 
 def parse_machine_file(text: str) -> Machine:
-    """Parse the text format into a validated Machine."""
+    """Parse the text format into a validated Machine, marked valid so that
+    running it does not validate it again."""
     headers: dict[str, tuple[int, list[str]]] = {}
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -76,9 +77,10 @@ def parse_machine_file(text: str) -> Machine:
         reject_state=headers["reject"][1][0],
         transitions=transitions,
     )
-    defects = validate_machine(machine)
-    if defects:
-        raise MachineParseError(0, "invalid machine: " + "; ".join(defects))
+    try:
+        require_valid(machine)
+    except ValueError as exc:
+        raise MachineParseError(0, str(exc)) from None
     return machine
 
 

@@ -117,6 +117,19 @@ def test_profile_random_is_reproducible(capsys, scanner_file):
     assert "seed=7" in first.splitlines()[0]
 
 
+@pytest.mark.parametrize("family", [
+    "random:count=2", "random:seed=1", "random:", "random:count=2,seed=x",
+    "random:count=2,seed=1,extra=3", "random:count=2,count=3,seed=1",
+    "random:count=0,seed=1", "random:count2,seed=1",
+])
+def test_profile_malformed_random_family_is_exit_2(capsys, scanner_file, family):
+    code, out, err = invoke(capsys, "profile", "--machine", scanner_file,
+                            "--lengths", "1..2", "--family", family)
+    assert code == 2
+    assert err.startswith("error:") and "random" in err
+    assert out == ""
+
+
 def test_profile_all_cap(capsys, scanner_file):
     code, _, err = invoke(capsys, "profile", "--machine", scanner_file,
                           "--lengths", "17..17", "--family", "all")
