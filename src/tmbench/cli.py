@@ -15,8 +15,7 @@ from tmbench.convergence import (
     LanguageOracle,
     build_trie_machine,
     find_convergence_index,
-    verify_restriction,
-    verify_step_count,
+    verify_trie,
 )
 from tmbench.cost import COUNT_ALL, parse_cost_model
 from tmbench.machine import Verdict, _compile, run
@@ -42,17 +41,22 @@ def _render_word(word: str) -> str:
     return word if word else EMPTY_WORD_TOKEN
 
 
-def load_language(spec: str) -> LanguageOracle:
-    """A built-in name, or @file with one word per line ('eps' = empty word)."""
-    if not spec.startswith("@"):
-        return LanguageOracle.builtin(spec)
+def _read_words(path: str) -> list[str]:
+    """One word per line; '#' starts a comment and 'eps' is the empty word."""
     words = []
-    with open(spec[1:], encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if line:
                 words.append(_word(line))
-    return LanguageOracle.finite(words)
+    return words
+
+
+def load_language(spec: str) -> LanguageOracle:
+    """A built-in name, or @file with one word per line ('eps' = empty word)."""
+    if not spec.startswith("@"):
+        return LanguageOracle.builtin(spec)
+    return LanguageOracle.finite(_read_words(spec[1:]))
 
 
 def _load_machine(path: str):
@@ -109,8 +113,8 @@ def cmd_gen_trie(args) -> int:
 def cmd_verify_trie(args) -> int:
     oracle = load_language(args.lang)
     report = build_trie_machine(oracle, args.n)
-    ok, counterexamples = verify_restriction(report, oracle)
-    steps_ok = verify_step_count(report)
+    counterexamples, steps_ok = verify_trie(report, oracle)
+    ok = not counterexamples
     print(f"restriction: {'pass' if ok else 'fail'}")
     for word in counterexamples:
         print(f"counterexample: {_render_word(word)}")
@@ -182,11 +186,7 @@ def cmd_check_bound(args) -> int:
     spec = BoundSpec(g=g, mode=args.mode, transform=transform)
     inputs = [_word(w) for w in args.input]
     if args.inputs_file:
-        with open(args.inputs_file, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    inputs.append(_word(line))
+        inputs += _read_words(args.inputs_file)
     report = check_bound(machine, cost, spec, inputs, fuel=args.fuel)
     print("input,length,counted_steps,bound,pass")
     for row in report.per_input:

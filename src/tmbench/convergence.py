@@ -176,21 +176,36 @@ def _bit_tuples(length: int):
     return product("01", repeat=length)
 
 
+def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = None
+                ) -> tuple[list[str], bool]:
+    """Run the machine once on every word up to length n and on the sampled
+    words of length n+1. Returns the words it decides differently from L
+    (the longer ones must be rejected; none are looked for when L is None)
+    and whether every run took |w| + 1 steps, n + 1 for the longer ones."""
+    trie, n = _compile(report.machine, COUNT_ALL), report.n
+    fuel = n + 4
+    counterexamples = []
+    steps_ok = True
+    for word in all_words("01", n):
+        result = trie.run(word, fuel)
+        if L is not None and (result.verdict is Verdict.ACCEPTED) != L(word):
+            counterexamples.append(word)
+        if result.total_steps != len(word) + 1:
+            steps_ok = False
+    for word in _long_word_sample(n):
+        result = trie.run(word, fuel)
+        if L is not None and result.verdict is not Verdict.REJECTED:
+            counterexamples.append(word)
+        if result.total_steps != n + 1:
+            steps_ok = False
+    return counterexamples, steps_ok
+
+
 def verify_restriction(report: TrieMachineReport, L: LanguageOracle
                        ) -> tuple[bool, list[str]]:
     """Exhaustively check that the machine accepts exactly the oracle's words
     up to length n, and rejects the sampled words of length n+1."""
-    trie, n = _compile(report.machine, COUNT_ALL), report.n
-    fuel = n + 4
-    counterexamples = []
-    for word in all_words("01", n):
-        result = trie.run(word, fuel)
-        if (result.verdict is Verdict.ACCEPTED) != L(word):
-            counterexamples.append(word)
-    for word in _long_word_sample(n):
-        result = trie.run(word, fuel)
-        if result.verdict is not Verdict.REJECTED:
-            counterexamples.append(word)
+    counterexamples = verify_trie(report, L)[0]
     return not counterexamples, counterexamples
 
 
@@ -198,15 +213,7 @@ def verify_step_count(report: TrieMachineReport) -> bool:
     """Check |w| + 1 total steps for words within the depth bound, and n + 1
     for the sampled longer words (n consumptions to full depth, then the
     capped transition rejects on the (n+1)-th symbol)."""
-    trie, n = _compile(report.machine, COUNT_ALL), report.n
-    fuel = n + 4
-    for word in all_words("01", n):
-        if trie.run(word, fuel).total_steps != len(word) + 1:
-            return False
-    for word in _long_word_sample(n):
-        if trie.run(word, fuel).total_steps != n + 1:
-            return False
-    return True
+    return verify_trie(report)[1]
 
 
 def find_convergence_index(L: LanguageOracle, k: int, budget: int,

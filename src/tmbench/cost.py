@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # machine imports this module to compile cost models
-    from tmbench.machine import Machine, RunResult
+    from tmbench.machine import Machine
 
 # predicate arguments: (source state, read symbol, write symbol, move, target state)
 TransitionPredicate = Callable[[str, str, str, str, str], bool]
@@ -91,11 +91,6 @@ def counted_set(m: Machine, cost: CostModel) -> frozenset[tuple[str, str]]:
                 out.add((q, sym))
         return frozenset(out)
     raise ValueError(f"unknown cost model kind {cost.kind!r}")
-
-
-def counted_length(result: RunResult) -> int:
-    """Computation length under the active cost model."""
-    return result.counted_steps
 
 
 def parse_cost_model(text: str) -> CostModel:

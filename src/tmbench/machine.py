@@ -104,43 +104,59 @@ class RunResult:
 
 
 def validate_machine(m: Machine) -> list[str]:
-    """Check all structural invariants; returns a list of defects (empty = ok)."""
+    """Check all structural invariants; returns a list of defects (empty = ok).
+
+    One unsorted pass over the transitions sets aside the entries with a
+    defect. The keys in (non-halting state) x (tape alphabet) are the
+    entries less the set-aside ones outside it, and the table is total
+    exactly when they number the product of the two sizes. Missing keys are
+    listed, and defective entries sorted, only when there are any.
+    """
     defects: list[str] = []
+    states, tape = m.states, m.tape_alphabet
 
     if BLANK in m.input_alphabet:
         defects.append("input alphabet contains the blank symbol")
-    if BLANK not in m.tape_alphabet:
+    if BLANK not in tape:
         defects.append("tape alphabet missing the blank symbol")
-    if not m.input_alphabet <= m.tape_alphabet:
+    if not m.input_alphabet <= tape:
         defects.append("input alphabet not a subset of tape alphabet")
-    for sym in sorted(m.tape_alphabet):
+    for sym in sorted(tape):
         if len(sym) != 1:
             defects.append(f"symbol {sym!r} is not a single character")
 
     named = {"start": m.start_state, "accept": m.accept_state, "reject": m.reject_state}
     for role, q in named.items():
-        if q not in m.states:
+        if q not in states:
             defects.append(f"{role} state {q!r} not in state set")
     if len({m.start_state, m.accept_state, m.reject_state}) != 3:
         defects.append("halting states not distinct (start/accept/reject must differ)")
 
-    non_halting = m.states - {m.accept_state, m.reject_state}
-    for q in sorted(non_halting):
-        for sym in sorted(m.tape_alphabet):
-            if (q, sym) not in m.transitions:
-                defects.append(f"transition table not total: missing ({q}, {sym})")
-    for (q, sym), (target, write, move) in sorted(m.transitions.items()):
+    non_halting = states - {m.accept_state, m.reject_state}
+    moves = (LEFT, RIGHT)
+    suspects = [(q, sym) for (q, sym), (target, write, move) in m.transitions.items()
+                if not (q in non_halting and sym in tape and target in states
+                        and write in tape and move in moves)]
+    in_table = len(m.transitions) - sum(
+        not (q in non_halting and sym in tape) for q, sym in suspects)
+    if in_table != len(non_halting) * len(tape):
+        for q in sorted(non_halting):
+            for sym in sorted(tape):
+                if (q, sym) not in m.transitions:
+                    defects.append(f"transition table not total: missing ({q}, {sym})")
+    for q, sym in sorted(suspects):
+        target, write, move = m.transitions[(q, sym)]
         if q in (m.accept_state, m.reject_state):
             defects.append(f"transition from halting state ({q}, {sym})")
-        if q not in m.states:
+        if q not in states:
             defects.append(f"transition from unknown state {q!r}")
-        if sym not in m.tape_alphabet:
+        if sym not in tape:
             defects.append(f"transition reads symbol {sym!r} outside tape alphabet")
-        if target not in m.states:
+        if target not in states:
             defects.append(f"transition ({q}, {sym}) targets unknown state {target!r}")
-        if write not in m.tape_alphabet:
+        if write not in tape:
             defects.append(f"transition ({q}, {sym}) writes {write!r} outside tape alphabet")
-        if move not in (LEFT, RIGHT):
+        if move not in moves:
             defects.append(f"transition ({q}, {sym}) has move {move!r}, expected L or R")
     return defects
 

@@ -33,6 +33,9 @@ class MeasureFunction:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown measure family {self.family!r}")
+        for name in ("a", "b", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"parameter {name} must be finite")
         if self.a <= 0:
             raise ValueError("parameter a must be > 0")
         if self.b < 0:
@@ -59,18 +62,54 @@ IDENTITY = MeasureFunction("identity")
 
 
 def evaluate(f: MeasureFunction, x: float) -> float:
-    """Evaluate f at x > 0 in double precision."""
+    """Evaluate f at x > 0 in double precision. A value past the largest
+    double saturates to inf."""
     if x <= 0:
         raise ValueError(f"measure functions are defined on (0, inf); got x={x}")
+    try:
+        if f.family == "identity":
+            return float(x)
+        if f.family == "linear":
+            return f.a * x + f.b
+        if f.family == "log":
+            return f.a * math.log2(x + 1.0) + f.b
+        if f.family == "power":
+            return f.a * float(x) ** f.k
+        return f.a * 2.0 ** x
+    except OverflowError:
+        # x^k or 2^x alone overflowed; a factor a < 1 can bring the value back
+        try:
+            return 2.0 ** _log2_evaluate(f, x)
+        except OverflowError:
+            return math.inf
+
+
+def _log2_evaluate(f: MeasureFunction, x: float) -> float:
+    """log2(f(x)) for finite x > 0, finite even where f(x) overflows."""
     if f.family == "identity":
-        return float(x)
-    if f.family == "linear":
-        return f.a * x + f.b
-    if f.family == "log":
-        return f.a * math.log2(x + 1.0) + f.b
+        return math.log2(x)
     if f.family == "power":
-        return f.a * x ** f.k
-    return f.a * 2.0 ** x
+        return math.log2(f.a) + f.k * math.log2(x)
+    if f.family == "exp2":
+        return math.log2(f.a) + x
+    # a*u + b with u = x (linear) or log2(x + 1) (log)
+    u = x if f.family == "linear" else math.log2(x + 1.0)
+    head = math.log2(f.a) + math.log2(u)
+    if f.b == 0:
+        return head
+    tail = math.log2(f.b)
+    hi, lo = max(head, tail), min(head, tail)
+    return hi + math.log2(1.0 + 2.0 ** (lo - hi))
+
+
+def compose(outer: MeasureFunction, inner: MeasureFunction, x: float) -> float:
+    """outer(inner(x)) for x > 0, saturating only the result: where inner(x)
+    overflows and outer is a log, the log is taken in the log domain."""
+    y = evaluate(inner, x)
+    if y == math.inf and outer.family == "log":
+        # log2(y + 1) equals log2(y) in double precision for any y this large
+        return outer.a * _log2_evaluate(inner, x) + outer.b
+    return evaluate(outer, y)
 
 
 def check_monotone_sample(f: MeasureFunction, xs: Sequence[float]) -> bool:
@@ -107,8 +146,8 @@ class BoundSpec:
             return evaluate(self.g, x)
         assert self.transform is not None
         if self.mode == MODE_OUTER:
-            return evaluate(self.g, evaluate(self.transform, x))
-        return evaluate(self.transform, evaluate(self.g, x))
+            return compose(self.g, self.transform, x)
+        return compose(self.transform, self.g, x)
 
 
 @dataclass(frozen=True)
@@ -128,7 +167,7 @@ class BoundReport:
 
 
 def bound_passes(counted: int, bound: float) -> bool:
-    return counted <= math.floor(bound + EPS)
+    return bound == math.inf or counted <= math.floor(bound + EPS)
 
 
 def check_bound(

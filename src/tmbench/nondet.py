@@ -25,7 +25,7 @@ from tmbench.machine import (
     Verdict,
     _compile,
 )
-from tmbench.measures import EPS, MeasureFunction, evaluate
+from tmbench.measures import EPS, MeasureFunction, compose, evaluate
 
 SEPARATOR = "#"
 
@@ -182,7 +182,7 @@ def decide_nt(
 ) -> CertificateSearchReport:
     """Transformed search: certificate lengths admitted when
     T(max(|y|,1)) <= g(T(max(|x|,1))) + eps."""
-    rhs = evaluate(g, evaluate(transform, max(len(x), 1))) + EPS
+    rhs = compose(g, transform, max(len(x), 1)) + EPS
 
     def lengths_ok(ly: int) -> bool:
         return evaluate(transform, max(ly, 1)) <= rhs

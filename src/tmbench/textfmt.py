@@ -24,32 +24,50 @@ class MachineParseError(ValueError):
         self.line_no = line_no
 
 
+HEADER_KEYS = ("states", "start", "accept", "reject", "input_alphabet", "tape_alphabet")
+
+
 def parse_machine_file(text: str) -> Machine:
     """Parse the text format into a validated Machine, marked valid so that
-    running it does not validate it again."""
+    running it does not validate it again.
+
+    A line whose first token is 'trans:', the bulk of a large file, goes
+    straight to the trans checks; any other spelling of the key is split at
+    its ':' first.
+    """
     headers: dict[str, tuple[int, list[str]]] = {}
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0] if "#" in raw else raw
+        tokens = line.split()
+        if not tokens:
             continue
-        key, sep, rest = line.partition(":")
-        key = key.strip()
-        if not sep:
-            raise MachineParseError(line_no, f"expected '<key>: ...', got {raw.strip()!r}")
-        tokens = rest.split()
-        if key == "trans":
-            _parse_trans(line_no, tokens, transitions)
-        elif key in ("states", "start", "accept", "reject", "input_alphabet",
-                     "tape_alphabet"):
-            if key in headers:
-                raise MachineParseError(line_no, f"duplicate {key!r} line")
-            headers[key] = (line_no, tokens)
-        else:
-            raise MachineParseError(line_no, f"unknown key {key!r}")
+        if tokens[0] != "trans:":
+            key, sep, rest = line.partition(":")
+            key = key.strip()
+            if not sep:
+                raise MachineParseError(line_no, f"expected '<key>: ...', got {raw.strip()!r}")
+            if key != "trans":
+                if key not in HEADER_KEYS:
+                    raise MachineParseError(line_no, f"unknown key {key!r}")
+                if key in headers:
+                    raise MachineParseError(line_no, f"duplicate {key!r} line")
+                headers[key] = (line_no, rest.split())
+                continue
+            tokens = ["trans:", *rest.split()]
+        if len(tokens) != 7 or tokens[3] != "->":
+            raise MachineParseError(
+                line_no, "expected 'trans: <state> <sym> -> <state> <sym> <L|R>'")
+        _, src, read, _, target, write, move = tokens
+        if len(read) != 1 or len(write) != 1:
+            raise MachineParseError(line_no, "symbols must be single characters")
+        if move not in (LEFT, RIGHT):
+            raise MachineParseError(line_no, f"move must be L or R, got {move!r}")
+        if (src, read) in transitions:
+            raise MachineParseError(line_no, f"duplicate transition for ({src}, {read})")
+        transitions[(src, read)] = (target, write, move)
 
-    for required in ("states", "start", "accept", "reject", "input_alphabet",
-                     "tape_alphabet"):
+    for required in HEADER_KEYS:
         if required not in headers:
             raise MachineParseError(0, f"missing {required!r}")
     for single in ("start", "accept", "reject"):
@@ -82,20 +100,6 @@ def parse_machine_file(text: str) -> Machine:
     except ValueError as exc:
         raise MachineParseError(0, str(exc)) from None
     return machine
-
-
-def _parse_trans(line_no, tokens, transitions):
-    if len(tokens) != 6 or tokens[2] != "->":
-        raise MachineParseError(
-            line_no, "expected 'trans: <state> <sym> -> <state> <sym> <L|R>'")
-    src, read, _, target, write, move = tokens
-    if len(read) != 1 or len(write) != 1:
-        raise MachineParseError(line_no, "symbols must be single characters")
-    if move not in (LEFT, RIGHT):
-        raise MachineParseError(line_no, f"move must be L or R, got {move!r}")
-    if (src, read) in transitions:
-        raise MachineParseError(line_no, f"duplicate transition for ({src}, {read})")
-    transitions[(src, read)] = (target, write, move)
 
 
 def emit_machine(m: Machine) -> str:

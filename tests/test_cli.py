@@ -191,3 +191,59 @@ def test_demo_nlogtime_deterministic(capsys):
     _, first, _ = invoke(capsys, "demo-nlogtime", "--max-n", "12")
     _, second, _ = invoke(capsys, "demo-nlogtime", "--max-n", "12")
     assert first == second
+
+
+@pytest.mark.parametrize("g", ["linear:a=nan,b=0", "linear:a=inf,b=0",
+                               "power:a=1,k=nan", "log:a=1,b=inf"])
+def test_check_bound_non_finite_parameter_is_exit_2(capsys, scanner_file, g):
+    code, out, err = invoke(capsys, "check-bound", "--machine", scanner_file,
+                            "--g", g, "--input", "01")
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--g", "exp2:a=1"),
+    ("--g", "power:a=1,k=200"),
+])
+def test_check_bound_overflowing_bound_is_inf(capsys, scanner_file, argv):
+    code, out, err = invoke(capsys, "check-bound", "--machine", scanner_file,
+                            "--input", "0" * 1100, *argv)
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1] == f"{'0' * 1100},1100,1101,inf,true"
+    assert "# verdict=pass worst_margin=-inf" in out
+
+
+@pytest.mark.parametrize("argv, bound, passed", [
+    (("--g", "log:a=1,b=1", "--mode", "outer", "--t", "exp2:a=1"), "1101.0", True),
+    (("--g", "log:a=1,b=0", "--mode", "outer", "--t", "exp2:a=1"), "1100.0", False),
+    (("--g", "exp2:a=1", "--mode", "inner", "--t", "log:a=1,b=0"), "1100.0", False),
+])
+def test_check_bound_log_of_overflowing_stage(capsys, scanner_file, argv, bound, passed):
+    # log2(2^1100 + 1) is about 1100 although 2^1100 is past the largest double
+    code, out, err = invoke(capsys, "check-bound", "--machine", scanner_file,
+                            "--input", "0" * 1100, *argv)
+    assert code == (0 if passed else 3)
+    assert err == ""
+    assert out.splitlines()[1] == f"{'0' * 1100},1100,1101,{bound},{str(passed).lower()}"
+
+
+def test_word_files_read_alike(capsys, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("# a language\neps  # the empty word\n\n01\n  1 \n")
+    trie_path = tmp_path / "trie.tm"
+    assert main(["gen-trie", "--lang", f"@{words}", "--n", "2",
+                 "--out", str(trie_path)]) == 0
+    code, out, _ = invoke(capsys, "check-bound", "--machine", str(trie_path),
+                          "--g", "linear:a=1,b=1", "--inputs-file", str(words),
+                          "--input", "00")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    assert [(r[0], r[1]) for r in rows] == [("00", "2"), ("eps", "0"), ("01", "2"),
+                                            ("1", "1")]
+    for word, verdict in (("eps", "accepted"), ("01", "accepted"), ("1", "accepted"),
+                          ("00", "rejected")):
+        _, out, _ = invoke(capsys, "run", "--machine", str(trie_path), "--input", word)
+        assert f"verdict: {verdict}" in out

@@ -20,6 +20,7 @@ from tmbench import (
     Configuration,
     CostModel,
     Machine,
+    MachineParseError,
     MeasureFunction,
     Verdict,
     build_trie_machine,
@@ -246,6 +247,20 @@ def test_running_leaves_equality_repr_and_file_unchanged():
     assert repr(m) == before_repr
     assert emit_machine(m) == before_text
     assert parse_machine_file(emit_machine(m)) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(machines())
+def test_file_round_trip_of_random_machines(m):
+    text = emit_machine(m)
+    if "#" in m.tape_alphabet:
+        # Known defect: the format has no escape for '#', so comment
+        # stripping eats the symbol; this fails once the format can hold it.
+        with pytest.raises(MachineParseError):
+            parse_machine_file(text)
+        return
+    assert parse_machine_file(text) == m
+    assert emit_machine(parse_machine_file(text)) == text
 
 
 def test_a_run_fills_only_the_entries_it_uses():

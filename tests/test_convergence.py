@@ -12,6 +12,7 @@ from tmbench import (
     run,
     verify_restriction,
     verify_step_count,
+    verify_trie,
 )
 from tmbench.convergence import BUILTIN_LANGUAGES, TrieMachineReport
 from tmbench.machine import all_words
@@ -108,6 +109,47 @@ def test_verify_restriction_catches_corruption():
     ok, counterexamples = verify_restriction(corrupted, oracle)
     assert not ok
     assert counterexamples == ["11"]
+
+
+def test_verify_step_count_catches_corruption():
+    oracle = LanguageOracle.builtin("contains-1")
+    report = build_trie_machine(oracle, 2)
+    m = report.machine
+    trans = dict(m.transitions)
+    # the lookup for "1" detours through the state for "11", whose lookup
+    # accepts: the verdict stays right, the run takes one step more
+    trans[("q_1", BLANK)] = ("q_11", BLANK, "R")
+    corrupted = TrieMachineReport(
+        machine=Machine(m.input_alphabet, m.tape_alphabet, m.states,
+                        m.start_state, m.accept_state, m.reject_state, trans),
+        n=report.n,
+        oracle_queries=report.oracle_queries,
+        state_count=report.state_count,
+    )
+    assert verify_restriction(corrupted, oracle) == (True, [])
+    assert not verify_step_count(corrupted)
+    assert verify_step_count(report)
+
+
+def test_verify_trie_reports_verdicts_and_step_counts_together():
+    oracle = LanguageOracle.builtin("contains-1")
+    report = build_trie_machine(oracle, 2)
+    m = report.machine
+    trans = dict(m.transitions)
+    # the lookup for "1" detours through the state for "00", whose lookup
+    # rejects: a wrong verdict and one step more
+    trans[("q_1", BLANK)] = ("q_00", BLANK, "R")
+    corrupted = TrieMachineReport(
+        machine=Machine(m.input_alphabet, m.tape_alphabet, m.states,
+                        m.start_state, m.accept_state, m.reject_state, trans),
+        n=report.n,
+        oracle_queries=report.oracle_queries,
+        state_count=report.state_count,
+    )
+    assert verify_trie(corrupted, oracle) == (["1"], False)
+    assert verify_trie(corrupted) == ([], False)
+    assert verify_trie(report, oracle) == ([], True)
+    assert verify_trie(report) == ([], True)
 
 
 @pytest.mark.parametrize("lang", ALL_BUILTINS)

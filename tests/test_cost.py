@@ -10,7 +10,6 @@ from tmbench import (
     RIGHT,
     build_demo_machines,
     build_trie_machine,
-    counted_length,
     counted_set,
     is_blind_state,
     parse_cost_model,
@@ -115,13 +114,13 @@ def test_custom_predicate():
 def test_counted_length_trie():
     result = run(build_trie_machine(LanguageOracle.builtin("contains-1"), 3).machine,
                  "010", COUNT_ALL, fuel=100)
-    assert counted_length(result) == 4
+    assert result.counted_steps == 4
 
 
 def test_counted_length_empty_word():
     result = run(build_trie_machine(LanguageOracle.builtin("contains-1"), 3).machine,
                  "", COUNT_ALL, fuel=100)
-    assert counted_length(result) == 1
+    assert result.counted_steps == 1
 
 
 def test_scanner_free_blind_equals_total():

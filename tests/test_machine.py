@@ -47,6 +47,72 @@ def test_accept_equals_reject_reported():
     assert any("not distinct" in d for d in defects)
 
 
+def test_every_defect_kind_in_order():
+    # transitions deliberately out of key order: the report is sorted
+    broken = Machine(
+        input_alphabet=frozenset({"_", "0", "z"}),
+        tape_alphabet=frozenset({"0", "1", "ab", "cd"}),
+        states=frozenset({"s", "t", "acc"}),
+        start_state="s0",
+        accept_state="acc",
+        reject_state="s0",
+        transitions={
+            ("u", "_"): ("v", "9", "X"),
+            ("t", "ab"): ("acc", "q", "L"),
+            ("acc", "0"): ("s", "0", "R"),
+            ("s", "x"): ("s", "0", "R"),
+            ("t", "1"): ("zz", "1", "S"),
+            ("s", "0"): ("t", "0", "R"),
+            ("s0", "1"): ("t", "1", "L"),
+        },
+    )
+    assert validate_machine(broken) == [
+        "input alphabet contains the blank symbol",
+        "tape alphabet missing the blank symbol",
+        "input alphabet not a subset of tape alphabet",
+        "symbol 'ab' is not a single character",
+        "symbol 'cd' is not a single character",
+        "start state 's0' not in state set",
+        "reject state 's0' not in state set",
+        "halting states not distinct (start/accept/reject must differ)",
+        "transition table not total: missing (s, 1)",
+        "transition table not total: missing (s, ab)",
+        "transition table not total: missing (s, cd)",
+        "transition table not total: missing (t, 0)",
+        "transition table not total: missing (t, cd)",
+        "transition from halting state (acc, 0)",
+        "transition reads symbol 'x' outside tape alphabet",
+        "transition from halting state (s0, 1)",
+        "transition from unknown state 's0'",
+        "transition (t, 1) targets unknown state 'zz'",
+        "transition (t, 1) has move 'S', expected L or R",
+        "transition (t, ab) writes 'q' outside tape alphabet",
+        "transition from unknown state 'u'",
+        "transition reads symbol '_' outside tape alphabet",
+        "transition (u, _) targets unknown state 'v'",
+        "transition (u, _) writes '9' outside tape alphabet",
+        "transition (u, _) has move 'X', expected L or R",
+    ]
+
+
+def test_total_table_with_extra_keys_reports_only_the_extras():
+    # keys outside (non-halting state) x (tape alphabet) must not make up
+    # for a missing one, nor be counted as one
+    m = scanner()
+    trans = dict(m.transitions)
+    trans[("q_accept", "0")] = ("q_scan", "0", RIGHT)
+    assert validate_machine(Machine(m.input_alphabet, m.tape_alphabet, m.states,
+                                    m.start_state, m.accept_state, m.reject_state,
+                                    trans)) == ["transition from halting state (q_accept, 0)"]
+    del trans[("q_scan", "1")]
+    assert validate_machine(Machine(m.input_alphabet, m.tape_alphabet, m.states,
+                                    m.start_state, m.accept_state, m.reject_state,
+                                    trans)) == [
+        "transition table not total: missing (q_scan, 1)",
+        "transition from halting state (q_accept, 0)",
+    ]
+
+
 def test_initial_configuration_layout():
     c = initial_configuration(scanner(), "01")
     assert c.tape == {0: "0", 1: "1"}

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from tmbench import (
     parse_measure,
 )
 from tmbench.machine import all_words
+from tmbench.measures import _log2_evaluate, bound_passes, compose
 
 IDENTITY = MeasureFunction("identity")
 
@@ -49,6 +51,85 @@ def test_parameter_constraints():
         MeasureFunction("power", a=1, k=0)
     with pytest.raises(ValueError):
         MeasureFunction("sine")
+
+
+@pytest.mark.parametrize("text, name", [
+    ("linear:a=nan,b=0", "a"),
+    ("linear:a=inf,b=0", "a"),
+    ("linear:a=1,b=inf", "b"),
+    ("log:a=1,b=inf", "b"),
+    ("log:a=1,b=nan", "b"),
+    ("power:a=1,k=nan", "k"),
+    ("power:a=1,k=inf", "k"),
+    ("exp2:a=inf", "a"),
+])
+def test_non_finite_parameters_rejected(text, name):
+    with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+        parse_measure(text)
+
+
+@pytest.mark.parametrize("f, x", [
+    (MeasureFunction("exp2", a=1), 1100),
+    (MeasureFunction("exp2", a=0.5), 1e6),
+    (MeasureFunction("power", a=1, k=200), 1100),
+    (MeasureFunction("power", a=1, k=200), 1100.0),
+    (MeasureFunction("linear", a=1e308, b=0), 10),
+])
+def test_overflow_saturates_to_inf(f, x):
+    assert evaluate(f, x) == math.inf
+
+
+@pytest.mark.parametrize("f, x, exact", [
+    (MeasureFunction("power", a=1e-300, k=110), 1100, Fraction(1e-300) * 1100 ** 110),
+    (MeasureFunction("exp2", a=1e-300), 1100, Fraction(1e-300) * 2 ** 1100),
+])
+def test_overflowing_power_brought_back_by_a(f, x, exact):
+    assert evaluate(f, x) == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("f", [
+    IDENTITY,
+    MeasureFunction("linear", a=2.5, b=3),
+    MeasureFunction("linear", a=2.5, b=0),
+    MeasureFunction("log", a=3, b=7),
+    MeasureFunction("log", a=0.5, b=0),
+    MeasureFunction("power", a=2, k=1.5),
+    MeasureFunction("exp2", a=3),
+])
+@pytest.mark.parametrize("x", [1, 2.5, 37, 1000])
+def test_log2_evaluate_matches_direct(f, x):
+    assert _log2_evaluate(f, x) == pytest.approx(math.log2(evaluate(f, x)), rel=1e-12)
+
+
+def test_log_of_overflowed_stage_is_finite():
+    exp2, log = MeasureFunction("exp2", a=1), MeasureFunction("log", a=1, b=0)
+    assert compose(log, exp2, 1100) == 1100.0
+    assert compose(MeasureFunction("log", a=2, b=1), exp2, 1100) == 2201.0
+    assert compose(log, MeasureFunction("power", a=1, k=200), 1100) == pytest.approx(
+        200 * math.log2(1100), rel=1e-12)
+    assert compose(log, MeasureFunction("linear", a=1e308, b=1e308), 10) == pytest.approx(
+        math.log2(1e308) + math.log2(11), rel=1e-12)
+    assert compose(exp2, exp2, 1100) == math.inf
+    assert compose(MeasureFunction("power", a=1, k=2), exp2, 1100) == math.inf
+    # a composed bound below the count fails instead of reading inf
+    scanner = build_demo_machines()[0]
+    for spec in (BoundSpec(g=log, mode="outer", transform=exp2),
+                 BoundSpec(g=exp2, mode="inner", transform=log)):
+        report = check_bound(scanner, COUNT_ALL, spec, ["0" * 1100])
+        assert report.per_input[0].bound == 1100.0
+        assert report.per_input[0].counted_steps == 1101
+        assert not report.verdict
+
+
+def test_infinite_bound_passes_any_count():
+    assert bound_passes(10 ** 400, math.inf)
+    spec = BoundSpec(g=MeasureFunction("exp2", a=1), mode="outer",
+                     transform=MeasureFunction("exp2", a=1))
+    assert spec.bound(11) == math.inf
+    report = check_bound(build_demo_machines()[0], COUNT_ALL, spec, ["0" * 10, "1"])
+    assert [row.bound for row in report.per_input] == [math.inf, 2.0 ** 2.0]
+    assert report.verdict
+    assert report.worst_margin == 1 - 4.0
 
 
 def test_monotone_sample_identity():

@@ -148,6 +148,18 @@ def test_decide_nt_exp_transform():
     assert report.certificates_tried <= 3
 
 
+def test_decide_nt_log_of_overflowing_transform():
+    # 2^|y| <= log2(2^1100): certificate lengths 0..10, positions up to 1023
+    rel = demo_checker()
+    g, t = MeasureFunction("log", a=1, b=0), MeasureFunction("exp2", a=1)
+    report = decide_nt(rel, g, t, "0" * 1023 + "1" + "0" * 76)
+    assert report.accepted
+    assert report.witness == "1" * 10
+    report = decide_nt(rel, g, t, "0" * 1024 + "1" + "0" * 75)
+    assert not report.accepted
+    assert report.certificates_tried == 2 ** 11 - 1
+
+
 def inline_checker():
     """Accepts (x, y) iff the certificate starts with '1': seeks '#', reads
     the next symbol."""

@@ -95,3 +95,55 @@ def test_parse_error_carries_line_number():
     with pytest.raises(MachineParseError) as excinfo:
         parse_machine_file(text)
     assert excinfo.value.line_no == len(SCANNER_TEXT.splitlines()) + 1
+
+
+SCANNER_LINE = "trans: q_scan 0 -> q_scan 0 R"
+
+
+@pytest.mark.parametrize("line", [
+    "trans:\tq_scan\t0\t->\tq_scan\t0\tR",
+    "trans : q_scan 0 -> q_scan 0 R",
+    "trans:q_scan 0 -> q_scan 0 R",
+    "  trans:   q_scan 0 ->  q_scan 0 R  ",
+    "trans: q_scan 0 -> q_scan 0 R  # loops on 0",
+    "trans: q_scan 0 -> q_scan 0 R#",
+])
+def test_trans_line_spellings(line):
+    machine = parse_machine_file(SCANNER_TEXT.replace(SCANNER_LINE, line))
+    assert machine == build_demo_machines()[0]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("trans: q_scan 0 -> q_scan 0 X", "line 8: move must be L or R, got 'X'"),
+    ("trans: q_scan 0 => q_scan 0 R",
+     "line 8: expected 'trans: <state> <sym> -> <state> <sym> <L|R>'"),
+    ("trans: q_scan 00 -> q_scan 0 R", "line 8: symbols must be single characters"),
+    ("trans: q_scan 0 -> q_scan 00 R", "line 8: symbols must be single characters"),
+    ("trans: q_scan 0 -> q_scan 0 R R",
+     "line 8: expected 'trans: <state> <sym> -> <state> <sym> <L|R>'"),
+    ("trans: q_scan 0 -> q_scan 0 # R",
+     "line 8: expected 'trans: <state> <sym> -> <state> <sym> <L|R>'"),
+    ("trans q_scan 0 -> q_scan 0 R", "line 8: expected '<key>: ...', got "
+                                     "'trans q_scan 0 -> q_scan 0 R'"),
+    ("trams: q_scan 0 -> q_scan 0 R", "line 8: unknown key 'trams'"),
+])
+def test_malformed_trans_line_reports_its_line(line, message):
+    with pytest.raises(MachineParseError) as excinfo:
+        parse_machine_file(SCANNER_TEXT.replace(SCANNER_LINE, line))
+    assert str(excinfo.value) == message
+    assert excinfo.value.line_no == 8
+
+
+@pytest.mark.parametrize("first, second", [
+    (SCANNER_LINE, SCANNER_LINE),
+    (SCANNER_LINE + "  # first", SCANNER_LINE),
+    (SCANNER_LINE, "trans:q_scan 0 -> q_reject _ L"),
+])
+def test_duplicate_trans_line_reports_the_second(first, second):
+    lines = SCANNER_TEXT.replace(SCANNER_LINE, first).splitlines()
+    lines.insert(9, "")
+    lines.insert(10, second)
+    with pytest.raises(MachineParseError) as excinfo:
+        parse_machine_file("\n".join(lines) + "\n")
+    assert str(excinfo.value) == "line 11: duplicate transition for (q_scan, 0)"
+    assert excinfo.value.line_no == 11
