@@ -6,8 +6,11 @@ the head starts on cell 0, which holds the first input symbol. Moves are
 'L'/'R', i.e. head index -1/+1.
 
 Runs execute on a compiled form of the machine (_CompiledMachine), built
-once per (machine, cost model) and cached on the machine. The dict-based
-`step` is the reference the compiled loop is tested against.
+once per (machine, cost model) and cached on the machine. An untraced run
+takes a self-loop over a run of cells (a sweep) as one exact macro-step,
+after Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990); a traced run
+steps one transition at a time. The dict-based `step` is the reference the
+compiled loop is tested against.
 """
 
 from __future__ import annotations
@@ -209,6 +212,94 @@ def step(m: Machine, c: Configuration) -> Optional[tuple[Configuration, StepReco
     return c, record
 
 
+class _Sweep:
+    """A compiled self-loop: a state that stays put on every symbol of a
+    set, writing it through `writes` (a bytes.translate table, None when
+    each symbol is written back) and moving d. It runs the maximal run of
+    those symbols from the head in one macro-step. `inside` maps each
+    symbol of the set to 1 and every other byte to 0. The cost model counts
+    the cells of the run whose symbol is in `counted` (None: all of them).
+
+    Unpacking a sweep raises TypeError, like an unfilled entry, so the step
+    loop needs no test to notice one. `plain` is the entry as one step.
+    """
+
+    __slots__ = ("plain", "d", "inside", "writes", "counted", "runs", "cells", "last")
+
+    # after this many runs, a sweep whose runs average fewer cells than
+    # SHORT costs more in the loop's exceptions than it saves
+    TRIAL = 16
+    SHORT = 4
+
+    def __init__(self, plain: tuple[int, int, int, int], loop: bytes,
+                 writes: Optional[bytes], counted: Optional[bytes]):
+        self.plain = plain
+        self.d = plain[2]
+        inside = bytearray(256)
+        for code in loop:
+            inside[code] = 1
+        self.inside = bytes(inside)
+        self.writes, self.counted = writes, counted
+        self.runs = self.cells = self.last = 0
+
+    def run(self, tape: bytearray, i: int, limit: int) -> tuple[int, int, int]:
+        """Apply the run that starts at tape[i], at most limit cells long:
+        returns the head index after it, its total and its counted steps.
+
+        The run ends at the first cell outside the set, looked for in
+        windows that start a little past this sweep's last run and double
+        in size, so a run costs time in its own length and its
+        predecessor's, never the tape's. A sentinel is never in the set,
+        so every run stops at one.
+        """
+        inside = self.inside
+        window = self.last + 32
+        if self.d > 0:
+            start = end = i
+            stop = i + limit
+            while True:
+                hi = min(end + window, stop)
+                j = tape[end:hi].translate(inside).find(0)
+                if j >= 0:
+                    end += j
+                    break
+                end = hi
+                if end == stop:
+                    break
+                window *= 2
+            head = end
+        else:
+            start = end = i + 1
+            stop = end - limit
+            while True:
+                lo = max(start - window, stop, 0)
+                j = tape[lo:start].translate(inside).rfind(0)
+                if j >= 0:
+                    start = lo + j + 1
+                    break
+                start = lo
+                if start == stop:
+                    break
+                window *= 2
+            head = start - 1
+        n = end - start
+        counted = n
+        if self.writes is not None or self.counted is not None:
+            seg = tape[start:end]
+            if self.counted is not None:  # deleting the counted cells leaves the rest
+                counted = n - len(seg.translate(None, self.counted))
+            if self.writes is not None:
+                tape[start:end] = seg.translate(self.writes)
+        self.runs += 1
+        self.cells += n
+        self.last = n
+        return head, n, counted
+
+    def short(self) -> bool:
+        """Whether this sweep has had its trial and covers too few cells."""
+        return self.runs >= self.TRIAL and self.cells < self.SHORT * self.runs
+
+
 class _CompiledMachine:
     """A valid machine's transition table under one cost model, in integers.
 
@@ -223,9 +314,18 @@ class _CompiledMachine:
     the step loop notices a halt, a tape end or an entry to fill without
     testing for any of them on every step.
 
+    An entry whose target is its own state holds a _Sweep instead, which
+    does not unpack either: the untraced loop then takes the whole run of
+    cells the state loops over in that direction as one macro-step, with
+    exact total and counted steps, clipped to the fuel left and ended at a
+    sentinel. A sweep that keeps covering few cells is put back as its
+    plain entry. Traced runs read `records`, whose entries widen the plain
+    entry with the fields of a StepRecord, and never see a sweep.
+
     A tape is a bytearray of symbol numbers framed by sentinels, or an
-    array('L') for a tape alphabet of 256 symbols or more. The compiled form
-    holds no reference to the machine, so caching it there makes no cycle.
+    array('L') for a tape alphabet of 256 symbols or more, which gets no
+    sweeps. The compiled form holds no reference to the machine, so caching
+    it there makes no cycle.
     """
 
     def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
@@ -244,36 +344,77 @@ class _CompiledMachine:
         self.inputs = m.input_alphabet
         self.translation = {ord(s): i for s, i in self.code.items()}  # for str.translate
         size = len(self.states) * width
-        self.table: list[Optional[tuple[int, int, int, int]]] = [None] * size
-        if edge < 256:
+        self.table: list = [None] * size  # plain entries, sweeps and None
+        self.sweeps = edge < 256
+        if self.sweeps:
             self.tape_type = bytearray
             self.pack = lambda coded: coded.encode("latin-1")
         else:
             self.tape_type = lambda cells: array("L", cells)
             self.pack = lambda coded: array("L", map(ord, coded))
+        # with every symbol in latin-1, a word encodes and translates as
+        # bytes; deleting the bytes of the input or tape alphabet (`spelled`)
+        # from it leaves the symbols outside that alphabet
+        self.latin: Optional[bytes] = None
+        if self.sweeps and all(ord(s) < 256 for s in self.symbols):
+            codes = bytearray(256)
+            for s, i in self.code.items():
+                codes[ord(s)] = i
+            self.latin = bytes(codes)
+            self.spelled = {a: "".join(a).encode("latin-1")
+                            for a in (m.input_alphabet, m.tape_alphabet)}
         self.blank = self.pack("\0")
         self.sentinel = self.pack(chr(edge))
         self.right_end = self.blank + self.sentinel
-        # per entry, the fields of its StepRecord but the head; allocated by
-        # the first traced run and filled with the table from then on
+        # per entry, the fields of its StepRecord but the head, then the
+        # plain entry; allocated by the first traced run and filled with the
+        # table from then on
         self.records: Optional[list] = None
 
     def _fill(self, entry: int) -> None:
+        """Fill the table entry if it is empty, and its record if records
+        are kept."""
         q, symbol = divmod(entry, self.width)
-        key = (self.states[q], self.symbols[symbol])
+        state, read = key = (self.states[q], self.symbols[symbol])
         target, write, move = self.transitions[key]
         counted = self.counted_keys is None or key in self.counted_keys
-        self.table[entry] = (self.row[target], self.code[write], 1 if move == RIGHT else -1,
-                             int(counted))
+        plain = (self.row[target], self.code[write], 1 if move == RIGHT else -1, int(counted))
+        if self.table[entry] is None:
+            self.table[entry] = (self._sweep(state, move, plain)
+                                 if target == state and self.sweeps else plain)
         if self.records is not None:
-            self.records[entry] = (key[0], key[1], write, move, target, counted)
+            self.records[entry] = (state, read, write, move, target, counted) + plain
+
+    def _sweep(self, state: str, move: str, plain: tuple) -> "_Sweep":
+        """The sweep over every symbol that state loops on, moving move."""
+        loop, counted = bytearray(), bytearray()
+        writes = bytearray(range(256))
+        for code, symbol in enumerate(self.symbols):
+            key = (state, symbol)
+            target, write, m = self.transitions[key]
+            if target == state and m == move:
+                loop.append(code)
+                writes[code] = self.code[write]
+                if self.counted_keys is None or key in self.counted_keys:
+                    counted.append(code)
+        return _Sweep(plain, bytes(loop),
+                      None if writes == bytes(range(256)) else bytes(writes),
+                      None if counted == loop else bytes(counted))
 
     def encode(self, word: str, alphabet: frozenset[str], what: str = "input"):
         """word's cells as symbol numbers; every symbol must be in alphabet."""
-        if not alphabet.issuperset(word):
-            bad = next(ch for ch in word if ch not in alphabet)
-            raise InvalidInputError(f"symbol {bad!r} not in {what} alphabet")
-        return self.pack(word.translate(self.translation))
+        if self.latin is not None:
+            try:
+                raw = word.encode("latin-1")
+            except UnicodeEncodeError:
+                pass
+            else:
+                if not raw.translate(None, self.spelled[alphabet]):
+                    return raw.translate(self.latin)
+        elif alphabet.issuperset(word):
+            return self.pack(word.translate(self.translation))
+        bad = next(ch for ch in word if ch not in alphabet)
+        raise InvalidInputError(f"symbol {bad!r} not in {what} alphabet")
 
     def tape(self, *runs):
         """A fresh tape: the given runs of cells and one blank, between
@@ -312,20 +453,28 @@ class _CompiledMachine:
                         self.records = [None] * len(table)
                     records = self.records
                     for k in range(fuel - total):
-                        entry = q + tape[i]
-                        state, read, write, move, target, is_counted = records[entry]
-                        q, w, d, c = table[entry]
+                        (state, read, write, move, target, is_counted,
+                         q, w, d, c) = records[q + tape[i]]
                         tape[i] = w
                         trace.append(StepRecord(state, i - origin, read, write, move,
                                                 target, is_counted))
                         i += d
                         counted += c
-            except TypeError:  # a halting state, a sentinel or an unfilled entry
+            except TypeError:  # a halting state, a sentinel, an unfilled entry or a sweep
                 total += k
                 if q >= self.accept:  # the two halting rows come last
                     break
                 if tape[i] != self.edge:
-                    self._fill(q + tape[i])
+                    entry = q + tape[i]
+                    sweep = table[entry]
+                    if sweep is None or trace is not None:
+                        self._fill(entry)
+                        continue
+                    i, n, c = sweep.run(tape, i, fuel - total)
+                    total += n
+                    counted += c
+                    if sweep.short():
+                        table[entry] = sweep.plain
                     continue
                 grow = len(tape)
                 if i == 0:

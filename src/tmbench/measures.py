@@ -219,6 +219,8 @@ def parse_measure(text: str) -> MeasureFunction:
         name, sep, value = item.partition("=")
         if not sep or name not in ("a", "b", "k"):
             raise ValueError(f"bad measure parameter {item!r}")
+        if name in kwargs:
+            raise ValueError(f"repeated measure parameter {name!r} in {text!r}")
         kwargs[name] = float(value)
     allowed = {"linear": {"a", "b"}, "log": {"a", "b"}, "power": {"a", "k"}, "exp2": {"a"}}
     extra = set(kwargs) - allowed.get(family, set())

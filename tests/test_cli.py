@@ -203,6 +203,17 @@ def test_check_bound_non_finite_parameter_is_exit_2(capsys, scanner_file, g):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("flag, spec", [("--g", "linear:a=1,a=5,b=2"),
+                                        ("--t", "power:a=1,k=2,k=3")])
+def test_check_bound_repeated_parameter_is_exit_2(capsys, scanner_file, flag, spec):
+    argv = ["--g", "linear:a=1,b=1", "--mode", "outer"] if flag == "--t" else []
+    code, out, err = invoke(capsys, "check-bound", "--machine", scanner_file,
+                            *argv, flag, spec, "--input", "01")
+    assert code == 2
+    assert out == ""
+    assert "repeated measure parameter" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("--g", "exp2:a=1"),
     ("--g", "power:a=1,k=200"),

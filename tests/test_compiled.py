@@ -17,12 +17,14 @@ from tmbench import (
     RIGHT,
     CertificateBudgetError,
     CheckingRelation,
+    InvalidInputError,
     Configuration,
     CostModel,
     Machine,
     MachineParseError,
     MeasureFunction,
     Verdict,
+    build_demo_machines,
     build_trie_machine,
     counted_set,
     decide_nc,
@@ -34,7 +36,7 @@ from tmbench import (
     run_configuration,
     step,
 )
-from tmbench.machine import _compile
+from tmbench.machine import _compile, _Sweep
 from tmbench.nondet import _exceeds_budget, certificates_up_to, deliver
 
 def reference(m, config, keys, fuel):
@@ -53,6 +55,19 @@ def reference(m, config, keys, fuel):
     else:
         verdict = Verdict.FUEL_EXHAUSTED
     return verdict, len(trace), sum(r.counted for r in trace), tuple(trace), config
+
+
+def check_against_reference(m, word, cost, fuel, record_trace=False):
+    """run() from the start configuration agrees with the dict stepper."""
+    verdict, total, counted, trace, final = reference(
+        m, initial_configuration(m, word), counted_set(m, cost), fuel)
+    result = run(m, word, cost, fuel=fuel, record_trace=record_trace)
+    assert (result.verdict, result.total_steps, result.counted_steps) == (
+        verdict, total, counted)
+    assert result.trace == (trace if record_trace else None)
+    assert (result.final.state, result.final.head, result.final.tape) == (
+        final.state, final.head, final.tape)
+    return result
 
 
 @st.composite
@@ -94,15 +109,7 @@ def test_run_matches_dict_stepper(data):
     cost = data.draw(cost_models(m))
     word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
     fuel = data.draw(fuels)
-    record_trace = data.draw(st.booleans())
-    verdict, total, counted, trace, final = reference(
-        m, initial_configuration(m, word), counted_set(m, cost), fuel)
-    result = run(m, word, cost, fuel=fuel, record_trace=record_trace)
-    assert (result.verdict, result.total_steps, result.counted_steps) == (
-        verdict, total, counted)
-    assert result.trace == (trace if record_trace else None)
-    assert (result.final.state, result.final.head, result.final.tape) == (
-        final.state, final.head, final.tape)
+    check_against_reference(m, word, cost, fuel, data.draw(st.booleans()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,6 +210,181 @@ def test_tape_alphabet_wider_than_a_byte():
     result = run(m, word, fuel=1000)
     assert (result.verdict, result.total_steps, result.trace) == (verdict, total, trace)
     assert result.final.tape == final.tape
+
+
+# --- sweeps: a self-loop over a run of cells as one macro-step --------------
+
+def sweeps_of(m, cost=COUNT_ALL):
+    return [entry for entry in _compile(m, cost).table if isinstance(entry, _Sweep)]
+
+
+@st.composite
+def looping_machines(draw):
+    """Random valid machines whose entries mostly loop on their own state,
+    so that runs take sweeps in both directions, with and without writes."""
+    others = draw(st.sampled_from(["01", "01a"]))
+    live = [f"q{i}" for i in range(draw(st.integers(1, 4)))]
+    states = live + ["acc", "rej"]
+    tape = others + BLANK
+    transitions = {}
+    for q in live:
+        for s in tape:
+            target = q if draw(st.integers(0, 3)) else draw(st.sampled_from(states))
+            write = s if draw(st.booleans()) else draw(st.sampled_from(tape))
+            transitions[(q, s)] = (target, write, draw(st.sampled_from([LEFT, RIGHT])))
+    return Machine(frozenset(others), frozenset(tape), frozenset(states), live[0],
+                   "acc", "rej", transitions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sweeps_match_dict_stepper(data):
+    m = data.draw(looping_machines())
+    cost = data.draw(cost_models(m))
+    # runs of one symbol up to 150 cells long cross several window sizes
+    blocks = data.draw(st.lists(st.tuples(st.sampled_from(sorted(m.input_alphabet)),
+                                          st.integers(1, 150)), max_size=5))
+    word = "".join(symbol * length for symbol, length in blocks)
+    fuel = data.draw(st.one_of(st.integers(1, 400), st.integers(400, 4000)))
+    check_against_reference(m, word, cost, fuel)
+
+
+def sweeper():
+    """Sweeps right over 0s and 1s, turning 0 into 1, to the blank past the
+    word, then left over them back to the blank before it, and accepts."""
+    t = {("r", "0"): ("r", "1", RIGHT), ("r", "1"): ("r", "1", RIGHT),
+         ("r", BLANK): ("l", BLANK, LEFT),
+         ("l", "0"): ("l", "0", LEFT), ("l", "1"): ("l", "1", LEFT),
+         ("l", BLANK): ("acc", BLANK, RIGHT)}
+    return Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"r", "l", "acc", "rej"}),
+                   "r", "acc", "rej", t)
+
+
+def test_fuel_runs_out_inside_a_sweep_in_both_directions():
+    m = sweeper()
+    word = "0110" * 25 + "0" * 100
+    right_sweep_ends, left_sweep_ends = len(word), 2 * len(word) + 1
+    fuels = [1, 2, 31, 32, 33, 100, 199, right_sweep_ends, right_sweep_ends + 1,
+             right_sweep_ends + 2, 300, 350, left_sweep_ends - 1, left_sweep_ends,
+             left_sweep_ends + 1, left_sweep_ends + 2]
+    for fuel in fuels:
+        check_against_reference(m, word, COUNT_ALL, fuel)
+    # one sweep a direction: the entries a sweep passes over are not filled
+    assert len(sweeps_of(m)) == 2
+
+
+def test_sweeps_reach_the_sentinel_at_both_ends_and_grow_the_tape():
+    # right: writes 'a' over the blanks forever; left: walks over blanks forever
+    for move in (RIGHT, LEFT):
+        t = {("q", s): ("q", "a" if move == RIGHT else s, move) for s in "0a" + BLANK}
+        m = Machine(frozenset("0"), frozenset("0a" + BLANK), frozenset({"q", "acc", "rej"}),
+                    "q", "acc", "rej", t)
+        for fuel in (1, 3, 4, 5, 17, 100, 1000, 5000):
+            result = check_against_reference(m, "000", COUNT_ALL, fuel)
+            assert result.final.head == (fuel if move == RIGHT else -fuel)
+        assert sweeps_of(m)
+
+
+def test_sweep_writes_changed_symbols():
+    # flips every bit on the way right, then turns and flips them back
+    t = {("r", "0"): ("r", "1", RIGHT), ("r", "1"): ("r", "0", RIGHT),
+         ("r", BLANK): ("l", BLANK, LEFT),
+         ("l", "0"): ("l", "1", LEFT), ("l", "1"): ("l", "0", LEFT),
+         ("l", BLANK): ("r", BLANK, RIGHT)}
+    m = Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"r", "l", "acc", "rej"}),
+                "r", "acc", "rej", t)
+    word = "0010111" * 30
+    for fuel in (len(word), len(word) + 1, 3 * len(word), 5000):
+        result = check_against_reference(m, word, COUNT_ALL, fuel)
+    assert result.final.tape != {}
+    assert all(sweep.writes is not None for sweep in sweeps_of(m))
+
+
+def test_custom_predicate_counts_some_symbols_of_a_run():
+    m = sweeper()
+    ones = CostModel.custom(lambda q, s, w, move, t: s == "1")
+    word = "0110100" * 40
+    for fuel in (1, 50, 137, len(word), 600, 5000):
+        result = check_against_reference(m, word, ones, fuel)
+    assert 0 < result.counted_steps < result.total_steps
+    assert all(sweep.counted is not None for sweep in sweeps_of(m, ones))
+
+
+@pytest.mark.parametrize("first_traced", [False, True])
+def test_traced_and_untraced_runs_share_one_compiled_object(first_traced):
+    m = sweeper()
+    cost = CostModel.custom(lambda q, s, w, move, t: move == LEFT)
+    word = "01" * 60
+    for record_trace in (first_traced, not first_traced, first_traced):
+        for fuel in (90, 5000):
+            check_against_reference(m, word, cost, fuel, record_trace)
+    assert sweeps_of(m, cost)
+
+
+def test_tape_alphabet_wider_than_a_byte_keeps_the_per_step_loop():
+    symbols = [chr(0x100 + i) for i in range(300)]
+    t = {("r", c): ("r", c, RIGHT) for c in symbols}
+    t[("r", BLANK)] = ("l", BLANK, LEFT)
+    t.update({("l", c): ("l", symbols[-1 - i], LEFT) for i, c in enumerate(symbols)})
+    t[("l", BLANK)] = ("acc", BLANK, RIGHT)
+    m = Machine(frozenset(symbols), frozenset(symbols + [BLANK]),
+                frozenset({"r", "l", "acc", "rej"}), "r", "acc", "rej", t)
+    word = "".join(symbols) * 2
+    for fuel in (100, 650, 2000):
+        check_against_reference(m, word, COUNT_ALL, fuel)
+    assert not sweeps_of(m)
+
+
+def test_ping_pong_entries_go_back_to_plain_steps():
+    """One-cell runs cost more as sweeps than as steps: after a trial the
+    entries hold their plain tuples again, and the run stays exact."""
+    t = {("q", "0"): ("q", "0", RIGHT), ("q", "1"): ("q", "1", LEFT),
+         ("q", BLANK): ("acc", BLANK, RIGHT)}
+    m = Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"q", "acc", "rej"}),
+                "q", "acc", "rej", t)
+    check_against_reference(m, "01", COUNT_ALL, 1001)
+    compiled = _compile(m, COUNT_ALL)
+    entries = [compiled.table[compiled.row["q"] + compiled.code[s]] for s in "01"]
+    assert all(type(entry) is tuple for entry in entries)
+    check_against_reference(m, "01", COUNT_ALL, 999)
+
+
+def test_long_sweeps_keep_their_sweep():
+    scanner = build_demo_machines()[0]
+    check_against_reference(scanner, "0" * 5000, COUNT_ALL, 5002)
+    for n in range(1, 20):
+        run(scanner, "0" * n + "1", fuel=100, record_trace=False)
+    (sweep,) = sweeps_of(scanner)
+    assert sweep.runs == 20
+
+
+# --- encoding words onto a tape -------------------------------------------------
+
+def encoding(compiled, word):
+    return [compiled.code[ch] for ch in word]
+
+
+@pytest.mark.parametrize("symbols", ["01", "0é", "01αβ", [chr(0x100 + i) for i in range(300)]])
+def test_encode_matches_the_symbol_numbers(symbols):
+    m = Machine(frozenset(symbols), frozenset([*symbols, BLANK]),
+                frozenset({"q", "acc", "rej"}), "q", "acc", "rej",
+                {("q", s): ("acc", s, RIGHT) for s in [*symbols, BLANK]})
+    compiled = _compile(m, COUNT_ALL)
+    word = "".join(symbols) * 3
+    assert list(compiled.encode(word, m.input_alphabet)) == encoding(compiled, word)
+    assert list(compiled.encode("", m.input_alphabet)) == []
+    tape_word = BLANK + word + BLANK
+    assert list(compiled.encode(tape_word, m.tape_alphabet, "tape")) == encoding(
+        compiled, tape_word)
+    for bad, culprit in [(word + BLANK, BLANK), ("x" + word, "x"), (word + "\x00", "\x00"),
+                         (word + "ÿ", "ÿ"), (word + "Ω" + "x", "Ω"), (chr(0x1F600), chr(0x1F600))]:
+        if culprit in m.input_alphabet:
+            continue
+        with pytest.raises(InvalidInputError) as raised:
+            compiled.encode(bad, m.input_alphabet)
+        assert str(raised.value) == f"symbol {culprit!r} not in input alphabet"
+    with pytest.raises(InvalidInputError, match="not in tape alphabet"):
+        compiled.encode(word + "x", m.tape_alphabet, "tape")
 
 
 # --- the compile cache ------------------------------------------------------

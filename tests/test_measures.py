@@ -278,3 +278,10 @@ def test_parse_measure():
     for bad in ("cubic:a=1", "linear:a=1,k=2", "linear:q=1", "linear"):
         with pytest.raises(ValueError):
             parse_measure(bad)
+
+
+@pytest.mark.parametrize("text", ["linear:a=1,a=5,b=2", "linear:a=1,b=2,b=2", "exp2:a=1,a=1",
+                                  "power:k=2,a=1,k=3"])
+def test_parse_measure_rejects_a_repeated_parameter(text):
+    with pytest.raises(ValueError, match="repeated measure parameter"):
+        parse_measure(text)
