@@ -18,7 +18,7 @@ from tmbench.convergence import (
     verify_trie,
 )
 from tmbench.cost import COUNT_ALL, parse_cost_model
-from tmbench.machine import Verdict, _compile, run
+from tmbench.machine import Verdict, _compile, all_words, run
 from tmbench.measures import BoundSpec, check_bound, parse_measure
 from tmbench.nondet import (
     DEFAULT_CERTIFICATE_BUDGET,
@@ -79,8 +79,7 @@ def _family_words(family: str, length: int) -> list[str]:
     if family == "all":
         if length > 16:
             raise ValueError("family 'all' is capped at length 16")
-        return [format(i, f"0{length}b") if length else ""
-                for i in range(2 ** length)]
+        return list(all_words("01", length, length))
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -18,6 +18,7 @@ from tmbench.cost import COUNT_ALL
 from tmbench.machine import BLANK, RIGHT, Machine, Verdict, _compile, _mark_valid, all_words
 
 MAX_TRIE_DEPTH = 20
+MAX_CONVERGENCE_K = 12
 LONG_WORD_SAMPLE = 256
 LONG_WORD_SEED = 20260823
 
@@ -55,18 +56,17 @@ BUILTIN_LANGUAGES: dict[str, Callable[[str], bool]] = {
 
 @dataclass(frozen=True)
 class LanguageOracle:
-    """Membership predicate over {0,1}*: a named built-in or a finite word set."""
+    """Membership predicate over {0,1}*: a named built-in (`builtin`) or a
+    finite word set (`finite`). Two built-ins of one name are equal."""
 
-    kind: str  # "builtin" or "finite"
-    name: Optional[str] = None
-    words: frozenset[str] = frozenset()
+    member: Callable[[str], bool]
 
     @staticmethod
     def builtin(name: str) -> "LanguageOracle":
         if name not in BUILTIN_LANGUAGES:
             raise ValueError(f"unknown built-in language {name!r}; "
                              f"choose from {sorted(BUILTIN_LANGUAGES)}")
-        return LanguageOracle(kind="builtin", name=name)
+        return LanguageOracle(BUILTIN_LANGUAGES[name])
 
     @staticmethod
     def finite(words) -> "LanguageOracle":
@@ -74,16 +74,10 @@ class LanguageOracle:
         for w in ws:
             if any(ch not in "01" for ch in w):
                 raise ValueError(f"word {w!r} is not over {{0,1}}")
-        return LanguageOracle(kind="finite", words=ws)
+        return LanguageOracle(ws.__contains__)
 
     def __call__(self, word: str) -> bool:
-        if self.kind == "builtin":
-            assert self.name is not None
-            return BUILTIN_LANGUAGES[self.name](word)
-        return word in self.words
-
-    def describe(self) -> str:
-        return self.name if self.kind == "builtin" else f"finite({len(self.words)} words)"
+        return self.member(word)
 
 
 @dataclass(frozen=True)
@@ -105,8 +99,7 @@ def _state_name(prefix: str) -> str:
     return "q_" + prefix
 
 
-def build_trie_machine(L: LanguageOracle, n: int,
-                       max_depth: int = MAX_TRIE_DEPTH) -> TrieMachineReport:
+def build_trie_machine(L: LanguageOracle, n: int) -> TrieMachineReport:
     """Compile the oracle into the depth-n trie machine.
 
     States are named after the prefix read so far ("q_" is the empty prefix
@@ -115,22 +108,17 @@ def build_trie_machine(L: LanguageOracle, n: int,
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    if n > max_depth:
+    if n > MAX_TRIE_DEPTH:
         raise TrieSizeError(
-            f"depth {n} needs 2^{n + 1}+1 states, over the budget (max depth {max_depth})"
+            f"depth {n} needs 2^{n + 1}+1 states, "
+            f"over the budget (max depth {MAX_TRIE_DEPTH})"
         )
     accept, reject = "q_accept", "q_reject"
     states = {accept, reject}
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     queries = 0
 
-    prefixes = [""]
-    frontier = [""]
-    for _ in range(n):
-        frontier = [p + bit for p in frontier for bit in "01"]
-        prefixes.extend(frontier)
-
-    for prefix in prefixes:
+    for prefix in all_words("01", n):
         q = _state_name(prefix)
         states.add(q)
         if len(prefix) < n:
@@ -165,15 +153,10 @@ def _long_word_sample(n: int) -> list[str]:
     """Words of length n+1 to probe past the depth cap: exhaustive for small
     n, a fixed-seed sample above."""
     if n <= 10:
-        return ["".join(bits) for bits in _bit_tuples(n + 1)]
+        return list(all_words("01", n + 1, n + 1))
     rng = random.Random(LONG_WORD_SEED)
     return ["".join(rng.choice("01") for _ in range(n + 1))
             for _ in range(LONG_WORD_SAMPLE)]
-
-
-def _bit_tuples(length: int):
-    from itertools import product
-    return product("01", repeat=length)
 
 
 def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = None
@@ -216,8 +199,7 @@ def verify_step_count(report: TrieMachineReport) -> bool:
     return verify_trie(report)[1]
 
 
-def find_convergence_index(L: LanguageOracle, k: int, budget: int,
-                           max_k: int = 12) -> ConvergenceReport:
+def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> ConvergenceReport:
     """Least sequence index n_k from which every trie machine agrees with L
     on all words of length <= k.
 
@@ -226,11 +208,11 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int,
     index k, beyond which it is structural: the depth-n trie decides words of
     length <= k exactly as L whenever n >= k).
     """
-    if k < 0 or k > max_k:
-        raise ValueError(f"k must be in 0..{max_k}")
+    if k < 0 or k > MAX_CONVERGENCE_K:
+        raise ValueError(f"k must be in 0..{MAX_CONVERGENCE_K}")
     if budget < k:
         raise ValueError("budget must be at least k")
-    words = all_words("01", k)
+    words = list(all_words("01", k))
 
     def agrees(n: int) -> bool:
         trie = _compile(build_trie_machine(L, n).machine, COUNT_ALL)

@@ -30,14 +30,6 @@ class CostModel:
     predicate: Optional[TransitionPredicate] = None
 
     @staticmethod
-    def count_all() -> "CostModel":
-        return CostModel(kind=KIND_COUNT_ALL)
-
-    @staticmethod
-    def free_blind_moves() -> "CostModel":
-        return CostModel(kind=KIND_FREE_BLIND)
-
-    @staticmethod
     def free_states_model(states) -> "CostModel":
         return CostModel(kind=KIND_FREE_STATES, free_states=frozenset(states))
 
@@ -46,8 +38,8 @@ class CostModel:
         return CostModel(kind=KIND_CUSTOM, predicate=predicate)
 
 
-COUNT_ALL = CostModel.count_all()
-FREE_BLIND = CostModel.free_blind_moves()
+COUNT_ALL = CostModel(KIND_COUNT_ALL)
+FREE_BLIND = CostModel(KIND_FREE_BLIND)
 
 
 def is_blind_state(m: Machine, q: str) -> bool:

@@ -11,6 +11,10 @@ takes a self-loop over a run of cells (a sweep) as one exact macro-step,
 after Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990); a traced run
 steps one transition at a time. The dict-based `step` is the reference the
 compiled loop is tested against.
+
+`all_words` is the one enumeration of words in length-then-lexicographic
+order: the certificate search, trie synthesis and verification, and the
+CLI's word families all draw from it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from itertools import product
+from typing import Iterable, Iterator, Mapping, Optional
 
 from tmbench.cost import COUNT_ALL, CostModel, counted_set
 
@@ -518,19 +523,18 @@ def _compile(m: Machine, cost: CostModel) -> _CompiledMachine:
 def run_configuration(
     m: Machine,
     config: Configuration,
-    counted_keys: Optional[frozenset[tuple[str, str]]],
+    cost: CostModel,
     fuel: int,
     record_trace: bool = True,
 ) -> RunResult:
-    """Iterate from an arbitrary configuration until halt or fuel runs out.
+    """Iterate from an arbitrary configuration under a cost model until halt
+    or fuel runs out.
 
-    counted_keys is the set of (state, read symbol) table entries the active
-    cost model counts; None counts everything. config is updated in place to
-    the final configuration, which the result holds. The tape is simulated
-    densely from its lowest to its highest stored cell.
+    config is updated in place to the final configuration, which the result
+    holds. The tape is simulated densely from its lowest to its highest
+    stored cell.
     """
-    require_valid(m)
-    compiled = _CompiledMachine(m, counted_keys)
+    compiled = _compile(m, cost)
     lo = min(min(config.tape, default=0), config.head)
     hi = max(max(config.tape, default=0), config.head)
     cells = [BLANK] * (hi - lo + 1)
@@ -545,19 +549,15 @@ def run_configuration(
                      result.trace, config)
 
 
-def run(m: Machine, input_word: str, cost: Optional[CostModel] = None, fuel: int = 10_000,
+def run(m: Machine, input_word: str, cost: CostModel = COUNT_ALL, fuel: int = 10_000,
         record_trace: bool = True) -> RunResult:
     """Simulate m on input_word under a cost model, bounded by fuel total steps."""
-    return _compile(m, cost if cost is not None else COUNT_ALL).run(input_word, fuel,
-                                                                    record_trace)
+    return _compile(m, cost).run(input_word, fuel, record_trace)
 
 
-def all_words(alphabet: Iterable[str], max_len: int) -> list[str]:
-    """All words up to max_len in length-then-lexicographic order."""
+def all_words(alphabet: Iterable[str], max_len: int, min_len: int = 0) -> Iterator[str]:
+    """The words of length min_len to max_len over alphabet, lazily, in
+    length-then-lexicographic order."""
     symbols = sorted(alphabet)
-    out = [""]
-    frontier = [""]
-    for _ in range(max_len):
-        frontier = [w + s for w in frontier for s in symbols]
-        out.extend(frontier)
-    return out
+    for length in range(min_len, max_len + 1):
+        yield from map("".join, product(symbols, repeat=length))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from tmbench.cost import CostModel
 from tmbench.machine import Machine, Verdict, _compile
@@ -45,17 +45,6 @@ class MeasureFunction:
 
     def __call__(self, x: float) -> float:
         return evaluate(self, x)
-
-    def describe(self) -> str:
-        if self.family == "identity":
-            return "identity"
-        if self.family == "linear":
-            return f"linear:a={self.a},b={self.b}"
-        if self.family == "log":
-            return f"log:a={self.a},b={self.b}"
-        if self.family == "power":
-            return f"power:a={self.a},k={self.k}"
-        return f"exp2:a={self.a}"
 
 
 IDENTITY = MeasureFunction("identity")
@@ -174,14 +163,16 @@ def check_bound(
     m: Machine,
     cost: CostModel,
     spec: BoundSpec,
-    inputs: Sequence[str],
+    inputs: Iterable[str],
     fuel: int = 10_000,
 ) -> BoundReport:
     """Run m on each input and compare counted steps against the bound.
 
     The empty word lies outside the measure domain and is checked against the
-    bound at length 1.
+    bound at length 1. inputs is read once, so an exhausted iterator is
+    refused as empty rather than passed vacuously.
     """
+    inputs = list(inputs)
     if not inputs:
         raise ValueError("inputs must be non-empty")
     compiled = _compile(m, cost)

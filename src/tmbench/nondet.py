@@ -1,6 +1,6 @@
 """Nondeterminism via checking relations: a deterministic checker machine
 runs on (input, certificate) pairs and the decision procedure searches all
-certificates within a length bound.
+certificates within a length bound, in the order of machine.all_words.
 
 Two certificate deliveries:
   inline     — tape holds x '#' y, head at cell 0;
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from tmbench.cost import CostModel, COUNT_ALL
@@ -24,6 +23,7 @@ from tmbench.machine import (
     Machine,
     Verdict,
     _compile,
+    all_words,
 )
 from tmbench.measures import EPS, MeasureFunction, compose, evaluate
 
@@ -81,14 +81,6 @@ def deliver(rel: CheckingRelation, x: str, y: str) -> Configuration:
     return Configuration(state=m.start_state, tape=tape, head=position)
 
 
-def certificates_up_to(alphabet: frozenset[str], max_len: int):
-    """All certificates with length <= max_len, length-then-lexicographic."""
-    symbols = sorted(alphabet)
-    for length in range(max_len + 1):
-        for tup in product(symbols, repeat=length):
-            yield "".join(tup)
-
-
 def _exceeds_budget(alphabet_size: int, max_len: int, budget: int) -> bool:
     """True when more than budget certificates have length <= max_len. Their
     number is the sum of k^l for l = 0..max_len; it is compared in closed
@@ -106,7 +98,6 @@ def _exceeds_budget(alphabet_size: int, max_len: int, budget: int) -> bool:
 
 def _search(
     rel: CheckingRelation,
-    lengths_ok,
     max_len: int,
     x: str,
     cost: CostModel,
@@ -129,9 +120,7 @@ def _search(
     tried = 0
     max_counted = 0
     witness = None
-    for y in certificates_up_to(rel.certificate_alphabet, max_len):
-        if not lengths_ok(len(y)):
-            continue
+    for y in all_words(rel.certificate_alphabet, max_len):
         tried += 1
         if inline:
             tape = checker.tape(cells, checker.encode(y, symbols, "tape"))
@@ -168,7 +157,7 @@ def decide_nc(
     length-then-lexicographic order; acceptance itself is order-free.
     """
     max_len = math.floor(evaluate(g, max(len(x), 1)) + EPS)
-    return _search(rel, lambda ly: True, max_len, x, cost, fuel, budget)
+    return _search(rel, max_len, x, cost, fuel, budget)
 
 
 def decide_nt(
@@ -180,25 +169,19 @@ def decide_nt(
     fuel: int = 10_000,
     budget: int = DEFAULT_CERTIFICATE_BUDGET,
 ) -> CertificateSearchReport:
-    """Transformed search: certificate lengths admitted when
-    T(max(|y|,1)) <= g(T(max(|x|,1))) + eps."""
+    """Transformed search: the empty certificate, which lies within any
+    positive bound, and the certificates of length |y| >= 1 with
+    T(|y|) <= g(T(max(|x|,1))) + eps."""
     rhs = compose(g, transform, max(len(x), 1)) + EPS
-
-    def lengths_ok(ly: int) -> bool:
-        return evaluate(transform, max(ly, 1)) <= rhs
-
-    # T is strictly increasing, so admitted lengths form a prefix of 0,1,2,...
+    # T is strictly increasing, so the admitted lengths are 0, 1, ..., max_len
     max_len = 0
-    while lengths_ok(max_len + 1):
+    while evaluate(transform, max_len + 1) <= rhs:
         max_len += 1
         if _exceeds_budget(len(rel.certificate_alphabet), max_len, budget):
             raise CertificateBudgetError(
                 f"transformed length bound exceeds the certificate budget {budget}"
             )
-    if not lengths_ok(0):
-        # even the empty certificate is filtered out; vacuous search
-        return CertificateSearchReport(False, None, 0, 0)
-    return _search(rel, lengths_ok, max_len, x, cost, fuel, budget)
+    return _search(rel, max_len, x, cost, fuel, budget)
 
 
 def _machine(states, start, accept, reject, trans) -> Machine:

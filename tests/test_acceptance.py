@@ -121,7 +121,7 @@ def test_criterion_5_nlogtime_demonstration():
 def test_criterion_6_certificate_search_soundness():
     _, checker = build_demo_machines()
     g = MeasureFunction("log", a=1, b=1)
-    words = all_words("01", 10)
+    words = list(all_words("01", 10))
     assert len(words) == 2047
     ok = all(decide_nc(checker, g, w).accepted == ("1" in w) for w in words)
     report(6, "certificate search agrees with direct membership on all "
@@ -137,7 +137,7 @@ def battery():
     ]
 
 
-BATTERY_INPUTS = all_words("01", 4)[:20]
+BATTERY_INPUTS = list(all_words("01", 4))[:20]
 
 
 def test_criterion_7_transform_coherence():

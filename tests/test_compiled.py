@@ -36,8 +36,9 @@ from tmbench import (
     run_configuration,
     step,
 )
-from tmbench.machine import _compile, _Sweep
-from tmbench.nondet import _exceeds_budget, certificates_up_to, deliver
+from tmbench.machine import _compile, _Sweep, all_words
+from tmbench.measures import IDENTITY
+from tmbench.nondet import _exceeds_budget, deliver
 
 def reference(m, config, keys, fuel):
     """The dict stepper from config: (verdict, total, counted, trace, final)."""
@@ -128,7 +129,7 @@ def test_run_configuration_matches_dict_stepper(data):
     config = Configuration(start, dict(tape), head)
     twin = Configuration(start, dict(tape), head)
     verdict, total, counted, trace, final = reference(m, twin, keys, fuel)
-    result = run_configuration(m, config, keys, fuel)
+    result = run_configuration(m, config, cost, fuel)
     assert (result.verdict, result.total_steps, result.counted_steps, result.trace) == (
         verdict, total, counted, trace)
     assert result.final is config
@@ -148,7 +149,7 @@ def test_certificate_deliveries_match_deliver(data):
     keys = counted_set(checker, cost)
     tried = most = 0
     witness = None
-    for y in certificates_up_to(rel.certificate_alphabet, max_len):
+    for y in all_words(rel.certificate_alphabet, max_len):
         tried += 1
         verdict, _, counted, _, _ = reference(checker, deliver(rel, x, y), keys, fuel)
         most = max(most, counted)
@@ -160,6 +161,71 @@ def test_certificate_deliveries_match_deliver(data):
     report = decide_nc(rel, g, x, cost, fuel=fuel)
     assert (report.accepted, report.witness, report.certificates_tried,
             report.max_checker_counted_steps) == (witness is not None, witness, tried, most)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_run_configuration_shares_the_compiled_machine_of_run(data):
+    m = data.draw(machines())
+    cost = data.draw(cost_models(m))
+    word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
+    fuel = data.draw(fuels)
+    expected = run(m, word, cost, fuel=fuel, record_trace=False)
+    for record_trace in (False, True):
+        config = initial_configuration(m, word)
+        result = run_configuration(m, config, cost, fuel, record_trace)
+        assert (result.verdict, result.total_steps, result.counted_steps) == (
+            expected.verdict, expected.total_steps, expected.counted_steps)
+        assert (config.state, config.head, config.tape) == (
+            expected.final.state, expected.final.head, expected.final.tape)
+    assert list(m.__dict__["_compiled"]) == [cost]
+
+
+# --- cost-model laws ---------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cost_model_laws(data):
+    m = data.draw(machines())
+    word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
+    fuel = data.draw(fuels)
+    every = run(m, word, COUNT_ALL, fuel=fuel)
+    assert every.counted_steps == every.total_steps
+    # freeing no state, or counting every transition, is counting all
+    for same in (CostModel.free_states_model(()), CostModel.custom(lambda *_: True)):
+        assert counted_set(m, same) == counted_set(m, COUNT_ALL)
+        assert run(m, word, same, fuel=fuel) == every
+    free = data.draw(st.sets(st.sampled_from(sorted(m.states))))
+    result = run(m, word, CostModel.free_states_model(free), fuel=fuel)
+    taken_free = sum(record.state in free for record in result.trace)
+    assert result.counted_steps + taken_free == result.total_steps == every.total_steps
+    assert counted_set(m, FREE_BLIND) <= counted_set(m, COUNT_ALL)
+
+
+# --- transformed certificate search --------------------------------------------
+
+measure_functions = st.builds(
+    MeasureFunction, st.sampled_from(["identity", "linear", "log", "power", "exp2"]),
+    a=st.floats(0.05, 3), b=st.floats(0, 3), k=st.floats(0.2, 2.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_identity_transform_search_matches_plain_search(data):
+    delivery = data.draw(st.sampled_from(["inline", "positioned"]))
+    checker = data.draw(machines(st.just("01#" if delivery == "inline" else "01")))
+    rel = CheckingRelation(checker, delivery)
+    cost = data.draw(cost_models(checker))
+    g = data.draw(measure_functions)
+    x = data.draw(st.text(alphabet=sorted(checker.input_alphabet), max_size=8))
+
+    def outcome(search, *transform):
+        try:
+            return search(rel, g, *transform, x, cost, fuel=200, budget=2 ** 10)
+        except CertificateBudgetError:
+            return CertificateBudgetError
+
+    assert outcome(decide_nt, IDENTITY) == outcome(decide_nc)
 
 
 def bouncer():

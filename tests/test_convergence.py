@@ -83,6 +83,26 @@ def test_depth_budget():
         build_trie_machine(LanguageOracle.builtin("all"), -1)
 
 
+def test_size_limits_name_themselves():
+    oracle = LanguageOracle.builtin("all")
+    with pytest.raises(TrieSizeError, match=r"depth 21 needs 2\^22\+1 states, "
+                                            r"over the budget \(max depth 20\)"):
+        build_trie_machine(oracle, 21)
+    with pytest.raises(ValueError, match=r"k must be in 0\.\.12"):
+        find_convergence_index(oracle, 13, 20)
+
+
+def test_an_oracle_is_its_membership_callable():
+    assert LanguageOracle.builtin("div3") == LanguageOracle.builtin("div3")
+    assert hash(LanguageOracle.builtin("div3")) == hash(LanguageOracle.builtin("div3"))
+    assert LanguageOracle.builtin("div3") != LanguageOracle.builtin("palindrome")
+    assert LanguageOracle.builtin("div3").member is BUILTIN_LANGUAGES["div3"]
+    pairs = LanguageOracle(lambda w: len(w) == 2)
+    assert pairs("01") and not pairs("0")
+    report = build_trie_machine(pairs, 3)
+    assert verify_restriction(report, pairs) == (True, [])
+
+
 @pytest.mark.parametrize("lang", ["contains-1", "parity-even-ones"])
 def test_verify_restriction(lang):
     oracle = LanguageOracle.builtin(lang)

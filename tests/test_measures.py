@@ -247,8 +247,16 @@ def test_check_bound_requires_inputs():
         check_bound(trie3(), COUNT_ALL, BoundSpec(g=IDENTITY), [], fuel=10)
 
 
-def test_identity_transform_collapse():
+def test_check_bound_reads_an_iterator_once_and_refuses_it_exhausted():
     words = all_words("01", 3)
+    report = check_bound(trie3(), COUNT_ALL, BoundSpec(g=IDENTITY), words, fuel=10)
+    assert len(report.per_input) == 15
+    with pytest.raises(ValueError, match="non-empty"):
+        check_bound(trie3(), COUNT_ALL, BoundSpec(g=IDENTITY), words, fuel=10)
+
+
+def test_identity_transform_collapse():
+    words = list(all_words("01", 3))
     g = MeasureFunction("linear", a=1, b=1)
     plain = check_bound(trie3(), COUNT_ALL, BoundSpec(g=g), words, fuel=100)
     outer = check_bound(trie3(), COUNT_ALL,
@@ -259,7 +267,7 @@ def test_identity_transform_collapse():
 
 
 def test_monotone_bound_growth():
-    words = all_words("01", 3)
+    words = list(all_words("01", 3))
     g1 = MeasureFunction("linear", a=1, b=0)
     g2 = MeasureFunction("linear", a=1, b=1)
     r1 = check_bound(trie3(), COUNT_ALL, BoundSpec(g=g1), words, fuel=100)

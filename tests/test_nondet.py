@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tmbench import (
@@ -15,7 +17,7 @@ from tmbench import (
     run,
 )
 from tmbench.machine import all_words
-from tmbench.nondet import certificates_up_to, deliver
+from tmbench.nondet import deliver
 
 LOG11 = MeasureFunction("log", a=1, b=1)
 IDENTITY = MeasureFunction("identity")
@@ -41,9 +43,20 @@ def test_scanner_examples():
 
 
 def test_enumeration_order():
-    assert list(certificates_up_to(frozenset({"0", "1"}), 2)) == [
+    assert list(all_words(frozenset({"0", "1"}), 2)) == [
         "", "0", "1", "00", "01", "10", "11"
     ]
+    # symbols are sorted; min_len drops the shorter words
+    assert list(all_words("ba", 2, min_len=1)) == ["a", "b", "aa", "ab", "ba", "bb"]
+    assert list(all_words("01", 3, min_len=3)) == [format(i, "03b") for i in range(8)]
+    assert list(all_words("01", 1, min_len=2)) == []
+    assert list(all_words("01", 0)) == [""]
+    # lazy: the first words come at once, however long the enumeration
+    start = time.process_time()
+    assert next(all_words("01", 10 ** 6)) == ""
+    later = all_words("01", 10 ** 6, min_len=40)
+    assert (next(later), next(later)) == ("0" * 40, "0" * 39 + "1")
+    assert time.process_time() - start < 1.0
 
 
 def test_positioned_delivery():
@@ -89,7 +102,7 @@ def test_decide_nc_brute_force_oracle():
         max_len = math.floor(math.log2(max(len(word), 1) + 1) + 1 + 1e-9)
         expected = any(
             int(y, 2) < len(word) and word[int(y, 2)] == "1"
-            for y in certificates_up_to(frozenset({"0", "1"}), max_len) if y
+            for y in all_words(frozenset({"0", "1"}), max_len) if y
         ) or (len(word) > 0 and word[0] == "1")  # empty numeral = position 0
         assert decide_nc(rel, LOG11, word).accepted == expected
 
@@ -131,6 +144,19 @@ def test_decide_nt_identity_matches_nc():
     for word in ("", "0", "1", "0100", "0000"):
         assert (decide_nt(rel, LOG11, IDENTITY, word)
                 == decide_nc(rel, LOG11, word))
+
+
+def test_decide_nt_admits_the_empty_certificate_under_a_bound_below_1():
+    # g(1) = 0.3: only the empty certificate fits, and it points at cell 0
+    rel = demo_checker()
+    g = MeasureFunction("power", a=0.3, k=1)
+    report = decide_nc(rel, g, "1")
+    assert (report.accepted, report.witness, report.certificates_tried) == (True, "", 1)
+    assert decide_nt(rel, g, IDENTITY, "1") == report
+    # T(1) = 2 is past g(T(1)) = 0.6, and the empty certificate is still tried
+    assert decide_nt(rel, g, MeasureFunction("exp2", a=1), "1") == report
+    report = decide_nt(rel, g, IDENTITY, "0")
+    assert (report.accepted, report.witness, report.certificates_tried) == (False, None, 1)
 
 
 def test_decide_nt_exp_transform():
