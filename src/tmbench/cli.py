@@ -19,7 +19,7 @@ from tmbench.convergence import (
 )
 from tmbench.cost import COUNT_ALL, parse_cost_model
 from tmbench.machine import Verdict, _compile, all_words, run
-from tmbench.measures import BoundSpec, check_bound, parse_measure
+from tmbench.measures import IDENTITY, BoundSpec, check_bound, parse_measure
 from tmbench.nondet import (
     DEFAULT_CERTIFICATE_BUDGET,
     CertificateBudgetError,
@@ -65,22 +65,21 @@ def _load_machine(path: str):
 
 
 def _parse_lengths(text: str) -> range:
+    """'<lo>..<hi>' with 0 <= lo <= hi, as the range of lengths lo to hi."""
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError(f"lengths must be '<lo>..<hi>', got {text!r}")
-    return range(int(lo), int(hi) + 1)
+    lengths = range(int(lo), int(hi) + 1)
+    if not lengths or lengths[0] < 0:
+        raise ValueError(f"lengths need 0 <= lo <= hi, got {text!r}")
+    return lengths
 
 
-def _family_words(family: str, length: int) -> list[str]:
-    if family == "zeros":
-        return ["0" * length]
-    if family == "ones":
-        return ["1" * length]
-    if family == "all":
-        if length > 16:
-            raise ValueError("family 'all' is capped at length 16")
-        return list(all_words("01", length, length))
-    raise ValueError(f"unknown family {family!r}")
+WORD_FAMILIES = {
+    "zeros": lambda length: ["0" * length],
+    "ones": lambda length: ["1" * length],
+    "all": lambda length: all_words("01", length, length),
+}
 
 
 def cmd_run(args) -> int:
@@ -152,24 +151,29 @@ def _parse_random_family(spec: str) -> tuple[int, int]:
 def cmd_profile(args) -> int:
     machine = _load_machine(args.machine)
     compiled = _compile(machine, parse_cost_model(args.cost))
+    lengths = _parse_lengths(args.lengths)
 
-    family, count, seed = args.family, None, None
+    # the family and its cap are checked before any row is printed
+    family, seed = args.family, None
     if family.startswith("random:"):
         count, seed = _parse_random_family(family)
-        family = "random"
+
+        def words(length):
+            rng = random.Random(seed * 1_000_003 + length)
+            return ["".join(rng.choice("01") for _ in range(length)) for _ in range(count)]
+    elif family in WORD_FAMILIES:
+        if family == "all" and lengths[-1] > 16:
+            raise ValueError("family 'all' is capped at length 16")
+        words = WORD_FAMILIES[family]
+    else:
+        raise ValueError(f"unknown family {family!r}")
 
     print(f"# profile machine={args.machine} cost={args.cost} family={args.family}"
           + (f" seed={seed}" if seed is not None else ""))
     print("length,max_counted_steps,argmax_input")
-    for length in _parse_lengths(args.lengths):
-        if family == "random":
-            rng = random.Random(seed * 1_000_003 + length)
-            words = ["".join(rng.choice("01") for _ in range(length))
-                     for _ in range(count)]
-        else:
-            words = _family_words(family, length)
+    for length in lengths:
         best, best_word = -1, ""
-        for word in words:
+        for word in words(length):
             result = compiled.run(word, args.fuel)
             if result.counted_steps > best:
                 best, best_word = result.counted_steps, word
@@ -202,11 +206,8 @@ def cmd_nsearch(args) -> int:
     g = parse_measure(args.g)
     cost = parse_cost_model(args.cost)
     word = _word(args.input)
-    if args.t:
-        report = decide_nt(rel, g, parse_measure(args.t), word, cost,
-                           fuel=args.fuel, budget=args.budget)
-    else:
-        report = decide_nc(rel, g, word, cost, fuel=args.fuel, budget=args.budget)
+    transform = parse_measure(args.t) if args.t else IDENTITY
+    report = decide_nt(rel, g, transform, word, cost, fuel=args.fuel, budget=args.budget)
     print(f"accepted: {str(report.accepted).lower()}")
     print(f"witness: {_render_word(report.witness) if report.witness is not None else 'none'}")
     print(f"certificates_tried: {report.certificates_tried}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 from tmbench.cost import COUNT_ALL
@@ -162,25 +163,19 @@ def _long_word_sample(n: int) -> list[str]:
 def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = None
                 ) -> tuple[list[str], bool]:
     """Run the machine once on every word up to length n and on the sampled
-    words of length n+1. Returns the words it decides differently from L
-    (the longer ones must be rejected; none are looked for when L is None)
-    and whether every run took |w| + 1 steps, n + 1 for the longer ones."""
+    words of length n+1. Returns the words on which it does not halt with
+    L's verdict (the longer ones must be rejected; none are looked for when
+    L is None) and whether every run took min(|w|, n) + 1 steps."""
     trie, n = _compile(report.machine, COUNT_ALL), report.n
     fuel = n + 4
     counterexamples = []
     steps_ok = True
-    for word in all_words("01", n):
+    for word in chain(all_words("01", n), _long_word_sample(n)):
         result = trie.run(word, fuel)
-        if L is not None and (result.verdict is Verdict.ACCEPTED) != L(word):
+        if L is not None and result.verdict is not (
+                Verdict.ACCEPTED if len(word) <= n and L(word) else Verdict.REJECTED):
             counterexamples.append(word)
-        if result.total_steps != len(word) + 1:
-            steps_ok = False
-    for word in _long_word_sample(n):
-        result = trie.run(word, fuel)
-        if L is not None and result.verdict is not Verdict.REJECTED:
-            counterexamples.append(word)
-        if result.total_steps != n + 1:
-            steps_ok = False
+        steps_ok = steps_ok and result.total_steps == min(len(word), n) + 1
     return counterexamples, steps_ok
 
 

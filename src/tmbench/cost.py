@@ -4,6 +4,9 @@ length of a computation.
 A cost model is a property of the transition table alone. It never looks at
 tape contents, head position, or step index, so the counted set can be
 computed once per (machine, model) pair and applied to any run.
+
+A CostModel is its fields: COUNT_ALL is CostModel() and FREE_BLIND is
+CostModel(free_blind=True).
 """
 
 from __future__ import annotations
@@ -17,29 +20,32 @@ if TYPE_CHECKING:  # machine imports this module to compile cost models
 # predicate arguments: (source state, read symbol, write symbol, move, target state)
 TransitionPredicate = Callable[[str, str, str, str, str], bool]
 
-KIND_COUNT_ALL = "count-all"
-KIND_FREE_BLIND = "free-blind"
-KIND_FREE_STATES = "free-states"
-KIND_CUSTOM = "custom"
-
 
 @dataclass(frozen=True)
 class CostModel:
-    kind: str
+    """The entries of a state in free_states, of a blind state when
+    free_blind is set, and, with a predicate, of a transition it refuses,
+    are free; every other entry counts."""
+
     free_states: frozenset[str] = frozenset()
+    free_blind: bool = False
     predicate: Optional[TransitionPredicate] = None
+
+    def __post_init__(self):
+        # any iterable of names, frozen so that the model can key a cache
+        object.__setattr__(self, "free_states", frozenset(self.free_states))
 
     @staticmethod
     def free_states_model(states) -> "CostModel":
-        return CostModel(kind=KIND_FREE_STATES, free_states=frozenset(states))
+        return CostModel(free_states=states)
 
     @staticmethod
     def custom(predicate: TransitionPredicate) -> "CostModel":
-        return CostModel(kind=KIND_CUSTOM, predicate=predicate)
+        return CostModel(predicate=predicate)
 
 
-COUNT_ALL = CostModel(KIND_COUNT_ALL)
-FREE_BLIND = CostModel(KIND_FREE_BLIND)
+COUNT_ALL = CostModel()
+FREE_BLIND = CostModel(free_blind=True)
 
 
 def is_blind_state(m: Machine, q: str) -> bool:
@@ -63,26 +69,16 @@ def is_blind_state(m: Machine, q: str) -> bool:
 
 def counted_set(m: Machine, cost: CostModel) -> frozenset[tuple[str, str]]:
     """The (state, symbol) table entries this model counts."""
-    keys = m.transitions.keys()
-    if cost.kind == KIND_COUNT_ALL:
-        return frozenset(keys)
-    if cost.kind == KIND_FREE_BLIND:
+    unknown = cost.free_states - m.states
+    if unknown:
+        raise ValueError(f"free-states names unknown states: {sorted(unknown)}")
+    free = cost.free_states
+    if cost.free_blind:
         non_halting = m.states - {m.accept_state, m.reject_state}
-        blind = {q for q in non_halting if is_blind_state(m, q)}
-        return frozenset(k for k in keys if k[0] not in blind)
-    if cost.kind == KIND_FREE_STATES:
-        unknown = cost.free_states - m.states
-        if unknown:
-            raise ValueError(f"free-states names unknown states: {sorted(unknown)}")
-        return frozenset(k for k in keys if k[0] not in cost.free_states)
-    if cost.kind == KIND_CUSTOM:
-        assert cost.predicate is not None
-        out = set()
-        for (q, sym), (target, write, move) in m.transitions.items():
-            if cost.predicate(q, sym, write, move, target):
-                out.add((q, sym))
-        return frozenset(out)
-    raise ValueError(f"unknown cost model kind {cost.kind!r}")
+        free = free | {q for q in non_halting if is_blind_state(m, q)}
+    keep = cost.predicate
+    return frozenset((q, sym) for (q, sym), (target, write, move) in m.transitions.items()
+                     if q not in free and (keep is None or keep(q, sym, write, move, target)))
 
 
 def parse_cost_model(text: str) -> CostModel:

@@ -10,7 +10,9 @@ once per (machine, cost model) and cached on the machine. An untraced run
 takes a self-loop over a run of cells (a sweep) as one exact macro-step,
 after Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990); a traced run
 steps one transition at a time. The dict-based `step` is the reference the
-compiled loop is tested against.
+compiled loop is tested against. Every run, from a word, from a
+configuration or from an (input, certificate) pair, starts in
+`_CompiledMachine.launch`, the one place that lays out a tape.
 
 `all_words` is the one enumeration of words in length-then-lexicographic
 order: the certificate search, trie synthesis and verification, and the
@@ -169,20 +171,25 @@ def validate_machine(m: Machine) -> list[str]:
     return defects
 
 
-def require_valid(m: Machine) -> None:
-    """Raise ValueError if m is defective. A machine that passes is marked
-    valid on the instance and never checked again."""
-    if "_valid" in m.__dict__:
-        return
-    defects = validate_machine(m)
-    if defects:
-        raise ValueError("invalid machine: " + "; ".join(defects))
-    _mark_valid(m)
+def require_valid(m: Machine) -> dict:
+    """Raise ValueError if m is defective. A machine that passes gets a
+    compile cache, whose presence marks it valid, and is never checked
+    again; returns that cache."""
+    cache = m.__dict__.get("_compiled")
+    if cache is None:
+        defects = validate_machine(m)
+        if defects:
+            raise ValueError("invalid machine: " + "; ".join(defects))
+        cache = _mark_valid(m)
+    return cache
 
 
-def _mark_valid(m: Machine) -> None:
-    """Record on m that it is valid; for machines valid by construction."""
-    object.__setattr__(m, "_valid", True)
+def _mark_valid(m: Machine) -> dict:
+    """Give m an empty compile cache, which marks it valid; for machines
+    valid by construction."""
+    cache: dict = {}
+    object.__setattr__(m, "_compiled", cache)
+    return cache
 
 
 def initial_configuration(m: Machine, input_word: str) -> Configuration:
@@ -421,19 +428,24 @@ class _CompiledMachine:
         bad = next(ch for ch in word if ch not in alphabet)
         raise InvalidInputError(f"symbol {bad!r} not in {what} alphabet")
 
-    def tape(self, *runs):
-        """A fresh tape: the given runs of cells and one blank, between
-        sentinels. Most runs then halt before the tape needs to grow."""
+    def launch(self, cells, head: int, fuel: int, record_trace: bool = False,
+               first: int = 0, q: Optional[int] = None) -> RunResult:
+        """Run from state row q, the start state by default, on a fresh tape
+        that holds the encoded cells from cell first on, blank elsewhere,
+        with the head on cell head (at least first).
+
+        The tape is the cells, blanks up to the head, and one blank more,
+        between sentinels; most runs halt before it needs to grow."""
         tape = self.tape_type(self.sentinel)
-        for cells in runs:
-            tape += cells
+        tape += cells
+        tape += self.blank * (head - first - len(cells))
         tape += self.right_end
-        return tape
+        return self.execute(tape, head - first + 1, 1 - first,
+                            self.start if q is None else q, fuel, record_trace)
 
     def run(self, word: str, fuel: int, record_trace: bool = False) -> RunResult:
         """Run on word from the start configuration."""
-        return self.execute(self.tape(self.encode(word, self.inputs)), 1, 1, self.start,
-                            fuel, record_trace)
+        return self.launch(self.encode(word, self.inputs), 0, fuel, record_trace)
 
     def execute(self, tape, i: int, origin: int, q: int, fuel: int,
                 record_trace: bool = False) -> RunResult:
@@ -508,13 +520,9 @@ class _CompiledMachine:
 def _compile(m: Machine, cost: CostModel) -> _CompiledMachine:
     """m compiled under cost: validated and built on first use, then cached
     on m per CostModel value."""
-    cache = m.__dict__.get("_compiled")
-    if cache is None:
-        cache = {}
-        object.__setattr__(m, "_compiled", cache)
+    cache = require_valid(m)
     compiled = cache.get(cost)
     if compiled is None:
-        require_valid(m)
         counted = None if cost == COUNT_ALL else counted_set(m, cost)
         compiled = cache[cost] = _CompiledMachine(m, counted)
     return compiled
@@ -540,9 +548,8 @@ def run_configuration(
     cells = [BLANK] * (hi - lo + 1)
     for i, sym in config.tape.items():
         cells[i - lo] = sym
-    tape = compiled.tape(compiled.encode("".join(cells), m.tape_alphabet, "tape"))
-    result = compiled.execute(tape, config.head - lo + 1, 1 - lo, compiled.row[config.state],
-                              fuel, record_trace)
+    result = compiled.launch(compiled.encode("".join(cells), m.tape_alphabet, "tape"),
+                             config.head, fuel, record_trace, lo, compiled.row[config.state])
     config.state, config.head, config.tape = (result.final.state, result.final.head,
                                               result.final.tape)
     return RunResult(result.verdict, result.total_steps, result.counted_steps,

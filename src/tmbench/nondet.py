@@ -7,11 +7,17 @@ Two certificate deliveries:
   positioned — tape holds x alone, head starts at the cell whose index is the
                base-2 value of y (empty y = cell 0). This models constant-cost
                array indexing: the seek is paid by the convention, not by steps.
+
+The search encodes x once and hands each certificate's cells and head cell
+to the compiled checker's `launch`, which alone lays out the tape; `deliver`
+is the dict reference it is tested against. One rule bounds the certificate
+length: decide_nc is decide_nt with the identity transform, and a bound
+that admits more certificates than the budget, an infinite one included,
+raises CertificateBudgetError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +31,7 @@ from tmbench.machine import (
     _compile,
     all_words,
 )
-from tmbench.measures import EPS, MeasureFunction, compose, evaluate
+from tmbench.measures import EPS, IDENTITY, MeasureFunction, compose, evaluate
 
 SEPARATOR = "#"
 
@@ -96,22 +102,32 @@ def _exceeds_budget(alphabet_size: int, max_len: int, budget: int) -> bool:
     return alphabet_size ** (max_len + 1) > limit
 
 
-def _search(
-    rel: CheckingRelation,
-    max_len: int,
-    x: str,
-    cost: CostModel,
-    fuel: int,
-    budget: int,
-) -> CertificateSearchReport:
+def _max_length(rel: CheckingRelation, g: MeasureFunction, transform: MeasureFunction,
+                x: str, budget: int) -> int:
+    """The longest admitted certificate length: 0, which lies within any
+    positive bound, and each length l >= 1 with
+    T(l) <= g(T(max(|x|,1))) + eps. T is strictly increasing, so the
+    admitted lengths are 0, 1, ..., the result. Raises
+    CertificateBudgetError as soon as they admit more than budget
+    certificates, so an infinite bound raises too."""
+    rhs = compose(g, transform, max(len(x), 1)) + EPS
+    size = len(rel.certificate_alphabet)
+    max_len = 0
+    while not _exceeds_budget(size, max_len, budget):
+        # over an empty alphabet no length past 0 adds a certificate
+        if not size or evaluate(transform, max_len + 1) > rhs:
+            return max_len
+        max_len += 1
+    raise CertificateBudgetError(
+        f"the length bound admits more certificates than the budget {budget}")
+
+
+def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: int
+            ) -> CertificateSearchReport:
     checker = _compile(rel.checker, cost)
-    if _exceeds_budget(len(rel.certificate_alphabet), max_len, budget):
-        raise CertificateBudgetError(
-            f"the length bound admits more certificates than the budget {budget}"
-        )
-    # x is encoded once; each certificate copies those cells into a new tape,
-    # laid out as deliver() would: x#y with the head on x, or x with the head
-    # on the cell that y numbers (cell 0 follows the left sentinel at index 0)
+    # x is encoded once; each certificate gets one fresh tape laid out as
+    # deliver() would: x#y with the head on x, or x with the head on the
+    # cell that y numbers
     symbols = rel.checker.tape_alphabet
     cells = checker.encode(x, symbols, "tape")
     inline = rel.delivery == DELIVERY_INLINE
@@ -123,13 +139,9 @@ def _search(
     for y in all_words(rel.certificate_alphabet, max_len):
         tried += 1
         if inline:
-            tape = checker.tape(cells, checker.encode(y, symbols, "tape"))
-            head = 1
+            result = checker.launch(cells + checker.encode(y, symbols, "tape"), 0, fuel)
         else:
-            position = int(y, 2) if y else 0
-            tape = checker.tape(cells, checker.blank * (position - len(x)))
-            head = position + 1
-        result = checker.execute(tape, head, 1, checker.start, fuel)
+            result = checker.launch(cells, int(y, 2) if y else 0, fuel)
         max_counted = max(max_counted, result.counted_steps)
         if result.verdict is Verdict.ACCEPTED:
             witness = y
@@ -156,8 +168,7 @@ def decide_nc(
     The witness is the first accepting certificate in canonical
     length-then-lexicographic order; acceptance itself is order-free.
     """
-    max_len = math.floor(evaluate(g, max(len(x), 1)) + EPS)
-    return _search(rel, max_len, x, cost, fuel, budget)
+    return _search(rel, _max_length(rel, g, IDENTITY, x, budget), x, cost, fuel)
 
 
 def decide_nt(
@@ -172,16 +183,7 @@ def decide_nt(
     """Transformed search: the empty certificate, which lies within any
     positive bound, and the certificates of length |y| >= 1 with
     T(|y|) <= g(T(max(|x|,1))) + eps."""
-    rhs = compose(g, transform, max(len(x), 1)) + EPS
-    # T is strictly increasing, so the admitted lengths are 0, 1, ..., max_len
-    max_len = 0
-    while evaluate(transform, max_len + 1) <= rhs:
-        max_len += 1
-        if _exceeds_budget(len(rel.certificate_alphabet), max_len, budget):
-            raise CertificateBudgetError(
-                f"transformed length bound exceeds the certificate budget {budget}"
-            )
-    return _search(rel, max_len, x, cost, fuel, budget)
+    return _search(rel, _max_length(rel, g, transform, x, budget), x, cost, fuel)
 
 
 def _machine(states, start, accept, reject, trans) -> Machine:

@@ -11,9 +11,13 @@
 
 Symbols are single characters; '_' is the blank and must appear in the tape
 alphabet but not the input alphabet. One trans line per (state, symbol) pair.
+A '#' starts a comment unless a backslash precedes it: '\\#' stands for a '#'
+in a symbol or a state name, so the symbol '#' is written '\\#'.
 """
 
 from __future__ import annotations
+
+import re
 
 from tmbench.machine import BLANK, LEFT, RIGHT, Machine, require_valid
 
@@ -25,6 +29,7 @@ class MachineParseError(ValueError):
 
 
 HEADER_KEYS = ("states", "start", "accept", "reject", "input_alphabet", "tape_alphabet")
+COMMENT = re.compile(r"(?<!\\)#")
 
 
 def parse_machine_file(text: str) -> Machine:
@@ -38,7 +43,7 @@ def parse_machine_file(text: str) -> Machine:
     headers: dict[str, tuple[int, list[str]]] = {}
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0] if "#" in raw else raw
+        line = COMMENT.split(raw, 1)[0].replace("\\#", "#") if "#" in raw else raw
         tokens = line.split()
         if not tokens:
             continue
@@ -104,7 +109,8 @@ def parse_machine_file(text: str) -> Machine:
 
 def emit_machine(m: Machine) -> str:
     """Render in the text format; output is canonical (sorted) so emitting the
-    same machine twice is byte-identical."""
+    same machine twice is byte-identical. Each '#' in a symbol or a state
+    name is written '\\#', so it parses back rather than starting a comment."""
     lines = [
         "states: " + " ".join(sorted(m.states)),
         "start: " + m.start_state,
@@ -115,4 +121,4 @@ def emit_machine(m: Machine) -> str:
     ]
     for (src, read), (target, write, move) in sorted(m.transitions.items()):
         lines.append(f"trans: {src} {read} -> {target} {write} {move}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines).replace("#", "\\#") + "\n"

@@ -131,10 +131,30 @@ def test_profile_malformed_random_family_is_exit_2(capsys, scanner_file, family)
 
 
 def test_profile_all_cap(capsys, scanner_file):
-    code, _, err = invoke(capsys, "profile", "--machine", scanner_file,
-                          "--lengths", "17..17", "--family", "all")
+    # the cap is checked before any row: 16..17 prints no row for length 16
+    for lengths in ("17..17", "16..17"):
+        code, out, err = invoke(capsys, "profile", "--machine", scanner_file,
+                                "--lengths", lengths, "--family", "all")
+        assert code == 2
+        assert "capped" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("lengths", ["-2..1", "-1..-1", "3..2", "1-4", "a..3"])
+def test_profile_bad_lengths_is_exit_2(capsys, scanner_file, lengths):
+    code, out, err = invoke(capsys, "profile", "--machine", scanner_file,
+                            f"--lengths={lengths}", "--family", "zeros")
     assert code == 2
-    assert "capped" in err
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_profile_unknown_family_is_exit_2(capsys, scanner_file):
+    code, out, err = invoke(capsys, "profile", "--machine", scanner_file,
+                            "--lengths", "1..2", "--family", "twos")
+    assert code == 2
+    assert "unknown family" in err
+    assert out == ""
 
 
 def test_check_bound_pass_and_fail(capsys, tmp_path):
@@ -165,14 +185,44 @@ def test_nsearch(capsys, tmp_path):
     assert "witness: 1" in out
 
 
+def test_nsearch_inline_from_a_file(capsys, tmp_path):
+    # accepts iff the certificate after the separator starts with '1'
+    checker_path = tmp_path / "inline.tm"
+    checker_path.write_text(r"""states: seek read acc rej
+start: seek
+accept: acc
+reject: rej
+input_alphabet: 0 1
+tape_alphabet: 0 1 \# _
+trans: seek 0 -> seek 0 R
+trans: seek 1 -> seek 1 R
+trans: seek \# -> read \# R
+trans: seek _ -> rej _ R
+trans: read 0 -> rej 0 R
+trans: read 1 -> acc 1 R
+trans: read \# -> rej \# R
+trans: read _ -> rej _ R
+""")
+    code, out, _ = invoke(capsys, "nsearch", "--checker", str(checker_path),
+                          "--delivery", "inline", "--g", "linear:a=1,b=0", "--input", "00")
+    assert code == 0
+    assert out.splitlines() == ["accepted: true", "witness: 1", "certificates_tried: 3",
+                                "max_checker_counted_steps: 4"]
+
+
 def test_nsearch_budget_exceeded(capsys, tmp_path):
     checker_path = tmp_path / "checker.tm"
     checker_path.write_text(emit_machine(build_demo_machines()[1].checker))
-    code, _, err = invoke(capsys, "nsearch", "--checker", str(checker_path),
-                          "--delivery", "positioned", "--g", "linear:a=5,b=0",
-                          "--input", "0000000000", "--budget", "100")
-    assert code == 2
-    assert "budget" in err
+    for bound in [
+        ("--g", "linear:a=5,b=0", "--input", "0000000000", "--budget", "100"),
+        # 2^1100 is past the largest double: the bound reads inf
+        ("--g", "exp2:a=1", "--input", "0" * 1100),
+    ]:
+        code, out, err = invoke(capsys, "nsearch", "--checker", str(checker_path),
+                                "--delivery", "positioned", *bound)
+        assert code == 2
+        assert err.startswith("error:") and "budget" in err
+        assert out == ""
 
 
 def test_demo_nlogtime_csv(capsys):

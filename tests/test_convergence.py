@@ -172,6 +172,23 @@ def test_verify_trie_reports_verdicts_and_step_counts_together():
     assert verify_trie(report) == ([], True)
 
 
+def test_verify_trie_counts_a_run_that_does_not_halt_as_a_counterexample():
+    oracle = LanguageOracle.builtin("empty")
+    report = build_trie_machine(oracle, 1)
+    m = report.machine
+    trans = dict(m.transitions)
+    # the lookup for "0" walks left forever: no verdict, where L rejects
+    trans[("q_0", BLANK)] = ("q_0", BLANK, "L")
+    looping = TrieMachineReport(
+        machine=Machine(m.input_alphabet, m.tape_alphabet, m.states,
+                        m.start_state, m.accept_state, m.reject_state, trans),
+        n=report.n,
+        oracle_queries=report.oracle_queries,
+        state_count=report.state_count,
+    )
+    assert verify_trie(looping, oracle) == (["0"], False)
+
+
 @pytest.mark.parametrize("lang", ALL_BUILTINS)
 def test_verify_step_count(lang):
     report = build_trie_machine(LanguageOracle.builtin(lang), 4)

@@ -101,6 +101,32 @@ def test_counted_set_free_states():
 def test_counted_set_free_states_unknown():
     with pytest.raises(ValueError):
         counted_set(scanner(), CostModel.free_states_model({"nope"}))
+    with pytest.raises(ValueError):
+        counted_set(scanner(), CostModel(free_states=frozenset({"nope"}), free_blind=True))
+
+
+def test_cost_model_is_its_fields():
+    assert CostModel() == COUNT_ALL
+    assert CostModel(free_blind=True) == FREE_BLIND
+    assert CostModel.free_states_model(["a", "b"]) == CostModel(free_states=frozenset("ab"))
+    assert run(scanner(), "01", CostModel(free_states={"q_scan"})).counted_steps == 0
+    assert parse_cost_model("count-all") == CostModel()
+    assert parse_cost_model("free-blind") == CostModel(free_blind=True)
+    assert parse_cost_model("free-states:a,b,a") == CostModel(free_states=frozenset("ab"))
+
+
+def test_count_all_compiles_without_a_counted_set(monkeypatch):
+    import tmbench.machine as machine_module
+    from tmbench.machine import _compile
+
+    def fail(*_):
+        raise AssertionError("counted_set called")
+
+    monkeypatch.setattr(machine_module, "counted_set", fail)
+    compiled = _compile(scanner(), COUNT_ALL)
+    assert compiled.counted_keys is None
+    with pytest.raises(AssertionError):
+        _compile(scanner(), FREE_BLIND)
 
 
 def test_custom_predicate():

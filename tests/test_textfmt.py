@@ -40,6 +40,35 @@ def test_round_trip_is_identity():
         assert parse_machine_file(emit_machine(machine)) == machine
 
 
+HASH_TEXT = r"""# '\#' is the symbol '#'; a bare '#' starts a comment
+states: q_seek q_accept q_reject  # three states
+start: q_seek
+accept: q_accept
+reject: q_reject
+input_alphabet: 0 1
+tape_alphabet: 0 1 \# _  # '#' separates
+trans: q_seek 0 -> q_seek 0 R
+trans: q_seek 1 -> q_seek 1 R
+trans: q_seek \# -> q_accept \# R  # found it
+trans: q_seek _ -> q_reject _ R
+"""
+
+
+def test_escaped_hash_is_the_symbol():
+    machine = parse_machine_file(HASH_TEXT)
+    assert machine.tape_alphabet == frozenset("01#_")
+    assert machine.transitions[("q_seek", "#")] == ("q_accept", "#", "R")
+    text = emit_machine(machine)
+    assert "tape_alphabet: \\# 0 1 _\n" in text
+    assert "trans: q_seek \\# -> q_accept \\# R\n" in text
+    assert parse_machine_file(text) == machine
+    assert emit_machine(parse_machine_file(text)) == text
+    # a state name may hold '#' too
+    renamed = parse_machine_file(HASH_TEXT.replace("q_seek", "q\\#seek"))
+    assert renamed.start_state == "q#seek"
+    assert parse_machine_file(emit_machine(renamed)) == renamed
+
+
 def test_emit_is_canonical():
     machine = build_demo_machines()[0]
     assert emit_machine(machine) == emit_machine(machine)
