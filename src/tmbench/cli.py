@@ -19,7 +19,7 @@ from tmbench.convergence import (
 )
 from tmbench.cost import COUNT_ALL, parse_cost_model
 from tmbench.machine import Verdict, _compile, all_words, run
-from tmbench.measures import IDENTITY, BoundSpec, check_bound, parse_measure
+from tmbench.measures import IDENTITY, BoundSpec, check_bound, parse_measure, parse_params
 from tmbench.nondet import (
     DEFAULT_CERTIFICATE_BUDGET,
     CertificateBudgetError,
@@ -122,24 +122,14 @@ def cmd_verify_trie(args) -> int:
 
 def cmd_converge(args) -> int:
     report = find_convergence_index(load_language(args.lang), args.k, args.budget)
-    if report.n_k is None:
-        print(f"k={report.k} n_k=none verified_words={report.verified_words}")
-        return 3
-    print(f"k={report.k} n_k={report.n_k} verified_words={report.verified_words}")
-    return 0
+    n_k = "none" if report.n_k is None else report.n_k
+    print(f"k={report.k} n_k={n_k} verified_words={report.verified_words}")
+    return 3 if report.n_k is None else 0
 
 
 def _parse_random_family(spec: str) -> tuple[int, int]:
     """The count and seed of 'random:count=<k>,seed=<s>', both required."""
-    params = {}
-    for item in spec[len("random:"):].split(","):
-        name, sep, value = item.partition("=")
-        if not sep or name not in ("count", "seed") or name in params:
-            raise ValueError(f"bad random family parameter {item!r} in {spec!r}")
-        try:
-            params[name] = int(value)
-        except ValueError:
-            raise ValueError(f"{name} must be an integer in {spec!r}") from None
+    params = parse_params(spec, ("count", "seed"), int, "random family")
     if len(params) != 2:
         raise ValueError(f"random family needs count and seed: "
                          f"'random:count=<k>,seed=<s>', got {spec!r}")
@@ -153,7 +143,7 @@ def cmd_profile(args) -> int:
     compiled = _compile(machine, parse_cost_model(args.cost))
     lengths = _parse_lengths(args.lengths)
 
-    # the family and its cap are checked before any row is printed
+    # the family and its cap are checked before any word is run
     family, seed = args.family, None
     if family.startswith("random:"):
         count, seed = _parse_random_family(family)
@@ -168,16 +158,20 @@ def cmd_profile(args) -> int:
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    print(f"# profile machine={args.machine} cost={args.cost} family={args.family}"
-          + (f" seed={seed}" if seed is not None else ""))
-    print("length,max_counted_steps,argmax_input")
+    # every row is computed before anything is printed, so a run that fails
+    # leaves stdout empty
+    rows = []
     for length in lengths:
         best, best_word = -1, ""
         for word in words(length):
             result = compiled.run(word, args.fuel)
             if result.counted_steps > best:
                 best, best_word = result.counted_steps, word
-        print(f"{length},{best},{_render_word(best_word)}")
+        rows.append(f"{length},{best},{_render_word(best_word)}")
+    print(f"# profile machine={args.machine} cost={args.cost} family={args.family}"
+          + (f" seed={seed}" if seed is not None else ""))
+    print("length,max_counted_steps,argmax_input")
+    print("\n".join(rows))
     return 0
 
 
@@ -235,64 +229,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def shared(option, **kwargs):
+        """One option that several subcommands take, declared once."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(option, **kwargs)
+        return parent
+
+    machine = shared("--machine", required=True, help="machine file")
+    cost = shared("--cost", default="count-all",
+                  help="count-all | free-blind | free-states:q1,q2,...")
+    fuel = shared("--fuel", type=int, default=10_000, help="step limit of each run")
+    lang = shared("--lang", required=True, help="built-in language name or @file of words")
+
+    def add(name, fn, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("run", cmd_run, "simulate a machine on one input word")
-    p.add_argument("--machine", required=True, help="machine file")
+    p = add("run", cmd_run, "simulate a machine on one input word", machine, cost, fuel)
     p.add_argument("--input", required=True, help="input word ('eps' for the empty word)")
-    p.add_argument("--cost", default="count-all",
-                   help="count-all | free-blind | free-states:q1,q2,...")
-    p.add_argument("--fuel", type=int, default=10_000)
     p.add_argument("--exit-status", action="store_true",
                    help="exit 0 accepted, 1 rejected, 4 fuel exhausted")
 
-    p = add("gen-trie", cmd_gen_trie, "synthesize the depth-n lookup-trie machine")
-    p.add_argument("--lang", required=True,
-                   help="built-in language name or @file of words")
+    p = add("gen-trie", cmd_gen_trie, "synthesize the depth-n lookup-trie machine", lang)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True, help="output machine file, '-' for stdout")
 
     p = add("verify-trie", cmd_verify_trie,
-            "check the trie machine's language restriction and step counts")
-    p.add_argument("--lang", required=True)
+            "check the trie machine's language restriction and step counts", lang)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("converge", cmd_converge, "find the least agreeing sequence index")
-    p.add_argument("--lang", required=True)
+    p = add("converge", cmd_converge, "find the least agreeing sequence index", lang)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, required=True)
 
-    p = add("profile", cmd_profile, "worst-case counted steps per input length, CSV")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--cost", default="count-all")
+    p = add("profile", cmd_profile, "worst-case counted steps per input length, CSV",
+            machine, cost, fuel)
     p.add_argument("--lengths", required=True, help="e.g. 1..8")
     p.add_argument("--family", default="zeros",
                    help="all | zeros | ones | random:count=<k>,seed=<s>")
-    p.add_argument("--fuel", type=int, default=10_000)
 
-    p = add("check-bound", cmd_check_bound, "empirical step-bound check, CSV report")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--cost", default="count-all")
+    p = add("check-bound", cmd_check_bound, "empirical step-bound check, CSV report",
+            machine, cost, fuel)
     p.add_argument("--g", required=True, help="bound measure, e.g. linear:a=1,b=1")
     p.add_argument("--mode", default="plain", choices=["plain", "outer", "inner"])
     p.add_argument("--t", default=None, help="transform measure for outer/inner mode")
     p.add_argument("--input", action="append", default=[],
                    help="input word, repeatable ('eps' for the empty word)")
     p.add_argument("--inputs-file", default=None, help="file of words, one per line")
-    p.add_argument("--fuel", type=int, default=10_000)
 
-    p = add("nsearch", cmd_nsearch, "exhaustive certificate search for one input")
+    p = add("nsearch", cmd_nsearch, "exhaustive certificate search for one input", cost, fuel)
     p.add_argument("--checker", required=True, help="checker machine file")
     p.add_argument("--delivery", required=True, choices=["inline", "positioned"])
     p.add_argument("--g", required=True, help="certificate length bound measure")
     p.add_argument("--t", default=None, help="transform measure (transformed bound)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--cost", default="count-all")
+    p.add_argument("--input", required=True,
+                   help="input word over the checker's input alphabet ('eps' for the empty word)")
     p.add_argument("--budget", type=int, default=DEFAULT_CERTIFICATE_BUDGET)
-    p.add_argument("--fuel", type=int, default=10_000)
 
     p = add("demo-nlogtime", cmd_demo_nlogtime,
             "scanner vs positioned checker on the contains-a-1 language, CSV")

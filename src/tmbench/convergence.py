@@ -6,6 +6,11 @@ right, descending the trie one state per symbol; reading blank triggers a
 membership lookup baked in at construction time. The machine accepts exactly
 the words of L with length <= n, in |w| + 1 steps; longer words are rejected
 on the (n+1)-th symbol.
+
+The trie sequence converges to L on the words of length <= k from some
+index n_k on. find_convergence_index finds it by running the tries from
+depth k downward and stopping at the first that disagrees, so a language
+that only the depth-k trie decides costs two tries, not k + 1.
 """
 
 from __future__ import annotations
@@ -122,13 +127,10 @@ def build_trie_machine(L: LanguageOracle, n: int) -> TrieMachineReport:
     for prefix in all_words("01", n):
         q = _state_name(prefix)
         states.add(q)
-        if len(prefix) < n:
-            for bit in "01":
-                transitions[(q, bit)] = (_state_name(prefix + bit), BLANK, RIGHT)
-        else:
+        for bit in "01":
             # depth cap: an (n+1)-th symbol is a rejection
-            for bit in "01":
-                transitions[(q, bit)] = (reject, BLANK, RIGHT)
+            child = reject if len(prefix) == n else _state_name(prefix + bit)
+            transitions[(q, bit)] = (child, BLANK, RIGHT)
         queries += 1
         member = L(prefix)
         transitions[(q, BLANK)] = (accept if member else reject, BLANK, RIGHT)
@@ -198,29 +200,20 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> Convergenc
     """Least sequence index n_k from which every trie machine agrees with L
     on all words of length <= k.
 
-    Agreement is verified by running the machines; stability holds because
-    agreement, once reached, persists for every later trie (checked up to
-    index k, beyond which it is structural: the depth-n trie decides words of
-    length <= k exactly as L whenever n >= k).
+    The tries are run from n = k down to 0, and the walk stops at the first
+    one that disagrees: n_k is the last trie that agreed, or None when the
+    depth-k trie already disagrees. Beyond k no run is needed: the depth-n
+    trie decides words of length <= k exactly as L whenever n >= k.
     """
     if k < 0 or k > MAX_CONVERGENCE_K:
         raise ValueError(f"k must be in 0..{MAX_CONVERGENCE_K}")
     if budget < k:
         raise ValueError("budget must be at least k")
     words = list(all_words("01", k))
-
-    def agrees(n: int) -> bool:
-        trie = _compile(build_trie_machine(L, n).machine, COUNT_ALL)
-        fuel = n + 4
-        return all(
-            (trie.run(w, fuel).verdict is Verdict.ACCEPTED) == L(w)
-            for w in words
-        )
-
-    agreement = [agrees(n) for n in range(min(budget, k) + 1)]
     n_k: Optional[int] = None
-    for n in range(len(agreement)):
-        if all(agreement[n:]):
-            n_k = n
+    for n in range(k, -1, -1):
+        trie = _compile(build_trie_machine(L, n).machine, COUNT_ALL)
+        if any((trie.run(w, n + 4).verdict is Verdict.ACCEPTED) != L(w) for w in words):
             break
+        n_k = n
     return ConvergenceReport(k=k, n_k=n_k, verified_words=len(words))

@@ -134,6 +134,15 @@ def validate_machine(m: Machine) -> list[str]:
     for sym in sorted(tape):
         if len(sym) != 1:
             defects.append(f"symbol {sym!r} is not a single character")
+        elif sym.isspace():
+            defects.append(f"symbol {sym!r} is whitespace")
+    # the file format splits lines at whitespace, as str.split does; one
+    # scan over the joined names finds whether any name breaks that
+    joined = "".join(states)
+    if "" in states or joined.split() != [joined]:
+        for q in sorted(states):
+            if q.split() != [q]:
+                defects.append(f"state name {q!r} is empty or holds whitespace")
 
     named = {"start": m.start_state, "accept": m.accept_state, "reject": m.reject_state}
     for role, q in named.items():

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from tmbench.cost import CostModel
 from tmbench.machine import Machine, Verdict, _compile
 
-FAMILIES = ("identity", "linear", "log", "power", "exp2")
+# the measure families, each with the parameters parse_measure accepts for it
+FAMILY_PARAMS = {"identity": (), "linear": ("a", "b"), "log": ("a", "b"),
+                 "power": ("a", "k"), "exp2": ("a",)}
 
 # slack for the integer step comparison; bounds computed through log/pow can
 # land a hair under an exact integer
@@ -31,7 +33,7 @@ class MeasureFunction:
     k: float = 1.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown measure family {self.family!r}")
         for name in ("a", "b", "k"):
             if not math.isfinite(getattr(self, name)):
@@ -181,13 +183,11 @@ def check_bound(
     for word in inputs:
         result = compiled.run(word, fuel)
         bound = spec.bound(max(len(word), 1))
-        if result.verdict is Verdict.FUEL_EXHAUSTED:
-            rows.append(BoundRow(word, len(word), result.counted_steps, bound, False))
-            worst = math.inf
-            continue
-        ok = bound_passes(result.counted_steps, bound)
-        rows.append(BoundRow(word, len(word), result.counted_steps, bound, ok))
-        worst = max(worst, result.counted_steps - bound)
+        # a run out of fuel fails with an unbounded margin
+        halted = result.verdict is not Verdict.FUEL_EXHAUSTED
+        rows.append(BoundRow(word, len(word), result.counted_steps, bound,
+                             halted and bound_passes(result.counted_steps, bound)))
+        worst = max(worst, result.counted_steps - bound if halted else math.inf)
     return BoundReport(
         per_input=tuple(rows),
         verdict=all(r.passed for r in rows),
@@ -195,26 +195,33 @@ def check_bound(
     )
 
 
+def parse_params(text: str, names: tuple[str, ...], convert: Callable[[str], object],
+                 what: str) -> dict:
+    """Parse the 'name=value,...' that follows the first ':' of text, where
+    each name is one of names, at most once, and each value converts; what
+    names the syntax in the error texts."""
+    params = {}
+    for item in text.partition(":")[2].split(","):
+        name, sep, value = item.partition("=")
+        if not sep or name not in names:
+            raise ValueError(f"bad {what} parameter {item!r} in {text!r}")
+        if name in params:
+            raise ValueError(f"repeated {what} parameter {name!r} in {text!r}")
+        try:
+            params[name] = convert(value)
+        except ValueError:
+            raise ValueError(f"bad value for {what} parameter {name!r} in {text!r}") from None
+    return params
+
+
 def parse_measure(text: str) -> MeasureFunction:
     """Parse the command-line syntax: identity | linear:a=..,b=.. | log:a=..,b=..
     | power:a=..,k=.. | exp2:a=.."""
     if text == "identity":
         return IDENTITY
-    if ":" not in text:
+    family, sep, _ = text.partition(":")
+    if not sep:
         raise ValueError(f"bad measure syntax {text!r}")
-    family, _, argtext = text.partition(":")
-    if family not in FAMILIES:
+    if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown measure family {family!r}")
-    kwargs = {}
-    for item in argtext.split(","):
-        name, sep, value = item.partition("=")
-        if not sep or name not in ("a", "b", "k"):
-            raise ValueError(f"bad measure parameter {item!r}")
-        if name in kwargs:
-            raise ValueError(f"repeated measure parameter {name!r} in {text!r}")
-        kwargs[name] = float(value)
-    allowed = {"linear": {"a", "b"}, "log": {"a", "b"}, "power": {"a", "k"}, "exp2": {"a"}}
-    extra = set(kwargs) - allowed.get(family, set())
-    if extra:
-        raise ValueError(f"parameters {sorted(extra)} not valid for {family}")
-    return MeasureFunction(family, **kwargs)
+    return MeasureFunction(family, **parse_params(text, FAMILY_PARAMS[family], float, "measure"))

@@ -8,16 +8,22 @@ Two certificate deliveries:
                base-2 value of y (empty y = cell 0). This models constant-cost
                array indexing: the seek is paid by the convention, not by steps.
 
+x must be a word over the checker's input alphabet. Inline certificates are
+written on the tape, so their alphabet must hold tape symbols other than
+the blank and '#'; CheckingRelation refuses any other.
+
 The search encodes x once and hands each certificate's cells and head cell
 to the compiled checker's `launch`, which alone lays out the tape; `deliver`
 is the dict reference it is tested against. One rule bounds the certificate
-length: decide_nc is decide_nt with the identity transform, and a bound
-that admits more certificates than the budget, an infinite one included,
-raises CertificateBudgetError.
+length: decide_nc is decide_nt with the identity transform. The admitted
+lengths are walked upward with a running count of their certificates, and
+a bound that admits more than the budget raises CertificateBudgetError; an
+infinite one over a non-empty alphabet raises before any walk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,6 +65,11 @@ class CheckingRelation:
                 raise ValueError("inline delivery requires '#' in the checker tape alphabet")
             if SEPARATOR in self.checker.input_alphabet:
                 raise ValueError("'#' must not be an input symbol")
+            writable = self.checker.tape_alphabet - {BLANK, SEPARATOR}
+            if not self.certificate_alphabet <= writable:
+                raise ValueError(
+                    f"certificate symbols {sorted(self.certificate_alphabet - writable)} "
+                    f"are not tape symbols other than '{BLANK}' and '{SEPARATOR}'")
         else:
             if self.certificate_alphabet != frozenset({"0", "1"}):
                 raise ValueError("positioned delivery requires certificates over {0,1}")
@@ -87,37 +98,24 @@ def deliver(rel: CheckingRelation, x: str, y: str) -> Configuration:
     return Configuration(state=m.start_state, tape=tape, head=position)
 
 
-def _exceeds_budget(alphabet_size: int, max_len: int, budget: int) -> bool:
-    """True when more than budget certificates have length <= max_len. Their
-    number is the sum of k^l for l = 0..max_len; it is compared in closed
-    form, so no huge power is ever computed."""
-    if alphabet_size <= 1:
-        return (max_len + 1 if alphabet_size else 1) > budget
-    # the sum is (k^(max_len+1) - 1) / (k - 1), so it exceeds the budget iff
-    # k^(max_len+1) > budget*(k-1) + 1; past that bound's bit length the
-    # power, at least 2^(max_len+1), certainly does
-    limit = budget * (alphabet_size - 1) + 1
-    if max_len + 1 > limit.bit_length():
-        return True
-    return alphabet_size ** (max_len + 1) > limit
-
-
 def _max_length(rel: CheckingRelation, g: MeasureFunction, transform: MeasureFunction,
                 x: str, budget: int) -> int:
     """The longest admitted certificate length: 0, which lies within any
     positive bound, and each length l >= 1 with
     T(l) <= g(T(max(|x|,1))) + eps. T is strictly increasing, so the
-    admitted lengths are 0, 1, ..., the result. Raises
-    CertificateBudgetError as soon as they admit more than budget
-    certificates, so an infinite bound raises too."""
+    admitted lengths are 0, 1, ..., the result. A running count of the
+    certificates they admit raises CertificateBudgetError as soon as it
+    passes budget; an infinite bound over a non-empty alphabet raises at
+    once."""
     rhs = compose(g, transform, max(len(x), 1)) + EPS
     size = len(rel.certificate_alphabet)
-    max_len = 0
-    while not _exceeds_budget(size, max_len, budget):
+    max_len, count = 0, 1
+    while count <= budget and not (size and rhs == math.inf):
         # over an empty alphabet no length past 0 adds a certificate
         if not size or evaluate(transform, max_len + 1) > rhs:
             return max_len
         max_len += 1
+        count += size ** max_len
     raise CertificateBudgetError(
         f"the length bound admits more certificates than the budget {budget}")
 
@@ -125,11 +123,11 @@ def _max_length(rel: CheckingRelation, g: MeasureFunction, transform: MeasureFun
 def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: int
             ) -> CertificateSearchReport:
     checker = _compile(rel.checker, cost)
-    # x is encoded once; each certificate gets one fresh tape laid out as
-    # deliver() would: x#y with the head on x, or x with the head on the
-    # cell that y numbers
+    # x is encoded once, over the input alphabet; each certificate gets one
+    # fresh tape laid out as deliver() would: x#y with the head on x, or x
+    # with the head on the cell that y numbers
     symbols = rel.checker.tape_alphabet
-    cells = checker.encode(x, symbols, "tape")
+    cells = checker.encode(x, checker.inputs)
     inline = rel.delivery == DELIVERY_INLINE
     if inline:
         cells += checker.encode(SEPARATOR, symbols, "tape")

@@ -1,6 +1,12 @@
-import pytest
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
-from tmbench import build_demo_machines, emit_machine
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tmbench import LanguageOracle, build_demo_machines, build_trie_machine, emit_machine
 from tmbench.cli import main
 
 
@@ -149,6 +155,16 @@ def test_profile_bad_lengths_is_exit_2(capsys, scanner_file, lengths):
     assert out == ""
 
 
+@pytest.mark.parametrize("family", ["zeros", "all", "random:count=2,seed=1"])
+def test_profile_failing_run_prints_nothing(capsys, scanner_file, family):
+    # every row is computed before the header is printed
+    code, out, err = invoke(capsys, "profile", "--machine", scanner_file,
+                            "--lengths", "1..3", "--family", family, "--fuel", "0")
+    assert code == 2
+    assert err.startswith("error:") and "fuel" in err
+    assert out == ""
+
+
 def test_profile_unknown_family_is_exit_2(capsys, scanner_file):
     code, out, err = invoke(capsys, "profile", "--machine", scanner_file,
                             "--lengths", "1..2", "--family", "twos")
@@ -185,10 +201,8 @@ def test_nsearch(capsys, tmp_path):
     assert "witness: 1" in out
 
 
-def test_nsearch_inline_from_a_file(capsys, tmp_path):
-    # accepts iff the certificate after the separator starts with '1'
-    checker_path = tmp_path / "inline.tm"
-    checker_path.write_text(r"""states: seek read acc rej
+# accepts iff the certificate after the separator starts with '1'
+INLINE_CHECKER = r"""states: seek read acc rej
 start: seek
 accept: acc
 reject: rej
@@ -202,12 +216,28 @@ trans: read 0 -> rej 0 R
 trans: read 1 -> acc 1 R
 trans: read \# -> rej \# R
 trans: read _ -> rej _ R
-""")
+"""
+
+
+def test_nsearch_inline_from_a_file(capsys, tmp_path):
+    checker_path = tmp_path / "inline.tm"
+    checker_path.write_text(INLINE_CHECKER)
     code, out, _ = invoke(capsys, "nsearch", "--checker", str(checker_path),
                           "--delivery", "inline", "--g", "linear:a=1,b=0", "--input", "00")
     assert code == 0
     assert out.splitlines() == ["accepted: true", "witness: 1", "certificates_tried: 3",
                                 "max_checker_counted_steps: 4"]
+
+
+@pytest.mark.parametrize("word", ["0#1", "0_1", "2"])
+def test_nsearch_input_outside_the_input_alphabet_is_exit_2(capsys, tmp_path, word):
+    checker_path = tmp_path / "inline.tm"
+    checker_path.write_text(INLINE_CHECKER)
+    code, out, err = invoke(capsys, "nsearch", "--checker", str(checker_path),
+                            "--delivery", "inline", "--g", "linear:a=1,b=0", "--input", word)
+    assert code == 2
+    assert err.startswith("error:") and "not in input alphabet" in err
+    assert out == ""
 
 
 def test_nsearch_budget_exceeded(capsys, tmp_path):
@@ -308,3 +338,109 @@ def test_word_files_read_alike(capsys, tmp_path):
                           ("00", "rejected")):
         _, out, _ = invoke(capsys, "run", "--machine", str(trie_path), "--input", word)
         assert f"verdict: {verdict}" in out
+
+
+# --- fuzz: generated argv for every subcommand, over mutated machine files
+# and word files, ends in a documented exit code and never in a traceback
+
+EXIT_CODES = {0, 1, 2, 3, 4}
+SCANNER, POSITIONED = build_demo_machines()
+MACHINE_FILES = [emit_machine(SCANNER), emit_machine(POSITIONED.checker), INLINE_CHECKER,
+                 emit_machine(build_trie_machine(LanguageOracle.builtin("div3"), 2).machine)]
+WORD_FILES = ["0\n1\n", "eps\n01  # a comment\n\n110\n", "0\n0\n"]
+
+
+@st.composite
+def mutated(draw, texts):
+    """One of texts as bytes, with a few bytes overwritten, cut or inserted."""
+    data = bytearray(draw(st.sampled_from(texts)).encode())
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["set", "cut", "insert"]))
+        if kind == "set" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "cut":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            data[at:at] = draw(st.binary(max_size=4) | st.sampled_from(
+                [b" ", b"\n", b"#", b"\\#", b"_", b"->", b"trans: ", b"\xff"]))
+    return bytes(data)
+
+
+def junk(values):
+    """A value from values, or one time in eight short text that may not
+    parse at all."""
+    text = st.text(alphabet="01-.:=,_#eps ", max_size=6)
+    return st.integers(0, 7).flatmap(lambda i: text if i == 0 else values)
+
+
+small = st.integers(-1, 6).map(str)
+words = junk(st.sampled_from(["eps", "0", "1", "01", "0110", "2", "0#1", "0_1"]))
+measures = junk(st.sampled_from(["identity", "linear:a=1,b=0", "linear:a=0.5,b=1",
+                                 "log:a=1,b=1", "power:a=1,k=2", "exp2:a=1",
+                                 "linear:a=nan,b=0", "linear:a=1,a=2", "cubic:a=1"]))
+costs = junk(st.sampled_from(["count-all", "free-blind", "free-states:q_scan", "free-states:"]))
+langs = junk(st.sampled_from(["contains-1", "palindrome", "div3", "empty", "all", "@WORDS",
+                              "@missing"]))
+lengths = junk(st.sampled_from(["0..3", "1..4", "2..2", "3..1", "-1..2"]))
+families = junk(st.sampled_from(["zeros", "ones", "all", "random:count=2,seed=3",
+                                 "random:count=0,seed=1", "random:seed=1", "twos"]))
+
+# per subcommand, each option with the values it may take; "MACHINE" and
+# "WORDS" stand for the mutated files
+SUBCOMMANDS = {
+    "run": {"--machine": st.just("MACHINE"), "--input": words, "--cost": costs,
+            "--fuel": small, "--exit-status": st.just(None)},
+    "gen-trie": {"--lang": langs, "--n": small, "--out": st.sampled_from(["-", "OUT"])},
+    "verify-trie": {"--lang": langs, "--n": small},
+    "converge": {"--lang": langs, "--k": small, "--budget": small},
+    "profile": {"--machine": st.just("MACHINE"), "--cost": costs, "--lengths": lengths,
+                "--family": families, "--fuel": small},
+    "check-bound": {"--machine": st.just("MACHINE"), "--cost": costs, "--g": measures,
+                    "--mode": junk(st.sampled_from(["plain", "outer", "inner"])),
+                    "--t": measures, "--input": words, "--inputs-file": st.just("WORDS"),
+                    "--fuel": small},
+    "nsearch": {"--checker": st.just("MACHINE"), "--delivery": junk(
+                    st.sampled_from(["inline", "positioned"])),
+                "--g": measures, "--t": measures, "--input": words, "--cost": costs,
+                "--budget": st.integers(-1, 64).map(str), "--fuel": small},
+    "demo-nlogtime": {"--max-n": small},
+}
+# always given: the default certificate budget is 2^20
+ALWAYS = {"--budget"}
+# given one time in two
+OPTIONAL = {"--t", "--inputs-file", "--exit-status"}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    for option, values in SUBCOMMANDS[command].items():
+        if option in ALWAYS or draw(st.integers(0, 1 if option in OPTIONAL else 19)) > 0:
+            value = draw(values)
+            # '--option=value' keeps a value that starts with '-' a value
+            argv.append(option if value is None else f"{option}={value}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs(), mutated(MACHINE_FILES), mutated(WORD_FILES))
+def test_every_command_line_ends_in_an_exit_code(argv, machine_bytes, word_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"MACHINE": Path(tmp, "m.tm"), "WORDS": Path(tmp, "words.txt"),
+                 "OUT": Path(tmp, "out.tm")}
+        files["MACHINE"].write_bytes(machine_bytes)
+        files["WORDS"].write_bytes(word_bytes)
+        for name, path in files.items():
+            argv = [arg.replace(name, str(path)) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+    assert code in EXIT_CODES, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and err.getvalue():
+        assert err.getvalue().startswith(("error:", "usage:"))

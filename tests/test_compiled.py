@@ -37,7 +37,7 @@ from tmbench import (
 )
 from tmbench.machine import _compile, _Sweep, all_words
 from tmbench.measures import IDENTITY
-from tmbench.nondet import _exceeds_budget, deliver
+from tmbench.nondet import _max_length, deliver
 
 def reference(m, config, keys, fuel):
     """The dict stepper from config: (verdict, total, counted, trace, final)."""
@@ -559,15 +559,28 @@ def test_parsed_machine_is_not_validated_again(monkeypatch):
     assert run(m, "01").verdict is Verdict.ACCEPTED
 
 
-# --- certificate budget in closed form ----------------------------------------
+# --- certificate budget as a running count -----------------------------------
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_budget_check_matches_the_sum(k):
+    t = {("s", c): ("n", c, RIGHT) for c in "0123#" + BLANK}
+    checker = Machine(frozenset("0"), frozenset("0123#" + BLANK), frozenset("syn"), "s", "y",
+                      "n", t)
+    rel = CheckingRelation(checker, "inline", frozenset("0123"[:k]))
+    # slope 1/2 on a word of length 2*max_len admits the lengths 0..max_len
+    half = MeasureFunction("linear", a=0.5)
     for max_len in range(12):
         total = sum(k ** length for length in range(max_len + 1))
+        x = "0" * (2 * max_len)
         for budget in {1, total - 1, total, total + 1, 10 ** 6}:
-            if budget >= 1:
-                assert _exceeds_budget(k, max_len, budget) == (total > budget)
+            if budget < 1:
+                continue
+            if total > budget:
+                with pytest.raises(CertificateBudgetError):
+                    _max_length(rel, half, IDENTITY, x, budget)
+            else:
+                # over an empty alphabet no length past 0 adds a certificate
+                assert _max_length(rel, half, IDENTITY, x, budget) == (max_len if k else 0)
 
 
 def test_linear_bound_on_long_input_exceeds_budget_at_once():

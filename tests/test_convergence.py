@@ -266,3 +266,32 @@ def test_convergence_minimality(lang):
                 != oracle(w)
                 for w in all_words("01", k)
             )
+
+
+def test_convergence_walk_stops_at_the_first_disagreeing_trie(monkeypatch):
+    import tmbench.convergence as convergence
+
+    built = []
+
+    def counting(L, n):
+        built.append(n)
+        return build_trie_machine(L, n)
+
+    monkeypatch.setattr(convergence, "build_trie_machine", counting)
+    report = find_convergence_index(LanguageOracle.builtin("palindrome"), 8, 8)
+    assert (report.n_k, report.verified_words) == (8, 511)
+    assert built == [8, 7]
+
+
+@pytest.mark.parametrize("oracle", [LanguageOracle.builtin(name) for name in ALL_BUILTINS]
+                         + [LanguageOracle.finite(words) for words in
+                            ({"", "01"}, {"1"}, {"0110"}, {"000", "1"})])
+def test_convergence_walk_matches_the_agreement_table(oracle):
+    for k in range(5):
+        agreement = [
+            all((run(build_trie_machine(oracle, n).machine, w, COUNT_ALL, fuel=20).verdict
+                 is Verdict.ACCEPTED) == oracle(w) for w in all_words("01", k))
+            for n in range(k + 1)
+        ]
+        least = next((n for n in range(k + 1) if all(agreement[n:])), None)
+        assert find_convergence_index(oracle, k, k).n_k == least

@@ -7,6 +7,7 @@ from tmbench import (
     COUNT_ALL,
     CertificateBudgetError,
     CheckingRelation,
+    InvalidInputError,
     Machine,
     MeasureFunction,
     RIGHT,
@@ -243,3 +244,35 @@ def test_positioned_requires_binary_certificates():
     with pytest.raises(ValueError):
         CheckingRelation(checker=demo_checker().checker, delivery="positioned",
                          certificate_alphabet=frozenset({"a", "b"}))
+
+
+def test_search_reads_x_over_the_input_alphabet():
+    # '#' and the blank are tape symbols, but not input symbols
+    for x in ("0#1", "0_1", "#"):
+        with pytest.raises(InvalidInputError, match="not in input alphabet"):
+            decide_nc(inline_checker(), MeasureFunction("linear", a=1, b=0), x)
+    with pytest.raises(InvalidInputError, match="not in input alphabet"):
+        decide_nc(demo_checker(), LOG11, "0_1")
+
+
+@pytest.mark.parametrize("alphabet", [{"a"}, {"0", "a"}, {BLANK}, {"#"}, {"1", "#"}])
+def test_inline_certificate_alphabet_must_be_writable(alphabet):
+    with pytest.raises(ValueError, match="certificate symbols"):
+        CheckingRelation(inline_checker().checker, "inline", frozenset(alphabet))
+
+
+def test_inline_certificate_alphabet_inside_the_tape_alphabet():
+    for alphabet in ({"0"}, {"1"}, {"0", "1"}, set()):
+        rel = CheckingRelation(inline_checker().checker, "inline", frozenset(alphabet))
+        report = decide_nc(rel, MeasureFunction("linear", a=1, b=0), "00")
+        assert report.accepted == ("1" in alphabet)
+
+
+def test_infinite_bound_over_one_symbol_raises_at_once():
+    # 2^1100 is past the largest double: the bound is infinite, and a
+    # one-symbol alphabet adds only one certificate per length
+    rel = CheckingRelation(inline_checker().checker, "inline", frozenset({"0"}))
+    start = time.process_time()
+    with pytest.raises(CertificateBudgetError):
+        decide_nc(rel, MeasureFunction("exp2"), "0" * 1100)
+    assert time.process_time() - start < 0.05

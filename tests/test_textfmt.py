@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmbench import (
+    BLANK,
     COUNT_ALL,
+    RIGHT,
     LanguageOracle,
+    Machine,
     MachineParseError,
     build_demo_machines,
     build_trie_machine,
@@ -176,3 +180,48 @@ def test_duplicate_trans_line_reports_the_second(first, second):
         parse_machine_file("\n".join(lines) + "\n")
     assert str(excinfo.value) == "line 11: duplicate transition for (q_scan, 0)"
     assert excinfo.value.line_no == 11
+
+
+def renamed_scanner(scan="q_scan", accept="q_accept", symbol="0"):
+    """The scanner with its start and accept states and its symbol '0' renamed."""
+    t = {(scan, symbol): (scan, symbol, RIGHT), (scan, "1"): (accept, "1", RIGHT),
+         (scan, BLANK): ("q_reject", BLANK, RIGHT)}
+    return Machine(frozenset({symbol, "1"}), frozenset({symbol, "1", BLANK}),
+                   frozenset({scan, accept, "q_reject"}), scan, accept, "q_reject", t)
+
+
+@pytest.mark.parametrize("scan, accept, symbol, culprits", [
+    ("", "q_accept", "0", [""]),
+    ("q scan", "q_accept", "0", ["q scan"]),
+    ("q_scan", "acc\u2028", "0", ["acc\u2028"]),
+    ("q\tscan", "", "0", ["", "q\tscan"]),
+    ("q_scan", "q_accept", " ", [" "]),
+    ("q_scan", "q_accept", "\x85", ["\x85"]),
+])
+def test_names_the_format_cannot_hold_are_defects(scan, accept, symbol, culprits):
+    defects = [f"symbol {symbol!r} is whitespace"] if symbol != "0" else [
+        f"state name {q!r} is empty or holds whitespace" for q in culprits]
+    assert validate_machine(renamed_scanner(scan, accept, symbol)) == defects
+
+
+def test_names_the_format_can_hold_are_not_defects():
+    m = renamed_scanner("scan:\\#->", "#", "#")
+    assert validate_machine(m) == []
+    assert parse_machine_file(emit_machine(m)) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=" \t\n\x0b\x85\u2028#\\:->_q0", max_size=4),
+                min_size=3, max_size=5, unique=True),
+       st.sampled_from(["1", "1 ", "1#", "1\\", "1\t"]))
+def test_every_valid_machine_survives_the_round_trip(states, symbols):
+    start, accept, reject = states[:3]
+    tape = sorted(symbols + BLANK)
+    t = {(q, s): (states[(i + j) % len(states)], s, RIGHT)
+         for i, q in enumerate([start, *states[3:]]) for j, s in enumerate(tape)}
+    m = Machine(frozenset("1"), frozenset(tape), frozenset(states), start, accept, reject, t)
+    defects = validate_machine(m)
+    unwritable = [q for q in states if q.split() != [q]] + [s for s in tape if s.isspace()]
+    assert sum("whitespace" in d for d in defects) == len(unwritable)
+    if not defects:
+        assert parse_machine_file(emit_machine(m)) == m
