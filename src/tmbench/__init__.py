@@ -1,6 +1,10 @@
 """Turing-machine workbench: simulation under selectable transition-cost
 models, measure-function bound checking, certificate-based nondeterminism,
-and lookup-trie machine synthesis for language-sequence convergence."""
+and lookup-trie machine synthesis for language-sequence convergence.
+
+The names imported below are the package's public API; `from tmbench import *`
+binds each of them.
+"""
 
 from tmbench.machine import (
     BLANK,
@@ -57,51 +61,3 @@ from tmbench.convergence import (
 )
 from tmbench.textfmt import MachineParseError, emit_machine, parse_machine_file
 
-__all__ = [
-    "BLANK",
-    "LEFT",
-    "RIGHT",
-    "Machine",
-    "Configuration",
-    "RunResult",
-    "StepRecord",
-    "Verdict",
-    "InvalidInputError",
-    "validate_machine",
-    "initial_configuration",
-    "step",
-    "run",
-    "run_configuration",
-    "CostModel",
-    "COUNT_ALL",
-    "FREE_BLIND",
-    "is_blind_state",
-    "counted_set",
-    "parse_cost_model",
-    "MeasureFunction",
-    "BoundSpec",
-    "BoundReport",
-    "evaluate",
-    "check_monotone_sample",
-    "check_bound",
-    "parse_measure",
-    "CheckingRelation",
-    "CertificateSearchReport",
-    "CertificateBudgetError",
-    "decide_nc",
-    "decide_nt",
-    "build_demo_machines",
-    "LanguageOracle",
-    "BUILTIN_LANGUAGES",
-    "TrieMachineReport",
-    "TrieSizeError",
-    "ConvergenceReport",
-    "build_trie_machine",
-    "verify_restriction",
-    "verify_step_count",
-    "verify_trie",
-    "find_convergence_index",
-    "MachineParseError",
-    "parse_machine_file",
-    "emit_machine",
-]

@@ -18,17 +18,18 @@ from tmbench.convergence import (
     verify_trie,
 )
 from tmbench.cost import COUNT_ALL, parse_cost_model
-from tmbench.machine import Verdict, _compile, all_words, run
-from tmbench.measures import IDENTITY, BoundSpec, check_bound, parse_measure, parse_params
+from tmbench.machine import DEFAULT_FUEL, Verdict, _compile, all_words, run
+from tmbench.measures import IDENTITY, MODES, BoundSpec, check_bound, parse_measure, parse_params
 from tmbench.nondet import (
     DEFAULT_CERTIFICATE_BUDGET,
+    DELIVERIES,
     CertificateBudgetError,
     CheckingRelation,
     build_demo_machines,
     decide_nc,
     decide_nt,
 )
-from tmbench.textfmt import MachineParseError, emit_machine, parse_machine_file
+from tmbench.textfmt import COMMENT, MachineParseError, emit_machine, parse_machine_file
 
 EMPTY_WORD_TOKEN = "eps"
 
@@ -42,11 +43,12 @@ def _render_word(word: str) -> str:
 
 
 def _read_words(path: str) -> list[str]:
-    """One word per line; '#' starts a comment and 'eps' is the empty word."""
+    """One word per line and 'eps' is the empty word; as in a machine file, a
+    '#' that no backslash precedes starts a comment and '\\#' is the symbol '#'."""
     words = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
+            line = COMMENT.split(raw, 1)[0].replace("\\#", "#").strip()
             if line:
                 words.append(_word(line))
     return words
@@ -122,9 +124,8 @@ def cmd_verify_trie(args) -> int:
 
 def cmd_converge(args) -> int:
     report = find_convergence_index(load_language(args.lang), args.k, args.budget)
-    n_k = "none" if report.n_k is None else report.n_k
-    print(f"k={report.k} n_k={n_k} verified_words={report.verified_words}")
-    return 3 if report.n_k is None else 0
+    print(f"k={report.k} n_k={report.n_k} verified_words={report.verified_words}")
+    return 0
 
 
 def _parse_random_family(spec: str) -> tuple[int, int]:
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     machine = shared("--machine", required=True, help="machine file")
     cost = shared("--cost", default="count-all",
                   help="count-all | free-blind | free-states:q1,q2,...")
-    fuel = shared("--fuel", type=int, default=10_000, help="step limit of each run")
+    fuel = shared("--fuel", type=int, default=DEFAULT_FUEL, help="step limit of each run")
     lang = shared("--lang", required=True, help="built-in language name or @file of words")
 
     def add(name, fn, help_text, *parents):
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-bound", cmd_check_bound, "empirical step-bound check, CSV report",
             machine, cost, fuel)
     p.add_argument("--g", required=True, help="bound measure, e.g. linear:a=1,b=1")
-    p.add_argument("--mode", default="plain", choices=["plain", "outer", "inner"])
+    p.add_argument("--mode", default="plain", choices=MODES)
     p.add_argument("--t", default=None, help="transform measure for outer/inner mode")
     p.add_argument("--input", action="append", default=[],
                    help="input word, repeatable ('eps' for the empty word)")
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("nsearch", cmd_nsearch, "exhaustive certificate search for one input", cost, fuel)
     p.add_argument("--checker", required=True, help="checker machine file")
-    p.add_argument("--delivery", required=True, choices=["inline", "positioned"])
+    p.add_argument("--delivery", required=True, choices=DELIVERIES)
     p.add_argument("--g", required=True, help="certificate length bound measure")
     p.add_argument("--t", default=None, help="transform measure (transformed bound)")
     p.add_argument("--input", required=True,

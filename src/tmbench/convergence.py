@@ -76,6 +76,9 @@ class LanguageOracle:
 
     @staticmethod
     def finite(words) -> "LanguageOracle":
+        # a string would be read as the set of its letters
+        if isinstance(words, str):
+            raise TypeError("words must be a collection of words, not a string")
         ws = frozenset(words)
         for w in ws:
             if any(ch not in "01" for ch in w):
@@ -203,7 +206,9 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> Convergenc
     The tries are run from n = k down to 0, and the walk stops at the first
     one that disagrees: n_k is the last trie that agreed, or None when the
     depth-k trie already disagrees. Beyond k no run is needed: the depth-n
-    trie decides words of length <= k exactly as L whenever n >= k.
+    trie decides words of length <= k exactly as L whenever n >= k. The
+    depth-k trie holds L's own answers, so None needs an oracle whose
+    answers change between calls.
     """
     if k < 0 or k > MAX_CONVERGENCE_K:
         raise ValueError(f"k must be in 0..{MAX_CONVERGENCE_K}")

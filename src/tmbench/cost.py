@@ -32,16 +32,11 @@ class CostModel:
     predicate: Optional[TransitionPredicate] = None
 
     def __post_init__(self):
-        # any iterable of names, frozen so that the model can key a cache
+        # any iterable of names but a string, whose letters would be names;
+        # frozen so that the model can key a cache
+        if isinstance(self.free_states, str):
+            raise TypeError("free_states must be a collection of state names, not a string")
         object.__setattr__(self, "free_states", frozenset(self.free_states))
-
-    @staticmethod
-    def free_states_model(states) -> "CostModel":
-        return CostModel(free_states=states)
-
-    @staticmethod
-    def custom(predicate: TransitionPredicate) -> "CostModel":
-        return CostModel(predicate=predicate)
 
 
 COUNT_ALL = CostModel()
@@ -91,5 +86,5 @@ def parse_cost_model(text: str) -> CostModel:
         names = [s for s in text[len("free-states:"):].split(",") if s]
         if not names:
             raise ValueError("free-states: requires at least one state name")
-        return CostModel.free_states_model(names)
+        return CostModel(free_states=names)
     raise ValueError(f"unknown cost model {text!r}")

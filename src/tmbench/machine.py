@@ -32,6 +32,7 @@ from tmbench.cost import COUNT_ALL, CostModel, counted_set
 BLANK = "_"
 LEFT = "L"
 RIGHT = "R"
+DEFAULT_FUEL = 10_000  # the step limit of a run when the caller names none
 
 # transition value: (target state, written symbol, move)
 Transition = tuple[str, str, str]
@@ -565,7 +566,7 @@ def run_configuration(
                      result.trace, config)
 
 
-def run(m: Machine, input_word: str, cost: CostModel = COUNT_ALL, fuel: int = 10_000,
+def run(m: Machine, input_word: str, cost: CostModel = COUNT_ALL, fuel: int = DEFAULT_FUEL,
         record_trace: bool = True) -> RunResult:
     """Simulate m on input_word under a cost model, bounded by fuel total steps."""
     return _compile(m, cost).run(input_word, fuel, record_trace)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from tmbench.cost import CostModel
-from tmbench.machine import Machine, Verdict, _compile
+from tmbench.machine import DEFAULT_FUEL, Machine, Verdict, _compile
 
 # the measure families, each with the parameters parse_measure accepts for it
 FAMILY_PARAMS = {"identity": (), "linear": ("a", "b"), "log": ("a", "b"),
@@ -44,9 +44,6 @@ class MeasureFunction:
             raise ValueError("parameter b must be >= 0")
         if self.k <= 0:
             raise ValueError("parameter k must be > 0")
-
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
 
 
 IDENTITY = MeasureFunction("identity")
@@ -118,6 +115,7 @@ def check_monotone_sample(f: MeasureFunction, xs: Sequence[float]) -> bool:
 MODE_PLAIN = "plain"
 MODE_OUTER = "outer"
 MODE_INNER = "inner"
+MODES = (MODE_PLAIN, MODE_OUTER, MODE_INNER)
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ class BoundSpec:
     transform: Optional[MeasureFunction] = None
 
     def __post_init__(self):
-        if self.mode not in (MODE_PLAIN, MODE_OUTER, MODE_INNER):
+        if self.mode not in MODES:
             raise ValueError(f"unknown bound mode {self.mode!r}")
         if (self.transform is not None) != (self.mode != MODE_PLAIN):
             raise ValueError("transform must be present exactly when mode is outer/inner")
@@ -166,14 +164,17 @@ def check_bound(
     cost: CostModel,
     spec: BoundSpec,
     inputs: Iterable[str],
-    fuel: int = 10_000,
+    fuel: int = DEFAULT_FUEL,
 ) -> BoundReport:
     """Run m on each input and compare counted steps against the bound.
 
     The empty word lies outside the measure domain and is checked against the
     bound at length 1. inputs is read once, so an exhausted iterator is
-    refused as empty rather than passed vacuously.
+    refused as empty rather than passed vacuously, and a string, whose
+    letters would be the words, is refused.
     """
+    if isinstance(inputs, str):
+        raise TypeError("inputs must be a collection of words, not a string")
     inputs = list(inputs)
     if not inputs:
         raise ValueError("inputs must be non-empty")

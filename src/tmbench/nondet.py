@@ -30,6 +30,7 @@ from typing import Optional
 from tmbench.cost import CostModel, COUNT_ALL
 from tmbench.machine import (
     BLANK,
+    DEFAULT_FUEL,
     RIGHT,
     Configuration,
     Machine,
@@ -43,6 +44,7 @@ SEPARATOR = "#"
 
 DELIVERY_INLINE = "inline"
 DELIVERY_POSITIONED = "positioned"
+DELIVERIES = (DELIVERY_INLINE, DELIVERY_POSITIONED)
 
 DEFAULT_CERTIFICATE_BUDGET = 2 ** 20
 
@@ -58,7 +60,7 @@ class CheckingRelation:
     certificate_alphabet: frozenset[str] = frozenset({"0", "1"})
 
     def __post_init__(self):
-        if self.delivery not in (DELIVERY_INLINE, DELIVERY_POSITIONED):
+        if self.delivery not in DELIVERIES:
             raise ValueError(f"unknown delivery {self.delivery!r}")
         if self.delivery == DELIVERY_INLINE:
             if SEPARATOR not in self.checker.tape_alphabet:
@@ -157,7 +159,7 @@ def decide_nc(
     g: MeasureFunction,
     x: str,
     cost: CostModel = COUNT_ALL,
-    fuel: int = 10_000,
+    fuel: int = DEFAULT_FUEL,
     budget: int = DEFAULT_CERTIFICATE_BUDGET,
 ) -> CertificateSearchReport:
     """Membership by exhaustive certificate search: accept iff some y with
@@ -175,7 +177,7 @@ def decide_nt(
     transform: MeasureFunction,
     x: str,
     cost: CostModel = COUNT_ALL,
-    fuel: int = 10_000,
+    fuel: int = DEFAULT_FUEL,
     budget: int = DEFAULT_CERTIFICATE_BUDGET,
 ) -> CertificateSearchReport:
     """Transformed search: the empty certificate, which lies within any

@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tmbench import LanguageOracle, build_demo_machines, build_trie_machine, emit_machine
+from tmbench import (
+    BUILTIN_LANGUAGES,
+    LanguageOracle,
+    build_demo_machines,
+    build_trie_machine,
+    emit_machine,
+)
 from tmbench.cli import main
 
 
@@ -338,6 +344,46 @@ def test_word_files_read_alike(capsys, tmp_path):
                           ("00", "rejected")):
         _, out, _ = invoke(capsys, "run", "--machine", str(trie_path), "--input", word)
         assert f"verdict: {verdict}" in out
+
+
+HASH_SCANNER = r"""states: s acc rej
+start: s
+accept: acc
+reject: rej
+input_alphabet: 0 \#
+tape_alphabet: 0 \# _
+trans: s 0 -> s 0 R
+trans: s \# -> s \# R
+trans: s _ -> acc _ R
+"""
+
+
+def test_word_files_follow_the_machine_file_comment_rule(capsys, tmp_path):
+    machine = tmp_path / "hash.tm"
+    machine.write_text(HASH_SCANNER)
+    words = tmp_path / "words.txt"
+    words.write_text("0\\#0  # a word holding the symbol '#'\n# a comment line\n\\#\n")
+    code, out, err = invoke(capsys, "check-bound", "--machine", str(machine),
+                            "--g", "linear:a=1,b=1", "--inputs-file", str(words),
+                            "--input", "0#0")
+    assert (code, err) == (0, "")
+    rows = [line.split(",")[:3] for line in out.splitlines()[1:-1]]
+    assert rows == [["0#0", "3", "4"], ["0#0", "3", "4"], ["#", "1", "2"]]
+
+
+def test_converge_always_finds_n_k(capsys, tmp_path):
+    # every language the command line can name is a fixed set, so the depth-k
+    # trie agrees with it and the walk ends at some n_k <= k
+    words = tmp_path / "words.txt"
+    words.write_text("eps\n0\n11\n010\n0110\n")
+    for lang in [*sorted(BUILTIN_LANGUAGES), f"@{words}"]:
+        for k in range(7):
+            code, out, _ = invoke(capsys, "converge", "--lang", lang, "--k", str(k),
+                                  "--budget", str(k))
+            assert code == 0, (lang, k)
+            fields = dict(item.split("=") for item in out.split())
+            assert int(fields["k"]) == k
+            assert 0 <= int(fields["n_k"]) <= k, (lang, k)
 
 
 # --- fuzz: generated argv for every subcommand, over mutated machine files

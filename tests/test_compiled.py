@@ -95,8 +95,8 @@ def cost_models(draw, m):
     if kind == "blind":
         return FREE_BLIND
     if kind == "states":
-        return CostModel.free_states_model(draw(st.sets(st.sampled_from(sorted(m.states)))))
-    return CostModel.custom(lambda q, s, w, move, t: move == LEFT or w != s)
+        return CostModel(free_states=draw(st.sets(st.sampled_from(sorted(m.states)))))
+    return CostModel(predicate=lambda q, s, w, move, t: move == LEFT or w != s)
 
 
 fuels = st.one_of(st.integers(1, 12), st.integers(200, 3000))
@@ -191,11 +191,11 @@ def test_cost_model_laws(data):
     every = run(m, word, COUNT_ALL, fuel=fuel)
     assert every.counted_steps == every.total_steps
     # freeing no state, or counting every transition, is counting all
-    for same in (CostModel.free_states_model(()), CostModel.custom(lambda *_: True)):
+    for same in (CostModel(free_states=()), CostModel(predicate=lambda *_: True)):
         assert counted_set(m, same) == counted_set(m, COUNT_ALL)
         assert run(m, word, same, fuel=fuel) == every
     free = data.draw(st.sets(st.sampled_from(sorted(m.states))))
-    result = run(m, word, CostModel.free_states_model(free), fuel=fuel)
+    result = run(m, word, CostModel(free_states=free), fuel=fuel)
     taken_free = sum(record.state in free for record in result.trace)
     assert result.counted_steps + taken_free == result.total_steps == every.total_steps
     assert counted_set(m, FREE_BLIND) <= counted_set(m, COUNT_ALL)
@@ -279,7 +279,7 @@ def bouncer():
 
 def test_tape_grows_past_both_ends():
     m = bouncer()
-    cost = CostModel.free_states_model({"L"})
+    cost = CostModel(free_states={"L"})
     verdict, total, counted, trace, final = reference(
         m, initial_configuration(m, "0110"), counted_set(m, cost), 5000)
     # untraced first, then traced on the same compiled table: the trace
@@ -402,7 +402,7 @@ def test_sweep_writes_changed_symbols():
 
 def test_custom_predicate_counts_some_symbols_of_a_run():
     m = sweeper()
-    ones = CostModel.custom(lambda q, s, w, move, t: s == "1")
+    ones = CostModel(predicate=lambda q, s, w, move, t: s == "1")
     word = "0110100" * 40
     for fuel in (1, 50, 137, len(word), 600, 5000):
         result = check_against_reference(m, word, ones, fuel)
@@ -413,7 +413,7 @@ def test_custom_predicate_counts_some_symbols_of_a_run():
 @pytest.mark.parametrize("first_traced", [False, True])
 def test_traced_and_untraced_runs_share_one_compiled_object(first_traced):
     m = sweeper()
-    cost = CostModel.custom(lambda q, s, w, move, t: move == LEFT)
+    cost = CostModel(predicate=lambda q, s, w, move, t: move == LEFT)
     word = "01" * 60
     for record_trace in (first_traced, not first_traced, first_traced):
         for fuel in (90, 5000):
@@ -509,8 +509,8 @@ def test_two_cost_models_count_independently():
 
 def test_equal_cost_models_share_one_compiled_entry():
     m = scanner_with_blind_start()
-    a = CostModel.free_states_model(["skip"])
-    b = CostModel.free_states_model(["skip"])
+    a = CostModel(free_states=["skip"])
+    b = CostModel(free_states=["skip"])
     assert a == b and a is not b
     assert _compile(m, a) is _compile(m, b)
     run(m, "01", b)

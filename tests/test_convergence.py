@@ -48,6 +48,13 @@ def test_finite_oracle():
         LanguageOracle.finite({"012"})
 
 
+def test_finite_oracle_refuses_a_bare_string():
+    # "0101" would otherwise be read as the language {"0", "1"}
+    with pytest.raises(TypeError):
+        LanguageOracle.finite("0101")
+    assert LanguageOracle.finite(["0101"])("0101")
+
+
 def test_empty_language_trie_rejects_everything():
     report = build_trie_machine(LanguageOracle.builtin("empty"), 2)
     assert report.state_count == 9

@@ -94,21 +94,28 @@ def test_counted_set_free_states():
     m = report.machine
     prefix_states = {q for q in m.states if q not in (m.accept_state, m.reject_state)}
     inner = prefix_states - {m.start_state}
-    keys = counted_set(m, CostModel.free_states_model(inner))
+    keys = counted_set(m, CostModel(free_states=inner))
     assert keys == frozenset(k for k in m.transitions if k[0] == m.start_state)
 
 
 def test_counted_set_free_states_unknown():
     with pytest.raises(ValueError):
-        counted_set(scanner(), CostModel.free_states_model({"nope"}))
+        counted_set(scanner(), CostModel(free_states={"nope"}))
     with pytest.raises(ValueError):
         counted_set(scanner(), CostModel(free_states=frozenset({"nope"}), free_blind=True))
+
+
+def test_free_states_refuses_a_bare_string():
+    # "q_scan" would otherwise name the states q, _, s, c, a and n
+    with pytest.raises(TypeError):
+        CostModel(free_states="q_scan")
+    assert CostModel(free_states=frozenset("ab")).free_states == {"a", "b"}
 
 
 def test_cost_model_is_its_fields():
     assert CostModel() == COUNT_ALL
     assert CostModel(free_blind=True) == FREE_BLIND
-    assert CostModel.free_states_model(["a", "b"]) == CostModel(free_states=frozenset("ab"))
+    assert CostModel(free_states=["a", "b"]) == CostModel(free_states=frozenset("ab"))
     assert run(scanner(), "01", CostModel(free_states={"q_scan"})).counted_steps == 0
     assert parse_cost_model("count-all") == CostModel()
     assert parse_cost_model("free-blind") == CostModel(free_blind=True)
@@ -131,7 +138,7 @@ def test_count_all_compiles_without_a_counted_set(monkeypatch):
 
 def test_custom_predicate():
     m = scanner()
-    cost = CostModel.custom(lambda q, read, write, move, target: read == "0")
+    cost = CostModel(predicate=lambda q, read, write, move, target: read == "0")
     assert counted_set(m, cost) == frozenset({("q_scan", "0")})
     result = run(m, "0010", cost, fuel=100)
     assert result.counted_steps == 2  # two '0' reads before the '1'

@@ -247,6 +247,12 @@ def test_check_bound_requires_inputs():
         check_bound(trie3(), COUNT_ALL, BoundSpec(g=IDENTITY), [], fuel=10)
 
 
+def test_check_bound_refuses_a_bare_string():
+    # "0001" would otherwise run the four one-symbol words
+    with pytest.raises(TypeError):
+        check_bound(trie3(), COUNT_ALL, BoundSpec(g=IDENTITY), "0001", fuel=10)
+
+
 def test_check_bound_reads_an_iterator_once_and_refuses_it_exhausted():
     words = all_words("01", 3)
     report = check_bound(trie3(), COUNT_ALL, BoundSpec(g=IDENTITY), words, fuel=10)

@@ -1,0 +1,61 @@
+"""The package namespace: the names `tmbench/__init__.py` imports are its
+public API, reachable as attributes and bound by a star import."""
+
+import inspect
+
+import tmbench
+
+PUBLIC_API = (
+    "BLANK", "LEFT", "RIGHT", "Machine", "Configuration", "RunResult", "StepRecord",
+    "Verdict", "InvalidInputError", "validate_machine", "initial_configuration", "step",
+    "run", "run_configuration",
+    "CostModel", "COUNT_ALL", "FREE_BLIND", "is_blind_state", "counted_set",
+    "parse_cost_model",
+    "MeasureFunction", "BoundSpec", "BoundReport", "evaluate", "check_monotone_sample",
+    "check_bound", "parse_measure",
+    "CheckingRelation", "CertificateSearchReport", "CertificateBudgetError", "decide_nc",
+    "decide_nt", "build_demo_machines",
+    "LanguageOracle", "BUILTIN_LANGUAGES", "TrieMachineReport", "TrieSizeError",
+    "ConvergenceReport", "build_trie_machine", "verify_restriction", "verify_step_count",
+    "verify_trie", "find_convergence_index",
+    "MachineParseError", "parse_machine_file", "emit_machine",
+)
+
+
+def test_every_public_name_is_a_package_attribute():
+    assert len(set(PUBLIC_API)) == 46
+    missing = [name for name in PUBLIC_API if not hasattr(tmbench, name)]
+    assert not missing
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from tmbench import *", namespace)
+    missing = [name for name in PUBLIC_API if name not in namespace]
+    assert not missing
+    for name in PUBLIC_API:
+        assert namespace[name] is getattr(tmbench, name)
+
+
+def test_one_constructor_and_one_way_to_evaluate():
+    assert not hasattr(tmbench, "__all__")
+    assert not hasattr(tmbench.CostModel, "free_states_model")
+    assert not hasattr(tmbench.CostModel, "custom")
+    assert not callable(tmbench.MeasureFunction("identity"))
+
+
+def test_each_default_and_choice_has_one_owner():
+    from tmbench.cli import build_parser
+    from tmbench.machine import DEFAULT_FUEL
+    from tmbench.measures import MODES
+    from tmbench.nondet import DELIVERIES
+
+    for fn in (tmbench.run, tmbench.check_bound, tmbench.decide_nc, tmbench.decide_nt):
+        assert inspect.signature(fn).parameters["fuel"].default is DEFAULT_FUEL
+    commands = build_parser()._subparsers._group_actions[0].choices
+    options = {(name, opt): action for name, sub in commands.items()
+               for action in sub._actions for opt in action.option_strings}
+    for name in ("run", "profile", "check-bound", "nsearch"):
+        assert options[(name, "--fuel")].default is DEFAULT_FUEL
+    assert options[("check-bound", "--mode")].choices is MODES
+    assert options[("nsearch", "--delivery")].choices is DELIVERIES
