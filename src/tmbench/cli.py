@@ -29,7 +29,7 @@ from tmbench.nondet import (
     decide_nc,
     decide_nt,
 )
-from tmbench.textfmt import COMMENT, MachineParseError, emit_machine, parse_machine_file
+from tmbench.textfmt import MachineParseError, emit_machine, parse_machine_file, strip_comment
 
 EMPTY_WORD_TOKEN = "eps"
 
@@ -48,7 +48,7 @@ def _read_words(path: str) -> list[str]:
     words = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
-            line = COMMENT.split(raw, 1)[0].replace("\\#", "#").strip()
+            line = strip_comment(raw).strip()
             if line:
                 words.append(_word(line))
     return words
@@ -160,12 +160,16 @@ def cmd_profile(args) -> int:
         raise ValueError(f"unknown family {family!r}")
 
     # every row is computed before anything is printed, so a run that fails
-    # leaves stdout empty
+    # leaves stdout empty; a run that exhausts its fuel has no worst case to
+    # report, since its count is the fuel and not the machine's
     rows = []
     for length in lengths:
         best, best_word = -1, ""
         for word in words(length):
             result = compiled.run(word, args.fuel)
+            if result.verdict is Verdict.FUEL_EXHAUSTED:
+                raise ValueError(f"the run on {_render_word(word)} exhausted its fuel "
+                                 f"{args.fuel} before halting")
             if result.counted_steps > best:
                 best, best_word = result.counted_steps, word
         rows.append(f"{length},{best},{_render_word(best_word)}")
@@ -229,61 +233,59 @@ def build_parser() -> argparse.ArgumentParser:
                     "bound checking, certificate search, trie synthesis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each option that several subcommands take, declared once, with the
+    # subcommands that take it
+    runs = ("run", "profile", "check-bound", "nsearch")
+    bounds = ("check-bound", "nsearch")
+    shared = [
+        ("--machine", ("run", "profile", "check-bound"), dict(required=True, help="machine file")),
+        ("--cost", runs,
+         dict(default="count-all", help="count-all | free-blind | free-states:q1,q2,...")),
+        ("--fuel", runs, dict(type=int, default=DEFAULT_FUEL, help="step limit of each run")),
+        ("--lang", ("gen-trie", "verify-trie", "converge"),
+         dict(required=True, help="built-in language name or @file of words")),
+        ("--n", ("gen-trie", "verify-trie"), dict(type=int, required=True, help="trie depth")),
+        ("--g", bounds, dict(required=True, help="bound measure g, e.g. linear:a=1,b=1")),
+        ("--t", bounds, dict(default=None, help="transform measure T, e.g. log:a=1,b=0")),
+    ]
 
-    def shared(option, **kwargs):
-        """One option that several subcommands take, declared once."""
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument(option, **kwargs)
-        return parent
-
-    machine = shared("--machine", required=True, help="machine file")
-    cost = shared("--cost", default="count-all",
-                  help="count-all | free-blind | free-states:q1,q2,...")
-    fuel = shared("--fuel", type=int, default=DEFAULT_FUEL, help="step limit of each run")
-    lang = shared("--lang", required=True, help="built-in language name or @file of words")
-
-    def add(name, fn, help_text, *parents):
-        p = sub.add_parser(name, help=help_text, parents=parents)
+    def add(name, fn, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
+        for option, commands, kwargs in shared:
+            if name in commands:
+                p.add_argument(option, **kwargs)
         return p
 
-    p = add("run", cmd_run, "simulate a machine on one input word", machine, cost, fuel)
+    p = add("run", cmd_run, "simulate a machine on one input word")
     p.add_argument("--input", required=True, help="input word ('eps' for the empty word)")
     p.add_argument("--exit-status", action="store_true",
                    help="exit 0 accepted, 1 rejected, 4 fuel exhausted")
 
-    p = add("gen-trie", cmd_gen_trie, "synthesize the depth-n lookup-trie machine", lang)
-    p.add_argument("--n", type=int, required=True)
+    p = add("gen-trie", cmd_gen_trie, "synthesize the depth-n lookup-trie machine")
     p.add_argument("--out", required=True, help="output machine file, '-' for stdout")
 
-    p = add("verify-trie", cmd_verify_trie,
-            "check the trie machine's language restriction and step counts", lang)
-    p.add_argument("--n", type=int, required=True)
+    add("verify-trie", cmd_verify_trie,
+        "check the trie machine's language restriction and step counts")
 
-    p = add("converge", cmd_converge, "find the least agreeing sequence index", lang)
+    p = add("converge", cmd_converge, "find the least agreeing sequence index")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, required=True)
 
-    p = add("profile", cmd_profile, "worst-case counted steps per input length, CSV",
-            machine, cost, fuel)
+    p = add("profile", cmd_profile, "worst-case counted steps per input length, CSV")
     p.add_argument("--lengths", required=True, help="e.g. 1..8")
     p.add_argument("--family", default="zeros",
                    help="all | zeros | ones | random:count=<k>,seed=<s>")
 
-    p = add("check-bound", cmd_check_bound, "empirical step-bound check, CSV report",
-            machine, cost, fuel)
-    p.add_argument("--g", required=True, help="bound measure, e.g. linear:a=1,b=1")
+    p = add("check-bound", cmd_check_bound, "empirical step-bound check, CSV report")
     p.add_argument("--mode", default="plain", choices=MODES)
-    p.add_argument("--t", default=None, help="transform measure for outer/inner mode")
     p.add_argument("--input", action="append", default=[],
                    help="input word, repeatable ('eps' for the empty word)")
     p.add_argument("--inputs-file", default=None, help="file of words, one per line")
 
-    p = add("nsearch", cmd_nsearch, "exhaustive certificate search for one input", cost, fuel)
+    p = add("nsearch", cmd_nsearch, "exhaustive certificate search for one input")
     p.add_argument("--checker", required=True, help="checker machine file")
     p.add_argument("--delivery", required=True, choices=DELIVERIES)
-    p.add_argument("--g", required=True, help="certificate length bound measure")
-    p.add_argument("--t", default=None, help="transform measure (transformed bound)")
     p.add_argument("--input", required=True,
                    help="input word over the checker's input alphabet ('eps' for the empty word)")
     p.add_argument("--budget", type=int, default=DEFAULT_CERTIFICATE_BUDGET)

@@ -24,7 +24,9 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
+from operator import index
 from typing import Iterable, Iterator, Mapping, Optional
 
 from tmbench.cost import COUNT_ALL, CostModel, counted_set
@@ -364,16 +366,10 @@ class _CompiledMachine:
         self.accept = self.row[m.accept_state]
         self.reject = self.row[m.reject_state]
         self.inputs = m.input_alphabet
-        self.translation = {ord(s): i for s, i in self.code.items()}  # for str.translate
         size = len(self.states) * width
         self.table: list = [None] * size  # plain entries, sweeps and None
         self.sweeps = edge < 256
-        if self.sweeps:
-            self.tape_type = bytearray
-            self.pack = lambda coded: coded.encode("latin-1")
-        else:
-            self.tape_type = lambda cells: array("L", cells)
-            self.pack = lambda coded: array("L", map(ord, coded))
+        self.tape_type = bytearray if self.sweeps else partial(array, "L")
         # with every symbol in latin-1, a word encodes and translates as
         # bytes; deleting the bytes of the input or tape alphabet (`spelled`)
         # from it leaves the symbols outside that alphabet
@@ -385,8 +381,8 @@ class _CompiledMachine:
             self.latin = bytes(codes)
             self.spelled = {a: "".join(a).encode("latin-1")
                             for a in (m.input_alphabet, m.tape_alphabet)}
-        self.blank = self.pack("\0")
-        self.sentinel = self.pack(chr(edge))
+        self.blank = self.tape_type([0])
+        self.sentinel = self.tape_type([edge])
         self.right_end = self.blank + self.sentinel
         # per entry, the fields of its StepRecord but the head, then the
         # plain entry; allocated by the first traced run and filled with the
@@ -434,7 +430,7 @@ class _CompiledMachine:
                 if not raw.translate(None, self.spelled[alphabet]):
                     return raw.translate(self.latin)
         elif alphabet.issuperset(word):
-            return self.pack(word.translate(self.translation))
+            return self.tape_type(map(self.code.__getitem__, word))
         bad = next(ch for ch in word if ch not in alphabet)
         raise InvalidInputError(f"symbol {bad!r} not in {what} alphabet")
 
@@ -460,7 +456,11 @@ class _CompiledMachine:
     def execute(self, tape, i: int, origin: int, q: int, fuel: int,
                 record_trace: bool = False) -> RunResult:
         """Run from state row q with the head on tape[i], where tape[origin]
-        is cell 0, until a halt or fuel total steps. The tape is consumed."""
+        is cell 0, until a halt or fuel total steps. The tape is consumed.
+
+        fuel is checked here, before the loop, whose TypeError handler would
+        take a non-integer fuel's TypeError for a table event."""
+        fuel = index(fuel)
         if fuel <= 0:
             raise ValueError("fuel must be positive")
         table = self.table
@@ -568,7 +568,9 @@ def run_configuration(
 
 def run(m: Machine, input_word: str, cost: CostModel = COUNT_ALL, fuel: int = DEFAULT_FUEL,
         record_trace: bool = True) -> RunResult:
-    """Simulate m on input_word under a cost model, bounded by fuel total steps."""
+    """Simulate m on input_word under a cost model, bounded by fuel total
+    steps. fuel must be a positive integer: a non-integer, a whole float
+    included, raises TypeError, and zero or less raises ValueError."""
     return _compile(m, cost).run(input_word, fuel, record_trace)
 
 

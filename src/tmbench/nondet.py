@@ -186,44 +186,26 @@ def decide_nt(
     return _search(rel, _max_length(rel, g, transform, x, budget), x, cost, fuel)
 
 
-def _machine(states, start, accept, reject, trans) -> Machine:
-    return Machine(
-        input_alphabet=frozenset({"0", "1"}),
-        tape_alphabet=frozenset({"0", "1", BLANK}),
-        states=frozenset(states),
-        start_state=start,
-        accept_state=accept,
-        reject_state=reject,
-        transitions=trans,
-    )
-
-
-def build_scanner() -> Machine:
-    """Left-to-right scanner for words containing a '1': accepts on the first
-    '1', rejects when it falls off the right end. Worst case reads every cell."""
-    trans = {
-        ("q_scan", "0"): ("q_scan", "0", RIGHT),
-        ("q_scan", "1"): ("q_accept", "1", RIGHT),
-        ("q_scan", BLANK): ("q_reject", BLANK, RIGHT),
-    }
-    return _machine({"q_scan", "q_accept", "q_reject"}, "q_scan", "q_accept",
-                    "q_reject", trans)
-
-
-def build_positioned_checker() -> CheckingRelation:
-    """Single-cell checker: accept iff the scanned cell holds '1'. Combined
-    with positioned delivery its counted work is constant in the input length."""
-    trans = {
-        ("q_check", "1"): ("q_accept", "1", RIGHT),
-        ("q_check", "0"): ("q_reject", "0", RIGHT),
-        ("q_check", BLANK): ("q_reject", BLANK, RIGHT),
-    }
-    checker = _machine({"q_check", "q_accept", "q_reject"}, "q_check", "q_accept",
-                       "q_reject", trans)
-    return CheckingRelation(checker=checker, delivery=DELIVERY_POSITIONED)
-
-
 def build_demo_machines() -> tuple[Machine, CheckingRelation]:
-    """The linear-time scanner and the constant-work positioned checker for
-    the contains-a-1 language."""
-    return build_scanner(), build_positioned_checker()
+    """The two deciders of the contains-a-1 language, which differ only in
+    the start state's name and its entry for '0'.
+
+    The scanner reads left to right, accepts on the first '1' and rejects
+    when it falls off the right end: its worst case reads every cell. The
+    checker accepts iff the scanned cell holds '1': with positioned delivery
+    its counted work is constant in the input length.
+    """
+    scanner, checker = (
+        Machine(
+            input_alphabet=frozenset({"0", "1"}),
+            tape_alphabet=frozenset({"0", "1", BLANK}),
+            states=frozenset({start, "q_accept", "q_reject"}),
+            start_state=start,
+            accept_state="q_accept",
+            reject_state="q_reject",
+            # every entry writes back the symbol it reads and moves right
+            transitions={(start, sym): (target, sym, RIGHT) for sym, target in
+                         (("0", on_zero), ("1", "q_accept"), (BLANK, "q_reject"))},
+        )
+        for start, on_zero in (("q_scan", "q_scan"), ("q_check", "q_reject")))
+    return scanner, CheckingRelation(checker=checker, delivery=DELIVERY_POSITIONED)

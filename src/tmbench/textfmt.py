@@ -32,18 +32,25 @@ HEADER_KEYS = ("states", "start", "accept", "reject", "input_alphabet", "tape_al
 COMMENT = re.compile(r"(?<!\\)#")
 
 
+def strip_comment(line: str) -> str:
+    """line without its comment: a '#' that no backslash precedes starts
+    one, and each '\\#' before it stands for '#'."""
+    return COMMENT.split(line, 1)[0].replace("\\#", "#")
+
+
 def parse_machine_file(text: str) -> Machine:
     """Parse the text format into a validated Machine, marked valid so that
     running it does not validate it again.
 
     A line whose first token is 'trans:', the bulk of a large file, goes
     straight to the trans checks; any other spelling of the key is split at
-    its ':' first.
+    its ':' first. Each header is checked on its own line, so the first
+    error in file order is the one reported.
     """
-    headers: dict[str, tuple[int, list[str]]] = {}
+    headers: dict[str, list[str]] = {}
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = COMMENT.split(raw, 1)[0].replace("\\#", "#") if "#" in raw else raw
+        line = strip_comment(raw) if "#" in raw else raw
         tokens = line.split()
         if not tokens:
             continue
@@ -57,7 +64,18 @@ def parse_machine_file(text: str) -> Machine:
                     raise MachineParseError(line_no, f"unknown key {key!r}")
                 if key in headers:
                     raise MachineParseError(line_no, f"duplicate {key!r} line")
-                headers[key] = (line_no, rest.split())
+                headers[key] = tokens = rest.split()
+                if key in ("start", "accept", "reject") and len(tokens) != 1:
+                    raise MachineParseError(line_no, f"{key!r} takes exactly one state")
+                if key.endswith("_alphabet"):
+                    for sym in tokens:
+                        if len(sym) != 1:
+                            raise MachineParseError(
+                                line_no, f"symbol {sym!r} is not a single character")
+                    if key == "tape_alphabet" and BLANK not in tokens:
+                        raise MachineParseError(line_no, "tape alphabet must include '_'")
+                    if key == "input_alphabet" and BLANK in tokens:
+                        raise MachineParseError(line_no, "input alphabet must not include '_'")
                 continue
             tokens = ["trans:", *rest.split()]
         if len(tokens) != 7 or tokens[3] != "->":
@@ -75,29 +93,14 @@ def parse_machine_file(text: str) -> Machine:
     for required in HEADER_KEYS:
         if required not in headers:
             raise MachineParseError(0, f"missing {required!r}")
-    for single in ("start", "accept", "reject"):
-        line_no, tokens = headers[single]
-        if len(tokens) != 1:
-            raise MachineParseError(line_no, f"{single!r} takes exactly one state")
-    for alpha in ("input_alphabet", "tape_alphabet"):
-        line_no, tokens = headers[alpha]
-        for sym in tokens:
-            if len(sym) != 1:
-                raise MachineParseError(line_no, f"symbol {sym!r} is not a single character")
-    line_no, tape_syms = headers["tape_alphabet"]
-    if BLANK not in tape_syms:
-        raise MachineParseError(line_no, "tape alphabet must include '_'")
-    line_no, input_syms = headers["input_alphabet"]
-    if BLANK in input_syms:
-        raise MachineParseError(line_no, "input alphabet must not include '_'")
 
     machine = Machine(
-        input_alphabet=frozenset(input_syms),
-        tape_alphabet=frozenset(tape_syms),
-        states=frozenset(headers["states"][1]),
-        start_state=headers["start"][1][0],
-        accept_state=headers["accept"][1][0],
-        reject_state=headers["reject"][1][0],
+        input_alphabet=frozenset(headers["input_alphabet"]),
+        tape_alphabet=frozenset(headers["tape_alphabet"]),
+        states=frozenset(headers["states"]),
+        start_state=headers["start"][0],
+        accept_state=headers["accept"][0],
+        reject_state=headers["reject"][0],
         transitions=transitions,
     )
     try:

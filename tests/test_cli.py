@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import tempfile
@@ -13,7 +14,7 @@ from tmbench import (
     build_trie_machine,
     emit_machine,
 )
-from tmbench.cli import main
+from tmbench.cli import build_parser, main
 
 
 @pytest.fixture
@@ -169,6 +170,34 @@ def test_profile_failing_run_prints_nothing(capsys, scanner_file, family):
     assert code == 2
     assert err.startswith("error:") and "fuel" in err
     assert out == ""
+
+
+LOOPING_MACHINE = """\
+states: q acc rej
+start: q
+accept: acc
+reject: rej
+input_alphabet: 0 1
+tape_alphabet: 0 1 _
+trans: q 0 -> q 0 R
+trans: q 1 -> q 1 R
+trans: q _ -> q _ R
+"""
+
+
+@pytest.mark.parametrize("machine, fuel, word", [
+    (LOOPING_MACHINE, "50", "eps"),
+    (emit_machine(build_demo_machines()[0]), "3", "000"),
+])
+def test_profile_refuses_a_run_that_exhausts_its_fuel(capsys, tmp_path, machine, fuel, word):
+    # a run cut off at its fuel counts the fuel, not the machine's worst case
+    path = tmp_path / "m.tm"
+    path.write_text(machine)
+    code, out, err = invoke(capsys, "profile", "--machine", str(path),
+                            "--lengths", "0..4", "--fuel", fuel)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the run on {word} exhausted its fuel {fuel} before halting\n"
 
 
 def test_profile_unknown_family_is_exit_2(capsys, scanner_file):
@@ -384,6 +413,21 @@ def test_converge_always_finds_n_k(capsys, tmp_path):
             fields = dict(item.split("=") for item in out.split())
             assert int(fields["k"]) == k
             assert 0 <= int(fields["n_k"]) <= k, (lang, k)
+
+
+SHARED_OPTIONS = ("--machine", "--cost", "--fuel", "--lang", "--n", "--g", "--t")
+
+
+def test_each_shared_option_is_declared_alike():
+    # one help text, default, type and required flag in every subcommand
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    for option in SHARED_OPTIONS:
+        declared = [(action.help, action.default, action.type, action.required)
+                    for parser in subcommands.values() for action in parser._actions
+                    if option in action.option_strings]
+        assert len(declared) >= 2, option
+        assert len(set(declared)) == 1, (option, declared)
 
 
 # --- fuzz: generated argv for every subcommand, over mutated machine files

@@ -14,7 +14,12 @@ from tmbench import (
     verify_step_count,
     verify_trie,
 )
-from tmbench.convergence import BUILTIN_LANGUAGES, TrieMachineReport
+from tmbench.convergence import (
+    BUILTIN_LANGUAGES,
+    LONG_WORD_SAMPLE,
+    TrieMachineReport,
+    _long_word_sample,
+)
 from tmbench.machine import all_words
 
 ALL_BUILTINS = sorted(BUILTIN_LANGUAGES)
@@ -177,6 +182,21 @@ def test_verify_trie_reports_verdicts_and_step_counts_together():
     assert verify_trie(corrupted) == ([], False)
     assert verify_trie(report, oracle) == ([], True)
     assert verify_trie(report) == ([], True)
+
+
+@pytest.mark.parametrize("n", [11, 14])
+def test_long_word_sample_past_depth_10(n):
+    # past n = 10 the words of length n+1 are a fixed-seed sample, the same
+    # on every call
+    sample = _long_word_sample(n)
+    assert len(sample) == LONG_WORD_SAMPLE == 256
+    assert all(len(word) == n + 1 and set(word) <= {"0", "1"} for word in sample)
+    assert sample == _long_word_sample(n)
+
+
+def test_verify_trie_passes_on_the_sample_past_depth_10():
+    oracle = LanguageOracle.builtin("div3")
+    assert verify_trie(build_trie_machine(oracle, 11), oracle) == ([], True)
 
 
 def test_verify_trie_counts_a_run_that_does_not_halt_as_a_counterexample():

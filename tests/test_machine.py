@@ -1,8 +1,13 @@
+import math
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from tmbench import (
     BLANK,
     COUNT_ALL,
+    BoundSpec,
     InvalidInputError,
     LanguageOracle,
     Machine,
@@ -10,8 +15,12 @@ from tmbench import (
     Verdict,
     build_demo_machines,
     build_trie_machine,
+    check_bound,
+    decide_nc,
     initial_configuration,
+    parse_measure,
     run,
+    run_configuration,
     step,
     validate_machine,
 )
@@ -164,6 +173,47 @@ def test_run_trie_linear_time():
 def test_run_rejects_zero_fuel():
     with pytest.raises(ValueError):
         run(scanner(), "0", COUNT_ALL, fuel=0)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds, so that
+    a hang fails the test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+FUEL_ENTRY_POINTS = {
+    "run traced": lambda fuel: run(scanner(), "000", COUNT_ALL, fuel=fuel),
+    "run untraced": lambda fuel: run(scanner(), "000", COUNT_ALL, fuel=fuel,
+                                     record_trace=False),
+    "run_configuration traced": lambda fuel: run_configuration(
+        scanner(), initial_configuration(scanner(), "000"), COUNT_ALL, fuel),
+    "run_configuration untraced": lambda fuel: run_configuration(
+        scanner(), initial_configuration(scanner(), "000"), COUNT_ALL, fuel,
+        record_trace=False),
+    "check_bound": lambda fuel: check_bound(
+        scanner(), COUNT_ALL, BoundSpec(g=parse_measure("linear:a=1,b=1")), ["000"], fuel=fuel),
+    "decide_nc": lambda fuel: decide_nc(
+        build_demo_machines()[1], parse_measure("log:a=1,b=1"), "0001", COUNT_ALL, fuel=fuel),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FUEL_ENTRY_POINTS))
+@pytest.mark.parametrize("fuel", [100.0, math.inf, "5"])
+def test_a_non_integer_fuel_raises_type_error(entry, fuel):
+    # the fuel is checked before the step loop, whose TypeError handler would
+    # take this TypeError for a table event: a traced run would spin forever
+    with time_limit(5), pytest.raises(TypeError):
+        FUEL_ENTRY_POINTS[entry](fuel)
+    assert FUEL_ENTRY_POINTS[entry](100) is not None
 
 
 def test_run_scanner_all_zeros():

@@ -174,6 +174,12 @@ def test_bound_spec_transform_presence():
         BoundSpec(g=IDENTITY, mode="plain", transform=IDENTITY)
 
 
+@pytest.mark.parametrize("mode", ["", "Plain", "both"])
+def test_bound_spec_unknown_mode(mode):
+    with pytest.raises(ValueError, match=f"^unknown bound mode '{mode}'$"):
+        BoundSpec(g=IDENTITY, mode=mode, transform=IDENTITY)
+
+
 def test_composition_order():
     g = MeasureFunction("linear", a=2, b=0)
     t = MeasureFunction("power", a=1, k=2)

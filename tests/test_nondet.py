@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -238,6 +239,19 @@ def test_inline_requires_separator_symbol():
     )
     with pytest.raises(ValueError):
         CheckingRelation(checker=bad, delivery="inline")
+
+
+@pytest.mark.parametrize("delivery", ["", "Inline", "stream"])
+def test_unknown_delivery(delivery):
+    with pytest.raises(ValueError, match=f"^unknown delivery '{delivery}'$"):
+        CheckingRelation(checker=demo_checker().checker, delivery=delivery)
+
+
+def test_inline_separator_must_not_be_an_input_symbol():
+    checker = inline_checker().checker
+    hash_input = replace(checker, input_alphabet=checker.input_alphabet | {"#"})
+    with pytest.raises(ValueError, match="^'#' must not be an input symbol$"):
+        CheckingRelation(checker=hash_input, delivery="inline")
 
 
 def test_positioned_requires_binary_certificates():

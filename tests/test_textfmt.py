@@ -13,6 +13,7 @@ from tmbench import (
     emit_machine,
     parse_machine_file,
     run,
+    textfmt,
     validate_machine,
 )
 from tmbench.machine import all_words
@@ -180,6 +181,56 @@ def test_duplicate_trans_line_reports_the_second(first, second):
         parse_machine_file("\n".join(lines) + "\n")
     assert str(excinfo.value) == "line 11: duplicate transition for (q_scan, 0)"
     assert excinfo.value.line_no == 11
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    ("start: q_scan", "start: q_scan q_accept", "line 3: 'start' takes exactly one state"),
+    ("reject: q_reject", "reject:", "line 5: 'reject' takes exactly one state"),
+    ("accept: q_accept", "accept: q_accept\naccept: q_accept",
+     "line 5: duplicate 'accept' line"),
+    ("input_alphabet: 0 1", "input_alphabet: 0 one",
+     "line 6: symbol 'one' is not a single character"),
+    ("input_alphabet: 0 1", "input_alphabet: 0 1 _",
+     "line 6: input alphabet must not include '_'"),
+    ("tape_alphabet: 0 1 _", "tape_alphabet: 0 1", "line 7: tape alphabet must include '_'"),
+])
+def test_header_errors_report_their_line(line, replacement, message):
+    with pytest.raises(MachineParseError) as excinfo:
+        parse_machine_file(SCANNER_TEXT.replace(line, replacement))
+    assert str(excinfo.value) == message
+    assert excinfo.value.line_no == int(message.split()[1][:-1])
+
+
+@pytest.mark.parametrize("replacements, message", [
+    # a header error before a trans-line error
+    ([("start: q_scan", "start: q_scan q_accept"), (SCANNER_LINE, SCANNER_LINE[:-1] + "X")],
+     "line 3: 'start' takes exactly one state"),
+    # two header errors, the input alphabet's first
+    ([("input_alphabet: 0 1", "input_alphabet: 0 1 _"),
+      ("tape_alphabet: 0 1 _", "tape_alphabet: 0 1")],
+     "line 6: input alphabet must not include '_'"),
+    # a header error in a file that also lacks a header
+    ([("start: q_scan", "start: q_scan q_accept"), ("reject: q_reject", "")],
+     "line 3: 'start' takes exactly one state"),
+])
+def test_the_first_error_in_file_order_is_reported(replacements, message):
+    text = SCANNER_TEXT
+    for old, new in replacements:
+        text = text.replace(old, new)
+    with pytest.raises(MachineParseError) as excinfo:
+        parse_machine_file(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("line, stripped", [
+    ("trans: q 0 -> q 0 R", "trans: q 0 -> q 0 R"),
+    ("trans: q 0 -> q 0 R  # loops", "trans: q 0 -> q 0 R  "),
+    ("trans: q \\# -> q \\# R # on '#'", "trans: q # -> q # R "),
+    ("0\\#0", "0#0"),
+    ("# all comment", ""),
+])
+def test_strip_comment(line, stripped):
+    assert textfmt.strip_comment(line) == stripped
 
 
 def renamed_scanner(scan="q_scan", accept="q_accept", symbol="0"):
