@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import cache
 
 from tmbench.convergence import (
     LanguageOracle,
@@ -297,9 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call rather than at import; parsing
+# leaves a parser unchanged, so later calls share it
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (MachineParseError, CertificateBudgetError, ValueError, OSError) as exc:

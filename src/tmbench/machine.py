@@ -72,9 +72,14 @@ class Machine:
         return state == self.accept_state or state == self.reject_state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
-    """One applied transition: where it fired and what it did."""
+    """One applied transition: where it fired and what it did.
+
+    A record is a slotted value: it has no __dict__, takes no attribute
+    but its seven fields and cannot be weakly referenced. A traced run
+    builds its records after the loop (_CompiledMachine.trace).
+    """
 
     state: str
     head: int
@@ -83,6 +88,11 @@ class StepRecord:
     move: str
     target: str
     counted: bool
+
+
+# the slots' descriptors set a record's fields, in field order, past the
+# frozen __setattr__
+_SETTERS = tuple(getattr(StepRecord, name).__set__ for name in StepRecord.__slots__)
 
 
 @dataclass
@@ -343,8 +353,15 @@ class _CompiledMachine:
     cells the state loops over in that direction as one macro-step, with
     exact total and counted steps, clipped to the fuel left and ended at a
     sentinel. A sweep that keeps covering few cells is put back as its
-    plain entry. Traced runs read `records`, whose entries widen the plain
-    entry with the fields of a StepRecord, and never see a sweep.
+    plain entry.
+
+    A traced run steps over `plain`, a second table that holds the same
+    entries but never a sweep, and records only each step's entry index
+    and head. After the loop, `trace` builds the run's StepRecords from
+    those pairs and `fields`, which maps each filled entry to the fields of
+    its record but the head. Both are allocated by the first traced run
+    and filled with the table from then on; untraced runs allocate nothing
+    for traces.
 
     A tape is a bytearray of symbol numbers framed by sentinels, or an
     array('L') for a tape alphabet of 256 symbols or more, which gets no
@@ -384,14 +401,15 @@ class _CompiledMachine:
         self.blank = self.tape_type([0])
         self.sentinel = self.tape_type([edge])
         self.right_end = self.blank + self.sentinel
-        # per entry, the fields of its StepRecord but the head, then the
-        # plain entry; allocated by the first traced run and filled with the
-        # table from then on
-        self.records: Optional[list] = None
+        # for traced runs: per entry, the plain entry, never a sweep, and per
+        # filled entry, the fields of its StepRecord but the head; allocated
+        # by the first traced run and filled with the table from then on
+        self.plain: Optional[list] = None
+        self.fields: Optional[dict] = None
 
     def _fill(self, entry: int) -> None:
-        """Fill the table entry if it is empty, and its record if records
-        are kept."""
+        """Fill the table entry if it is empty, and its plain entry and
+        record fields if traced runs keep them."""
         q, symbol = divmod(entry, self.width)
         state, read = key = (self.states[q], self.symbols[symbol])
         target, write, move = self.transitions[key]
@@ -400,8 +418,9 @@ class _CompiledMachine:
         if self.table[entry] is None:
             self.table[entry] = (self._sweep(state, move, plain)
                                  if target == state and self.sweeps else plain)
-        if self.records is not None:
-            self.records[entry] = (state, read, write, move, target, counted) + plain
+        if self.plain is not None:
+            self.plain[entry] = plain
+            self.fields[entry] = (state, read, write, move, target, counted)
 
     def _sweep(self, state: str, move: str, plain: tuple) -> "_Sweep":
         """The sweep over every symbol that state loops on, moving move."""
@@ -465,26 +484,28 @@ class _CompiledMachine:
             raise ValueError("fuel must be positive")
         table = self.table
         total = counted = 0
-        trace: Optional[list[StepRecord]] = [] if record_trace else None
+        entries = heads = None
+        if record_trace:  # each step records its entry and head
+            if self.plain is None:
+                self.plain, self.fields = [None] * len(table), {}
+            table = self.plain
+            entries, heads = [], []
         while True:
             k = 0
             try:
-                if trace is None:
+                if entries is None:
                     for k in range(fuel - total):
                         q, w, d, c = table[q + tape[i]]
                         tape[i] = w
                         i += d
                         counted += c
                 else:
-                    if self.records is None:
-                        self.records = [None] * len(table)
-                    records = self.records
                     for k in range(fuel - total):
-                        (state, read, write, move, target, is_counted,
-                         q, w, d, c) = records[q + tape[i]]
+                        e = q + tape[i]
+                        q, w, d, c = table[e]
                         tape[i] = w
-                        trace.append(StepRecord(state, i - origin, read, write, move,
-                                                target, is_counted))
+                        entries.append(e)
+                        heads.append(i - origin)
                         i += d
                         counted += c
             except TypeError:  # a halting state, a sentinel, an unfilled entry or a sweep
@@ -494,7 +515,7 @@ class _CompiledMachine:
                 if tape[i] != self.edge:
                     entry = q + tape[i]
                     sweep = table[entry]
-                    if sweep is None or trace is not None:
+                    if sweep is None:
                         self._fill(entry)
                         continue
                     i, n, c = sweep.run(tape, i, fuel - total)
@@ -524,7 +545,31 @@ class _CompiledMachine:
         final.head = i - origin
         final._packed = (self.symbols, tape, origin)
         return RunResult(verdict, total, counted,
-                         tuple(trace) if trace is not None else None, final)
+                         self.trace(entries, heads) if entries is not None else None, final)
+
+    def trace(self, entries: list, heads: list) -> tuple[StepRecord, ...]:
+        """The StepRecords of a traced run's (entry, head) pairs.
+
+        Each record is made by object.__new__ and its fields set through
+        the slots' descriptors: the frozen __init__ sets each field with
+        object.__setattr__, and a record built by it costs about twice as
+        much."""
+        new = object.__new__
+        set_state, set_head, set_read, set_write, set_move, set_target, set_counted = _SETTERS
+        records = []
+        append = records.append
+        for (state, read, write, move, target, counted), head in zip(
+                map(self.fields.__getitem__, entries), heads):
+            r = new(StepRecord)
+            set_state(r, state)
+            set_head(r, head)
+            set_read(r, read)
+            set_write(r, write)
+            set_move(r, move)
+            set_target(r, target)
+            set_counted(r, counted)
+            append(r)
+        return tuple(records)
 
 
 def _compile(m: Machine, cost: CostModel) -> _CompiledMachine:

@@ -14,7 +14,7 @@ from tmbench import (
     build_trie_machine,
     emit_machine,
 )
-from tmbench.cli import build_parser, main
+from tmbench.cli import _parser, build_parser, main
 
 
 @pytest.fixture
@@ -428,6 +428,22 @@ def test_each_shared_option_is_declared_alike():
                     if option in action.option_strings]
         assert len(declared) >= 2, option
         assert len(set(declared)) == 1, (option, declared)
+
+
+def test_successive_main_calls_share_no_state(capsys, scanner_file):
+    """main builds its parser once per process; one call leaves nothing
+    that changes the next, such as a grown `--input` default list."""
+    check = ["check-bound", "--machine", scanner_file, "--g", "linear:a=1,b=1",
+             "--input", "0"]
+    first = invoke(capsys, *check)
+    assert first[1].count("\n0,1,") == 1
+    assert invoke(capsys, *check) == first
+    run_argv = ["run", "--machine", scanner_file, "--input", "001"]
+    shared = invoke(capsys, *run_argv)
+    args = build_parser().parse_args(run_argv)
+    fresh = args.fn(args), capsys.readouterr().out
+    assert shared[:2] == fresh
+    assert _parser() is _parser()
 
 
 # --- fuzz: generated argv for every subcommand, over mutated machine files

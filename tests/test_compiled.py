@@ -6,7 +6,7 @@ import dataclasses
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tmbench import (
     BLANK,
@@ -456,6 +456,81 @@ def test_long_sweeps_keep_their_sweep():
         run(scanner, "0" * n + "1", fuel=100, record_trace=False)
     (sweep,) = sweeps_of(scanner)
     assert sweep.runs == 20
+
+
+# --- traced runs: (entry, head) pairs, records built after the loop -----------
+
+def check_traced(m, word, cost, fuel):
+    """A traced run agrees with the dict stepper, and the table traced runs
+    step over holds plain entries only, each the plain form of the main
+    table's entry."""
+    result = check_against_reference(m, word, cost, fuel, record_trace=True)
+    compiled = _compile(m, cost)
+    for entry, plain in enumerate(compiled.plain):
+        if plain is not None:
+            assert type(plain) is tuple and len(compiled.fields[entry]) == 6
+            main = compiled.table[entry]
+            assert plain == (main.plain if isinstance(main, _Sweep) else main)
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_traced_runs_fill_entries_and_exhaust_their_fuel_mid_trace(data):
+    """The first runs of a fresh machine are traced: each unfilled entry is
+    filled where the trace first reaches it, and a fuel of 1 to 40 mostly
+    runs out inside the trace."""
+    m = data.draw(machines())
+    cost = data.draw(cost_models(m))
+    for _ in range(data.draw(st.integers(1, 3))):
+        word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
+        check_traced(m, word, cost, data.draw(st.one_of(st.integers(1, 40), fuels)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_traced_runs_after_untraced_runs_put_sweeps(data):
+    m = data.draw(looping_machines())
+    cost = data.draw(cost_models(m))
+    alphabet = sorted(m.input_alphabet)
+    warm = data.draw(st.text(alphabet=alphabet, min_size=1, max_size=60))
+    run(m, warm, cost, fuel=400, record_trace=False)
+    assume(sweeps_of(m, cost))
+    word = data.draw(st.one_of(st.just(warm), st.text(alphabet=alphabet, max_size=60)))
+    fuel = data.draw(st.one_of(st.integers(1, 40), st.just(400)))
+    check_traced(m, word, cost, fuel)
+    # and an untraced run after the traced one still agrees
+    check_against_reference(m, word, cost, fuel)
+
+
+@st.composite
+def wide_machines(draw):
+    """A machine of `machines()` with 256 more tape symbols, so that its
+    tape is an array('L'): wide symbol j reads like tape symbol j modulo
+    the tape alphabet's size, and a drawn set of entries writes a wide
+    symbol instead of their own."""
+    m = draw(machines())
+    tape = sorted(m.tape_alphabet)
+    wide = [chr(0x100 + j) for j in range(256)]
+    transitions = dict(m.transitions)
+    for q in {q for q, _ in m.transitions}:
+        for j, symbol in enumerate(wide):
+            transitions[(q, symbol)] = m.transitions[(q, tape[j % len(tape)])]
+    for key in draw(st.sets(st.sampled_from(sorted(m.transitions)))):
+        target, _, move = transitions[key]
+        transitions[key] = (target, draw(st.sampled_from(wide)), move)
+    return dataclasses.replace(m, tape_alphabet=m.tape_alphabet | set(wide),
+                               transitions=transitions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_traced_runs_on_a_tape_alphabet_wider_than_a_byte(data):
+    m = data.draw(wide_machines())
+    cost = data.draw(cost_models(m))
+    word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
+    check_traced(m, word, cost, data.draw(fuels))
+    assert not _compile(m, cost).sweeps
 
 
 # --- encoding words onto a tape -------------------------------------------------

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import signal
 from contextlib import contextmanager
 
@@ -12,6 +15,7 @@ from tmbench import (
     LanguageOracle,
     Machine,
     RIGHT,
+    StepRecord,
     Verdict,
     build_demo_machines,
     build_trie_machine,
@@ -256,3 +260,21 @@ def test_tape_locality(word):
     s = result.total_steps
     cells = result.final.tape.keys()
     assert all(-s <= i <= len(word) + s for i in cells)
+
+
+def test_step_records_are_slotted_values():
+    result = run(trie(3), "011", COUNT_ALL, fuel=100)
+    record = result.trace[0]
+    assert not hasattr(record, "__dict__")
+    fields = [getattr(record, f.name) for f in dataclasses.fields(StepRecord)]
+    built = StepRecord(*fields)
+    assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
+    assert [f.name for f in dataclasses.fields(StepRecord)] == [
+        "state", "head", "read", "write", "move", "target", "counted"]
+    moved = dataclasses.replace(record, head=record.head + 1)
+    assert moved != record and dataclasses.replace(moved, head=record.head) == record
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and hash(twin) == hash(record)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.head = 0
+    assert pickle.loads(pickle.dumps(result)) == result
