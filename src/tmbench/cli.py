@@ -167,12 +167,13 @@ def cmd_profile(args) -> int:
     for length in lengths:
         best, best_word = -1, ""
         for word in words(length):
-            result = compiled.run(word, args.fuel)
-            if result.verdict is Verdict.FUEL_EXHAUSTED:
+            q, _, counted = compiled.outcome(compiled.encode(word, compiled.inputs), 0,
+                                             args.fuel)
+            if q not in (compiled.accept, compiled.reject):
                 raise ValueError(f"the run on {_render_word(word)} exhausted its fuel "
                                  f"{args.fuel} before halting")
-            if result.counted_steps > best:
-                best, best_word = result.counted_steps, word
+            if counted > best:
+                best, best_word = counted, word
         rows.append(f"{length},{best},{_render_word(best_word)}")
     print(f"# profile machine={args.machine} cost={args.cost} family={args.family}"
           + (f" seed={seed}" if seed is not None else ""))

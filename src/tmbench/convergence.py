@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Callable, Optional
 
 from tmbench.cost import COUNT_ALL
-from tmbench.machine import BLANK, RIGHT, Machine, Verdict, _compile, _mark_valid, all_words
+from tmbench.machine import BLANK, RIGHT, Machine, _compile, _mark_valid, all_words
 
 MAX_TRIE_DEPTH = 20
 MAX_CONVERGENCE_K = 12
@@ -176,11 +176,10 @@ def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = 
     counterexamples = []
     steps_ok = True
     for word in chain(all_words("01", n), _long_word_sample(n)):
-        result = trie.run(word, fuel)
-        if L is not None and result.verdict is not (
-                Verdict.ACCEPTED if len(word) <= n and L(word) else Verdict.REJECTED):
+        q, total, _ = trie.outcome(trie.encode(word, trie.inputs), 0, fuel)
+        if L is not None and q != (trie.accept if len(word) <= n and L(word) else trie.reject):
             counterexamples.append(word)
-        steps_ok = steps_ok and result.total_steps == min(len(word), n) + 1
+        steps_ok = steps_ok and total == min(len(word), n) + 1
     return counterexamples, steps_ok
 
 
@@ -218,7 +217,8 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> Convergenc
     n_k: Optional[int] = None
     for n in range(k, -1, -1):
         trie = _compile(build_trie_machine(L, n).machine, COUNT_ALL)
-        if any((trie.run(w, n + 4).verdict is Verdict.ACCEPTED) != L(w) for w in words):
+        if any((trie.outcome(trie.encode(w, trie.inputs), 0, n + 4)[0] == trie.accept) != L(w)
+               for w in words):
             break
         n_k = n
     return ConvergenceReport(k=k, n_k=n_k, verified_words=len(words))

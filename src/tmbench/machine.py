@@ -11,8 +11,8 @@ takes a self-loop over a run of cells (a sweep) as one exact macro-step,
 after Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990); a traced run
 steps one transition at a time. The dict-based `step` is the reference the
 compiled loop is tested against. Every run, from a word, from a
-configuration or from an (input, certificate) pair, starts in
-`_CompiledMachine.launch`, the one place that lays out a tape.
+configuration or from an (input, certificate) pair, goes through
+`_CompiledMachine.execute`, the one place that lays out a tape and steps.
 
 `all_words` is the one enumeration of words in length-then-lexicographic
 order: the certificate search, trie synthesis and verification, and the
@@ -367,6 +367,10 @@ class _CompiledMachine:
     array('L') for a tape alphabet of 256 symbols or more, which gets no
     sweeps. The compiled form holds no reference to the machine, so caching
     it there makes no cycle.
+
+    `execute` lays out a tape and holds the one step loop. `launch` wraps
+    it to build a RunResult; `outcome`, the lean driver of the loops that
+    run a machine on many inputs, returns only three numbers.
     """
 
     def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
@@ -455,41 +459,62 @@ class _CompiledMachine:
 
     def launch(self, cells, head: int, fuel: int, record_trace: bool = False,
                first: int = 0, q: Optional[int] = None) -> RunResult:
-        """Run from state row q, the start state by default, on a fresh tape
-        that holds the encoded cells from cell first on, blank elsewhere,
-        with the head on cell head (at least first).
-
-        The tape is the cells, blanks up to the head, and one blank more,
-        between sentinels; most runs halt before it needs to grow."""
-        tape = self.tape_type(self.sentinel)
-        tape += cells
-        tape += self.blank * (head - first - len(cells))
-        tape += self.right_end
-        return self.execute(tape, head - first + 1, 1 - first,
-                            self.start if q is None else q, fuel, record_trace)
+        """execute's run as a RunResult, with its trace if record_trace."""
+        entries = heads = None
+        if record_trace:  # each step records its entry and head
+            if self.plain is None:
+                self.plain, self.fields = [None] * len(self.table), {}
+            entries, heads = [], []
+        q, total, counted, tape, i, origin = self.execute(cells, head, fuel, first, q,
+                                                          entries, heads)
+        if q == self.accept:
+            verdict = Verdict.ACCEPTED
+        elif q == self.reject:
+            verdict = Verdict.REJECTED
+        else:
+            verdict = Verdict.FUEL_EXHAUSTED
+        final = Configuration.__new__(Configuration)
+        final.state = self.states[q // self.width]
+        final.head = i - origin
+        final._packed = (self.symbols, tape, origin)
+        return RunResult(verdict, total, counted,
+                         self.trace(entries, heads) if entries is not None else None, final)
 
     def run(self, word: str, fuel: int, record_trace: bool = False) -> RunResult:
         """Run on word from the start configuration."""
         return self.launch(self.encode(word, self.inputs), 0, fuel, record_trace)
 
-    def execute(self, tape, i: int, origin: int, q: int, fuel: int,
-                record_trace: bool = False) -> RunResult:
-        """Run from state row q with the head on tape[i], where tape[origin]
-        is cell 0, until a halt or fuel total steps. The tape is consumed.
+    def outcome(self, cells, head: int, fuel: int) -> tuple[int, int, int]:
+        """The lean driver: launch's run from the start state, returning
+        only the final state row (accept, reject, or another when the fuel
+        ran out), the total and the counted steps."""
+        return self.execute(cells, head, fuel)[:3]
 
-        fuel is checked here, before the loop, whose TypeError handler would
-        take a non-integer fuel's TypeError for a table event."""
+    def execute(self, cells, head: int, fuel: int, first: int = 0, q: Optional[int] = None,
+                entries: Optional[list] = None, heads: Optional[list] = None) -> tuple:
+        """Run from state row q, the start state by default, on a fresh tape
+        that holds the encoded cells from cell first on, blank elsewhere,
+        with the head on cell head (at least first), until a halt or fuel
+        total steps; a traced run passes the lists each step appends its
+        entry and head to. Returns the state row, the total and counted
+        steps, the tape, the head's index in it and cell 0's.
+
+        The tape is the cells, blanks up to the head, and one blank more,
+        between sentinels; most runs halt before it needs to grow. fuel is
+        checked first: the loop's TypeError handler would take a
+        non-integer fuel's TypeError for a table event."""
         fuel = index(fuel)
         if fuel <= 0:
             raise ValueError("fuel must be positive")
-        table = self.table
+        tape = self.tape_type(self.sentinel)
+        tape += cells
+        tape += self.blank * (head - first - len(cells))
+        tape += self.right_end
+        i, origin = head - first + 1, 1 - first
+        if q is None:
+            q = self.start
+        table = self.table if entries is None else self.plain
         total = counted = 0
-        entries = heads = None
-        if record_trace:  # each step records its entry and head
-            if self.plain is None:
-                self.plain, self.fields = [None] * len(table), {}
-            table = self.plain
-            entries, heads = [], []
         while True:
             k = 0
             try:
@@ -534,18 +559,7 @@ class _CompiledMachine:
             else:
                 total = fuel
                 break
-        if q == self.accept:
-            verdict = Verdict.ACCEPTED
-        elif q == self.reject:
-            verdict = Verdict.REJECTED
-        else:
-            verdict = Verdict.FUEL_EXHAUSTED
-        final = Configuration.__new__(Configuration)
-        final.state = self.states[q // self.width]
-        final.head = i - origin
-        final._packed = (self.symbols, tape, origin)
-        return RunResult(verdict, total, counted,
-                         self.trace(entries, heads) if entries is not None else None, final)
+        return q, total, counted, tape, i, origin
 
     def trace(self, entries: list, heads: list) -> tuple[StepRecord, ...]:
         """The StepRecords of a traced run's (entry, head) pairs.

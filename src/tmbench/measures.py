@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from tmbench.cost import CostModel
-from tmbench.machine import DEFAULT_FUEL, Machine, Verdict, _compile
+from tmbench.machine import DEFAULT_FUEL, Machine, _compile
 
 # the measure families, each with the parameters parse_measure accepts for it
 FAMILY_PARAMS = {"identity": (), "linear": ("a", "b"), "log": ("a", "b"),
@@ -182,13 +182,13 @@ def check_bound(
     rows = []
     worst = -math.inf
     for word in inputs:
-        result = compiled.run(word, fuel)
+        q, _, counted = compiled.outcome(compiled.encode(word, compiled.inputs), 0, fuel)
         bound = spec.bound(max(len(word), 1))
         # a run out of fuel fails with an unbounded margin
-        halted = result.verdict is not Verdict.FUEL_EXHAUSTED
-        rows.append(BoundRow(word, len(word), result.counted_steps, bound,
-                             halted and bound_passes(result.counted_steps, bound)))
-        worst = max(worst, result.counted_steps - bound if halted else math.inf)
+        halted = q in (compiled.accept, compiled.reject)
+        rows.append(BoundRow(word, len(word), counted, bound,
+                             halted and bound_passes(counted, bound)))
+        worst = max(worst, counted - bound if halted else math.inf)
     return BoundReport(
         per_input=tuple(rows),
         verdict=all(r.passed for r in rows),

@@ -12,13 +12,20 @@ x must be a word over the checker's input alphabet. Inline certificates are
 written on the tape, so their alphabet must hold tape symbols other than
 the blank and '#'; CheckingRelation refuses any other.
 
-The search encodes x once and hands each certificate's cells and head cell
-to the compiled checker's `launch`, which alone lays out the tape; `deliver`
-is the dict reference it is tested against. One rule bounds the certificate
-length: decide_nc is decide_nt with the identity transform. The admitted
-lengths are walked upward with a running count of their certificates, and
-a bound that admits more than the budget raises CertificateBudgetError; an
-infinite one over a non-empty alphabet raises before any walk.
+The search encodes x once and runs the compiled checker through its lean
+driver, `outcome`, which lays out the tape as the dict reference `deliver`
+does and returns only the halt row and the total and counted steps. The
+inline search runs every certificate. A positioned run depends only on its
+head cell, and y and 0y name the same cell, so the positioned search runs
+each cell once, in the numeric order in which the canonical walk first
+meets them; its report is that walk's, from at most 2^L runs for the
+2^(L+1) - 1 certificates of length <= L.
+
+One rule bounds the certificate length: decide_nc is decide_nt with the
+identity transform. The admitted lengths are walked upward with a running
+count of their certificates, and a bound that admits more than the budget
+raises CertificateBudgetError; an infinite one over a non-empty alphabet
+raises before any walk.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from tmbench.machine import (
     RIGHT,
     Configuration,
     Machine,
-    Verdict,
     _compile,
     all_words,
 )
@@ -125,33 +131,29 @@ def _max_length(rel: CheckingRelation, g: MeasureFunction, transform: MeasureFun
 def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: int
             ) -> CertificateSearchReport:
     checker = _compile(rel.checker, cost)
-    # x is encoded once, over the input alphabet; each certificate gets one
-    # fresh tape laid out as deliver() would: x#y with the head on x, or x
-    # with the head on the cell that y numbers
+    cells = checker.encode(x, checker.inputs)  # once per search
+    most = 0
+    if rel.delivery == DELIVERY_POSITIONED:
+        # the canonical walk first meets cell c as c in binary, l digits
+        # long, after the 2^l + c - 1 certificates that name cells 0..c-1
+        for c in range(2 ** max_len):
+            q, _, counted = checker.outcome(cells, c, fuel)
+            most = max(most, counted)
+            if q == checker.accept:
+                return CertificateSearchReport(True, format(c, "b") if c else "",
+                                               2 ** c.bit_length() + c, most)
+        return CertificateSearchReport(False, None, 2 ** (max_len + 1) - 1, most)
+    # inline: each certificate gets a fresh tape x#y with the head on x
     symbols = rel.checker.tape_alphabet
-    cells = checker.encode(x, checker.inputs)
-    inline = rel.delivery == DELIVERY_INLINE
-    if inline:
-        cells += checker.encode(SEPARATOR, symbols, "tape")
+    cells += checker.encode(SEPARATOR, symbols, "tape")
     tried = 0
-    max_counted = 0
-    witness = None
     for y in all_words(rel.certificate_alphabet, max_len):
         tried += 1
-        if inline:
-            result = checker.launch(cells + checker.encode(y, symbols, "tape"), 0, fuel)
-        else:
-            result = checker.launch(cells, int(y, 2) if y else 0, fuel)
-        max_counted = max(max_counted, result.counted_steps)
-        if result.verdict is Verdict.ACCEPTED:
-            witness = y
-            break
-    return CertificateSearchReport(
-        accepted=witness is not None,
-        witness=witness,
-        certificates_tried=tried,
-        max_checker_counted_steps=max_counted,
-    )
+        q, _, counted = checker.outcome(cells + checker.encode(y, symbols, "tape"), 0, fuel)
+        most = max(most, counted)
+        if q == checker.accept:
+            return CertificateSearchReport(True, y, tried, most)
+    return CertificateSearchReport(False, None, tried, most)
 
 
 def decide_nc(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import tmbench.cli
 from tmbench import (
     BUILTIN_LANGUAGES,
     LanguageOracle,
@@ -96,6 +97,23 @@ def test_verify_trie(capsys):
     assert code == 0
     assert "restriction: pass" in out
     assert "step_count: pass" in out
+
+
+def test_verify_trie_prints_each_counterexample_of_a_wrong_build(capsys, monkeypatch):
+    # the trie is built from 'empty' and checked against parity-even-ones,
+    # so each of its words up to length 2 is a counterexample; the longer
+    # sampled words are rejected by both, and the step counts still hold
+    empty = LanguageOracle.builtin("empty")
+    monkeypatch.setattr(tmbench.cli, "build_trie_machine",
+                        lambda oracle, n: build_trie_machine(empty, n))
+    code, out, err = invoke(capsys, "verify-trie", "--lang", "parity-even-ones", "--n", "2")
+    assert (code, err) == (3, "")
+    assert out == ("restriction: fail\n"
+                   "counterexample: eps\n"
+                   "counterexample: 0\n"
+                   "counterexample: 00\n"
+                   "counterexample: 11\n"
+                   "step_count: pass\n")
 
 
 def test_converge(capsys):

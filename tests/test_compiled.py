@@ -1,8 +1,9 @@
 """Differential tests: the compiled step loop and the compiled certificate
-deliveries against the dict stepper `step()` and `deliver()`, plus the
-per-(machine, cost model) compile cache."""
+deliveries against the dict stepper `step()` and `deliver()`, the lean
+driver against `run()`, plus the per-(machine, cost model) compile cache."""
 
 import dataclasses
+import math
 import time
 
 import pytest
@@ -112,6 +113,64 @@ def test_run_matches_dict_stepper(data):
     check_against_reference(m, word, cost, fuel, data.draw(st.booleans()))
 
 
+def driver_outcome(m, word, cost, fuel):
+    """The lean driver on word, its final state row read as a verdict."""
+    compiled = _compile(m, cost)
+    q, total, counted = compiled.outcome(compiled.encode(word, compiled.inputs), 0, fuel)
+    verdicts = {compiled.accept: Verdict.ACCEPTED, compiled.reject: Verdict.REJECTED}
+    return verdicts.get(q, Verdict.FUEL_EXHAUSTED), total, counted
+
+
+def check_driver_against_run(m, word, cost, fuel, driver_first=True):
+    """The driver and run() agree on verdict, total and counted steps, in
+    either order on the one compiled table."""
+    if driver_first:
+        outcome = driver_outcome(m, word, cost, fuel)
+    result = run(m, word, cost, fuel=fuel, record_trace=False)
+    if not driver_first:
+        outcome = driver_outcome(m, word, cost, fuel)
+    assert outcome == (result.verdict, result.total_steps, result.counted_steps)
+    return outcome
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_driver_matches_run(data):
+    m = data.draw(machines())
+    cost = data.draw(cost_models(m))
+    word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
+    check_driver_against_run(m, word, cost, data.draw(fuels), data.draw(st.booleans()))
+
+
+def test_driver_matches_run_at_fuel_cut_offs_inside_sweeps():
+    # 200 steps of the right sweep, a turn, 200 of the left sweep and a halt
+    m = sweeper()
+    word = "0110" * 25 + "0" * 100
+    for fuel in (1, 31, 33, 150, 199, 200, 201, 202, 300, 399, 400, 401, 402, 500):
+        verdict, total, _ = check_driver_against_run(m, word, COUNT_ALL, fuel, fuel % 2 == 0)
+        assert total == min(fuel, 402)
+        assert verdict is (Verdict.ACCEPTED if fuel >= 402 else Verdict.FUEL_EXHAUSTED)
+
+
+def test_driver_matches_run_on_a_tape_that_grows_at_both_ends():
+    cost = CostModel(free_states={"L"})
+    for fuel in (7, 100, 5000):
+        verdict, total, counted = check_driver_against_run(bouncer(), "0110", cost, fuel)
+        assert (verdict, total) == (Verdict.FUEL_EXHAUSTED, fuel) and 0 < counted < fuel
+
+
+@pytest.mark.parametrize("fuel", [100.0, math.inf, "5", 0, -3])
+def test_driver_refuses_a_fuel_as_run_does(fuel):
+    m = sweeper()
+    with pytest.raises((TypeError, ValueError)) as from_run:
+        run(m, "01", fuel=fuel)
+    with pytest.raises(from_run.type) as from_driver:
+        driver_outcome(m, "01", COUNT_ALL, fuel)
+    assert from_driver.type is from_run.type
+    assert str(from_driver.value) == str(from_run.value)
+    assert from_run.type is (ValueError if isinstance(fuel, int) else TypeError)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_run_configuration_matches_dict_stepper(data):
@@ -135,6 +194,29 @@ def test_run_configuration_matches_dict_stepper(data):
     assert (config.state, config.head, config.tape) == (final.state, final.head, final.tape)
 
 
+def reference_search(rel, x, max_len, cost, fuel):
+    """The walk over every certificate up to max_len, each delivered by
+    deliver() and run by the dict stepper: (accepted, witness, tried, most)."""
+    keys = counted_set(rel.checker, cost)
+    tried = most = 0
+    for y in all_words(rel.certificate_alphabet, max_len):
+        tried += 1
+        verdict, _, counted, _, _ = reference(rel.checker, deliver(rel, x, y), keys, fuel)
+        most = max(most, counted)
+        if verdict is Verdict.ACCEPTED:
+            return True, y, tried, most
+    return False, None, tried, most
+
+
+def search(rel, x, max_len, cost, fuel):
+    """decide_nc's report over the certificates up to max_len."""
+    # a linear bound with a negligible slope admits exactly max_len
+    g = MeasureFunction("linear", a=1e-6, b=max_len)
+    report = decide_nc(rel, g, x, cost, fuel=fuel)
+    return (report.accepted, report.witness, report.certificates_tried,
+            report.max_checker_counted_steps)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_certificate_deliveries_match_deliver(data):
@@ -145,21 +227,54 @@ def test_certificate_deliveries_match_deliver(data):
     x = data.draw(st.text(alphabet=sorted(checker.input_alphabet), max_size=10))
     max_len = data.draw(st.integers(0, 4))
     fuel = data.draw(fuels)
-    keys = counted_set(checker, cost)
-    tried = most = 0
-    witness = None
-    for y in all_words(rel.certificate_alphabet, max_len):
-        tried += 1
-        verdict, _, counted, _, _ = reference(checker, deliver(rel, x, y), keys, fuel)
-        most = max(most, counted)
-        if verdict is Verdict.ACCEPTED:
-            witness = y
-            break
-    # a linear bound with a negligible slope admits exactly max_len
-    g = MeasureFunction("linear", a=1e-6, b=max_len)
-    report = decide_nc(rel, g, x, cost, fuel=fuel)
-    assert (report.accepted, report.witness, report.certificates_tried,
-            report.max_checker_counted_steps) == (witness is not None, witness, tried, most)
+    assert search(rel, x, max_len, cost, fuel) == reference_search(rel, x, max_len, cost, fuel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_positioned_search_matches_every_certificate_on_long_inputs(data):
+    # up to 255 certificates over up to 128 cells, most of them past x
+    checker = data.draw(machines(st.just("01")))
+    rel = CheckingRelation(checker, "positioned")
+    cost = data.draw(cost_models(checker))
+    x = data.draw(st.text(alphabet=sorted(checker.input_alphabet), min_size=11, max_size=40))
+    max_len = data.draw(st.integers(5, 7))
+    fuel = data.draw(st.one_of(st.integers(1, 12), st.integers(60, 400)))
+    assert search(rel, x, max_len, cost, fuel) == reference_search(rel, x, max_len, cost, fuel)
+
+
+def positioned(transitions):
+    """A positioned checker over {0,1} with start state q."""
+    states = {q for q, _ in transitions} | {"acc", "rej"}
+    return CheckingRelation(Machine(frozenset("01"), frozenset("01" + BLANK), frozenset(states),
+                                    "q", "acc", "rej", transitions), "positioned")
+
+
+def accepts_on(symbol):
+    return {("q", s): ("acc" if s == symbol else "rej", s, RIGHT) for s in "01" + BLANK}
+
+
+# on '0' it seeks right to the blank past x and rejects; on '1' it accepts
+SEEKER = {("q", "0"): ("s", "0", RIGHT), ("q", "1"): ("acc", "1", RIGHT),
+          ("q", BLANK): ("rej", BLANK, RIGHT), ("s", "0"): ("s", "0", RIGHT),
+          ("s", "1"): ("s", "1", RIGHT), ("s", BLANK): ("rej", BLANK, RIGHT)}
+
+
+@pytest.mark.parametrize("transitions, x, report", [
+    # the empty certificate names cell 0
+    (accepts_on("1"), "1" + "0" * 39, (True, "", 1, 1)),
+    # the first blank past x is cell 37, first named by its 6 binary digits
+    # after the 2^6 - 1 shorter certificates and 37 of length 6
+    (accepts_on(BLANK), "0" * 37, (True, "100101", 2 ** 6 + 37, 1)),
+    # no witness: every one of the 2^8 - 1 certificates is tried
+    (accepts_on("1"), "0" * 40, (False, None, 2 ** 8 - 1, 1)),
+    # cell 0 seeks past all 40 cells; the witness at cell 20 takes one step
+    (SEEKER, "0" * 20 + "1" + "0" * 19, (True, "10100", 2 ** 5 + 20, 41)),
+])
+def test_positioned_search_on_long_inputs(transitions, x, report):
+    rel = positioned(transitions)
+    assert search(rel, x, 7, COUNT_ALL, 100) == report
+    assert reference_search(rel, x, 7, COUNT_ALL, 100) == report
 
 
 @settings(max_examples=100, deadline=None)
