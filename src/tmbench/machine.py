@@ -78,7 +78,10 @@ class StepRecord:
 
     A record is a slotted value: it has no __dict__, takes no attribute
     but its seven fields and cannot be weakly referenced. A traced run
-    builds its records after the loop (_CompiledMachine.trace).
+    builds its records after the loop (_CompiledMachine.trace), one per
+    distinct (entry, head) pair, so the equal records of one trace are one
+    object: trace[i] is trace[j] can hold. Being frozen, a shared record
+    cannot be changed through one step and seen at another.
     """
 
     state: str
@@ -356,12 +359,13 @@ class _CompiledMachine:
     plain entry.
 
     A traced run steps over `plain`, a second table that holds the same
-    entries but never a sweep, and records only each step's entry index
-    and head. After the loop, `trace` builds the run's StepRecords from
-    those pairs and `fields`, which maps each filled entry to the fields of
-    its record but the head. Both are allocated by the first traced run
-    and filled with the table from then on; untraced runs allocate nothing
-    for traces.
+    entries but never a sweep, and records one integer per step, its key:
+    entry + size * head, with size the table's length and head the cell
+    number. After the loop, `trace` builds one StepRecord per distinct key
+    from `fields`, which maps each filled entry to the fields of its record
+    but the head, and shares it among the steps with that key. `plain` and
+    `fields` are allocated by the first traced run and filled with the
+    table from then on; untraced runs allocate nothing for traces.
 
     A tape is a bytearray of symbol numbers framed by sentinels, or an
     array('L') for a tape alphabet of 256 symbols or more, which gets no
@@ -460,13 +464,12 @@ class _CompiledMachine:
     def launch(self, cells, head: int, fuel: int, record_trace: bool = False,
                first: int = 0, q: Optional[int] = None) -> RunResult:
         """execute's run as a RunResult, with its trace if record_trace."""
-        entries = heads = None
-        if record_trace:  # each step records its entry and head
+        keys = None
+        if record_trace:  # each step records its key: entry and head in one integer
             if self.plain is None:
                 self.plain, self.fields = [None] * len(self.table), {}
-            entries, heads = [], []
-        q, total, counted, tape, i, origin = self.execute(cells, head, fuel, first, q,
-                                                          entries, heads)
+            keys = []
+        q, total, counted, tape, i, origin = self.execute(cells, head, fuel, first, q, keys)
         if q == self.accept:
             verdict = Verdict.ACCEPTED
         elif q == self.reject:
@@ -478,7 +481,7 @@ class _CompiledMachine:
         final.head = i - origin
         final._packed = (self.symbols, tape, origin)
         return RunResult(verdict, total, counted,
-                         self.trace(entries, heads) if entries is not None else None, final)
+                         self.trace(keys) if keys is not None else None, final)
 
     def run(self, word: str, fuel: int, record_trace: bool = False) -> RunResult:
         """Run on word from the start configuration."""
@@ -491,12 +494,12 @@ class _CompiledMachine:
         return self.execute(cells, head, fuel)[:3]
 
     def execute(self, cells, head: int, fuel: int, first: int = 0, q: Optional[int] = None,
-                entries: Optional[list] = None, heads: Optional[list] = None) -> tuple:
+                keys: Optional[list] = None) -> tuple:
         """Run from state row q, the start state by default, on a fresh tape
         that holds the encoded cells from cell first on, blank elsewhere,
         with the head on cell head (at least first), until a halt or fuel
-        total steps; a traced run passes the lists each step appends its
-        entry and head to. Returns the state row, the total and counted
+        total steps; a traced run passes the list each step appends its
+        key to (see trace). Returns the state row, the total and counted
         steps, the tape, the head's index in it and cell 0's.
 
         The tape is the cells, blanks up to the head, and one blank more,
@@ -513,24 +516,24 @@ class _CompiledMachine:
         i, origin = head - first + 1, 1 - first
         if q is None:
             q = self.start
-        table = self.table if entries is None else self.plain
+        table = self.table if keys is None else self.plain
         total = counted = 0
         while True:
             k = 0
             try:
-                if entries is None:
+                if keys is None:
                     for k in range(fuel - total):
                         q, w, d, c = table[q + tape[i]]
                         tape[i] = w
                         i += d
                         counted += c
                 else:
+                    size = len(table)
                     for k in range(fuel - total):
                         e = q + tape[i]
                         q, w, d, c = table[e]
                         tape[i] = w
-                        entries.append(e)
-                        heads.append(i - origin)
+                        keys.append(e + size * (i - origin))
                         i += d
                         counted += c
             except TypeError:  # a halting state, a sentinel, an unfilled entry or a sweep
@@ -561,27 +564,36 @@ class _CompiledMachine:
                 break
         return q, total, counted, tape, i, origin
 
-    def trace(self, entries: list, heads: list) -> tuple[StepRecord, ...]:
-        """The StepRecords of a traced run's (entry, head) pairs.
+    def trace(self, keys: list) -> tuple[StepRecord, ...]:
+        """The StepRecords of a traced run's keys, one record per distinct
+        key: steps with the same entry and head share one record object.
 
-        Each record is made by object.__new__ and its fields set through
-        the slots' descriptors: the frozen __init__ sets each field with
-        object.__setattr__, and a record built by it costs about twice as
-        much."""
-        new = object.__new__
+        A key is entry + size * head, size the table's length; as
+        0 <= entry < size, divmod gives back the head, negative too, and the
+        entry. A record is built on a key's first step only: made by
+        object.__new__, its fields set through the slots' descriptors (the
+        frozen __init__ sets each field with object.__setattr__, and a
+        record built by it costs about twice as much). The memo of records
+        lives for this call only, so nothing grows across runs."""
+        size, fields, new = len(self.plain), self.fields, object.__new__
         set_state, set_head, set_read, set_write, set_move, set_target, set_counted = _SETTERS
+        shared: dict = {}
+        get = shared.get
         records = []
         append = records.append
-        for (state, read, write, move, target, counted), head in zip(
-                map(self.fields.__getitem__, entries), heads):
-            r = new(StepRecord)
-            set_state(r, state)
-            set_head(r, head)
-            set_read(r, read)
-            set_write(r, write)
-            set_move(r, move)
-            set_target(r, target)
-            set_counted(r, counted)
+        for key in keys:
+            r = get(key)
+            if r is None:
+                head, entry = divmod(key, size)
+                state, read, write, move, target, counted = fields[entry]
+                r = shared[key] = new(StepRecord)
+                set_state(r, state)
+                set_head(r, head)
+                set_read(r, read)
+                set_write(r, write)
+                set_move(r, move)
+                set_target(r, target)
+                set_counted(r, counted)
             append(r)
         return tuple(records)
 

@@ -2,8 +2,10 @@
 deliveries against the dict stepper `step()` and `deliver()`, the lean
 driver against `run()`, plus the per-(machine, cost model) compile cache."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import time
 
 import pytest
@@ -575,11 +577,18 @@ def test_long_sweeps_keep_their_sweep():
 
 # --- traced runs: (entry, head) pairs, records built after the loop -----------
 
+def shares_equal_records(trace):
+    """Equal records of the trace are one object, and unequal ones are
+    never merged into one."""
+    return len({id(r) for r in trace}) == len(set(trace))
+
+
 def check_traced(m, word, cost, fuel):
-    """A traced run agrees with the dict stepper, and the table traced runs
-    step over holds plain entries only, each the plain form of the main
-    table's entry."""
+    """A traced run agrees with the dict stepper and shares its equal
+    records, and the table traced runs step over holds plain entries only,
+    each the plain form of the main table's entry."""
     result = check_against_reference(m, word, cost, fuel, record_trace=True)
+    assert shares_equal_records(result.trace)
     compiled = _compile(m, cost)
     for entry, plain in enumerate(compiled.plain):
         if plain is not None:
@@ -646,6 +655,64 @@ def test_traced_runs_on_a_tape_alphabet_wider_than_a_byte(data):
     word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
     check_traced(m, word, cost, data.draw(fuels))
     assert not _compile(m, cost).sweeps
+
+
+# --- traced runs share one record per distinct (entry, head) key ---------------
+
+def bb5():
+    """Marxen & Buntrock's 5-state busy beaver champion, blank for 0."""
+    items = "A0 1RB A1 1LC B0 1RC B1 1RB C0 1RD C1 0LE D0 1LA D1 1LD E0 1RH E1 0LA".split()
+    symbol = {"0": BLANK, "1": "1"}
+    t = {(key[0], symbol[key[1]]): (action[2], symbol[action[0]], action[1])
+         for key, action in zip(items[::2], items[1::2])}
+    return Machine(frozenset("1"), frozenset("1" + BLANK), frozenset("ABCDEHZ"), "A", "H",
+                   "Z", t)
+
+
+def test_bb5_trace_shares_its_records_and_leaves_no_memo():
+    import tmbench.machine as machine_module
+
+    m = bb5()
+    # the memo of records lives for one call: traced runs add no attribute
+    # to the compiled object or the module
+    compiled = _compile(m, COUNT_ALL)
+    attributes, module = set(vars(compiled)), set(vars(machine_module))
+    trace = check_traced(m, "", COUNT_ALL, 100_000).trace
+    assert len(trace) == 100_000 and len({id(r) for r in trace}) == 2_254
+    for fuel in (100_000, 5_000):
+        assert run(m, "", fuel=fuel).trace == trace[:fuel]
+    assert set(vars(compiled)) == attributes and set(vars(machine_module)) == module
+
+
+def test_traced_run_whose_tape_grows_left_mid_trace():
+    """A fresh bouncer's first run is traced: its head goes left of cell 0,
+    the tape grows left several times, and the heads there are negative."""
+    result = check_traced(bouncer(), "0110", CostModel(free_states={"L"}), 3000)
+    heads = [r.head for r in result.trace]
+    assert heads[0] == 0 and min(heads) < -30 and max(heads) > 30
+
+
+def test_traced_run_from_a_configuration_left_of_cell_zero():
+    m = bouncer()
+    cost = CostModel(free_states={"L"})
+    tape = {-7: "a", -4: "1", -1: "0", 2: "1"}
+    config, twin = Configuration("L", dict(tape), -1), Configuration("L", dict(tape), -1)
+    verdict, total, counted, trace, final = reference(m, twin, counted_set(m, cost), 2000)
+    result = run_configuration(m, config, cost, 2000)
+    assert (result.verdict, result.total_steps, result.counted_steps, result.trace) == (
+        verdict, total, counted, trace)
+    assert (config.state, config.head, config.tape) == (final.state, final.head, final.tape)
+    assert min(r.head for r in trace) < -7 and shares_equal_records(result.trace)
+
+
+def test_pickle_and_copies_keep_a_shared_trace():
+    result = run(bouncer(), "0110", fuel=3000)
+    objects = len({id(r) for r in result.trace})
+    assert objects < len(result.trace)
+    for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result), copy.copy(result)):
+        assert twin == result and twin.final.tape == result.final.tape
+        assert len({id(r) for r in twin.trace}) == objects
+        assert shares_equal_records(twin.trace)
 
 
 # --- encoding words onto a tape -------------------------------------------------
