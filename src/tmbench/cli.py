@@ -157,6 +157,8 @@ def cmd_profile(args) -> int:
         if family == "all" and lengths[-1] > 16:
             raise ValueError("family 'all' is capped at length 16")
         words = WORD_FAMILIES[family]
+        if family == "all":  # runs every word up to a length: fill the table at once
+            compiled.fill()
     else:
         raise ValueError(f"unknown family {family!r}")
 
@@ -166,9 +168,7 @@ def cmd_profile(args) -> int:
     rows = []
     for length in lengths:
         best, best_word = -1, ""
-        for word in words(length):
-            q, _, counted = compiled.outcome(compiled.encode(word, compiled.inputs), 0,
-                                             args.fuel)
+        for word, (q, _, counted) in compiled.on_words(words(length), args.fuel):
             if q not in (compiled.accept, compiled.reject):
                 raise ValueError(f"the run on {_render_word(word)} exhausted its fuel "
                                  f"{args.fuel} before halting")

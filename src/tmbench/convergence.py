@@ -113,7 +113,8 @@ def build_trie_machine(L: LanguageOracle, n: int) -> TrieMachineReport:
 
     States are named after the prefix read so far ("q_" is the empty prefix
     and the start state), which keeps words with leading zeros distinct.
-    Consumed symbols are overwritten with blank.
+    Consumed symbols are overwritten with blank. The oracle is asked once
+    per prefix, in all_words order, and its answer read by its truth.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -123,25 +124,26 @@ def build_trie_machine(L: LanguageOracle, n: int) -> TrieMachineReport:
             f"over the budget (max depth {MAX_TRIE_DEPTH})"
         )
     accept, reject = "q_accept", "q_reject"
-    states = {accept, reject}
+    # in all_words order the prefixes form a heap: prefix h's children are
+    # 2h+1 and 2h+2, and the 2^n depth-n prefixes, whose children are the
+    # depth cap's rejections, come last. So the moves into every state but
+    # the root, then the rejections, pair up as each prefix's bit-0 and
+    # bit-1 moves.
+    prefixes = list(all_words("01", n))
+    names = [_state_name(prefix) for prefix in prefixes]
+    moves = [(q, BLANK, RIGHT) for q in names[1:]] + [(reject, BLANK, RIGHT)] * 2 ** (n + 1)
+    accepting, rejecting = (accept, BLANK, RIGHT), moves[-1]
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
-    queries = 0
-
-    for prefix in all_words("01", n):
-        q = _state_name(prefix)
-        states.add(q)
-        for bit in "01":
-            # depth cap: an (n+1)-th symbol is a rejection
-            child = reject if len(prefix) == n else _state_name(prefix + bit)
-            transitions[(q, bit)] = (child, BLANK, RIGHT)
-        queries += 1
-        member = L(prefix)
-        transitions[(q, BLANK)] = (accept if member else reject, BLANK, RIGHT)
+    for q, zero, one, prefix in zip(names, moves[::2], moves[1::2], prefixes):
+        transitions[(q, "0")] = zero
+        transitions[(q, "1")] = one
+        transitions[(q, BLANK)] = accepting if L(prefix) else rejecting
+    states = frozenset({accept, reject, *names})
 
     machine = Machine(
         input_alphabet=frozenset({"0", "1"}),
         tape_alphabet=frozenset({"0", "1", BLANK}),
-        states=frozenset(states),
+        states=states,
         start_state=_state_name(""),
         accept_state=accept,
         reject_state=reject,
@@ -151,7 +153,7 @@ def build_trie_machine(L: LanguageOracle, n: int) -> TrieMachineReport:
     # running or verifying it skips validate_machine
     _mark_valid(machine)
     return TrieMachineReport(
-        machine=machine, n=n, oracle_queries=queries, state_count=len(states)
+        machine=machine, n=n, oracle_queries=len(prefixes), state_count=len(states)
     )
 
 
@@ -172,11 +174,11 @@ def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = 
     L's verdict (the longer ones must be rejected; none are looked for when
     L is None) and whether every run took min(|w|, n) + 1 steps."""
     trie, n = _compile(report.machine, COUNT_ALL), report.n
-    fuel = n + 4
+    trie.fill()
     counterexamples = []
     steps_ok = True
-    for word in chain(all_words("01", n), _long_word_sample(n)):
-        q, total, _ = trie.outcome(trie.encode(word, trie.inputs), 0, fuel)
+    for word, (q, total, _) in trie.on_words(chain(all_words("01", n), _long_word_sample(n)),
+                                             n + 4):
         if L is not None and q != (trie.accept if len(word) <= n and L(word) else trie.reject):
             counterexamples.append(word)
         steps_ok = steps_ok and total == min(len(word), n) + 1
@@ -207,18 +209,21 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> Convergenc
     depth-k trie already disagrees. Beyond k no run is needed: the depth-n
     trie decides words of length <= k exactly as L whenever n >= k. The
     depth-k trie holds L's own answers, so None needs an oracle whose
-    answers change between calls.
+    answers change between calls. Each word's answer is asked once, before
+    the walk, and read by its truth, as the trie build reads it.
     """
     if k < 0 or k > MAX_CONVERGENCE_K:
         raise ValueError(f"k must be in 0..{MAX_CONVERGENCE_K}")
     if budget < k:
         raise ValueError("budget must be at least k")
     words = list(all_words("01", k))
+    answers = [bool(L(w)) for w in words]  # each word's answer once, read as the trie reads it
     n_k: Optional[int] = None
     for n in range(k, -1, -1):
         trie = _compile(build_trie_machine(L, n).machine, COUNT_ALL)
-        if any((trie.outcome(trie.encode(w, trie.inputs), 0, n + 4)[0] == trie.accept) != L(w)
-               for w in words):
+        trie.fill()
+        if any((q == trie.accept) != member
+               for (_, (q, _, _)), member in zip(trie.on_words(words, n + 4), answers)):
             break
         n_k = n
     return ConvergenceReport(k=k, n_k=n_k, verified_words=len(words))

@@ -13,6 +13,17 @@ steps one transition at a time. The dict-based `step` is the reference the
 compiled loop is tested against. Every run, from a word, from a
 configuration or from an (input, certificate) pair, goes through
 `_CompiledMachine.execute`, the one place that lays out a tape and steps.
+It runs a batch of starts lazily: a single run is a batch of one (`launch`),
+and the loops that run a machine on many inputs (trie verification and
+convergence, `check_bound`, the CLI's profile, the certificate searches) take
+the lean driver `outcomes`, which binds the loop's locals once per batch.
+
+The compiled table is filled entry by entry as runs reach its entries, so a
+single run on a large machine costs only the entries it uses. The callers
+that run a machine on every word up to a length (`verify_trie`, each trie of
+`find_convergence_index`, `profile --family all`) use nearly every entry,
+and a lazy fill costs a loop exit and re-entry per entry, so they fill the
+whole table first in one pass (`_CompiledMachine.fill`).
 
 `all_words` is the one enumeration of words in length-then-lexicographic
 order: the certificate search, trie synthesis and verification, and the
@@ -25,8 +36,8 @@ import enum
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
-from operator import index
+from itertools import product, repeat, tee
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 from tmbench.cost import COUNT_ALL, CostModel, counted_set
@@ -337,6 +348,15 @@ class _Sweep:
         return self.runs >= self.TRIAL and self.cells < self.SHORT * self.runs
 
 
+def _positive(fuel) -> int:
+    """fuel as an int, if it is a positive one: a non-integer, a whole
+    float included, raises TypeError, and zero or less ValueError."""
+    fuel = index(fuel)
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
+    return fuel
+
+
 class _CompiledMachine:
     """A valid machine's transition table under one cost model, in integers.
 
@@ -346,10 +366,11 @@ class _CompiledMachine:
     entry for (state, symbol) is table[state + symbol]. An entry is
     (target, written symbol, head move -1/+1, counted 0/1), filled in the
     first time a run needs it, so a run costs the entries it uses rather
-    than the whole table. Unfilled entries, the halting rows and the
-    sentinel column hold None: unpacking it raises TypeError, which is how
-    the step loop notices a halt, a tape end or an entry to fill without
-    testing for any of them on every step.
+    than the whole table; `fill` fills them all in one pass, for the
+    callers that run every word up to a length. Unfilled entries, the
+    halting rows and the sentinel column hold None: unpacking it raises
+    TypeError, which is how the step loop notices a halt, a tape end or an
+    entry to fill without testing for any of them on every step.
 
     An entry whose target is its own state holds a _Sweep instead, which
     does not unpack either: the untraced loop then takes the whole run of
@@ -372,9 +393,11 @@ class _CompiledMachine:
     sweeps. The compiled form holds no reference to the machine, so caching
     it there makes no cycle.
 
-    `execute` lays out a tape and holds the one step loop. `launch` wraps
-    it to build a RunResult; `outcome`, the lean driver of the loops that
-    run a machine on many inputs, returns only three numbers.
+    `execute` holds the one step loop: it lays out a tape per start of a
+    batch and yields each run's end. `launch` takes the single result of a
+    batch of one to build a RunResult; `outcomes`, the lean driver of the
+    loops that run a machine on many inputs, yields only three numbers per
+    start, and `on_words` runs it on words from the start configuration.
     """
 
     def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
@@ -430,6 +453,23 @@ class _CompiledMachine:
             self.plain[entry] = plain
             self.fields[entry] = (state, read, write, move, target, counted)
 
+    def fill(self) -> None:
+        """Fill the whole table in one pass, for callers that run a
+        machine on every word up to a length and would otherwise fill most
+        entries one by one. Self-loops go through _fill, so sweeps have one
+        builder, and a self-loop already filled keeps its sweep or the plain
+        entry the sweep was put back as. The tables of traced runs stay
+        lazy."""
+        table, row, code, keys = self.table, self.row, self.code, self.counted_keys
+        for (state, read), (target, write, move) in self.transitions.items():
+            entry = row[state] + code[read]
+            if target == state:
+                if table[entry] is None:
+                    self._fill(entry)
+            else:
+                table[entry] = (row[target], code[write], 1 if move == RIGHT else -1,
+                                int(keys is None or (state, read) in keys))
+
     def _sweep(self, state: str, move: str, plain: tuple) -> "_Sweep":
         """The sweep over every symbol that state loops on, moving move."""
         loop, counted = bytearray(), bytearray()
@@ -463,13 +503,16 @@ class _CompiledMachine:
 
     def launch(self, cells, head: int, fuel: int, record_trace: bool = False,
                first: int = 0, q: Optional[int] = None) -> RunResult:
-        """execute's run as a RunResult, with its trace if record_trace."""
+        """execute's run of one start as a RunResult, with its trace if
+        record_trace."""
+        fuel = _positive(fuel)
         keys = None
         if record_trace:  # each step records its key: entry and head in one integer
             if self.plain is None:
                 self.plain, self.fields = [None] * len(self.table), {}
             keys = []
-        q, total, counted, tape, i, origin = self.execute(cells, head, fuel, first, q, keys)
+        batch = self.execute([(cells, head)], fuel, first, q, keys)
+        q, total, counted, tape, i, origin = next(batch)
         if q == self.accept:
             verdict = Verdict.ACCEPTED
         elif q == self.reject:
@@ -487,82 +530,91 @@ class _CompiledMachine:
         """Run on word from the start configuration."""
         return self.launch(self.encode(word, self.inputs), 0, fuel, record_trace)
 
-    def outcome(self, cells, head: int, fuel: int) -> tuple[int, int, int]:
-        """The lean driver: launch's run from the start state, returning
-        only the final state row (accept, reject, or another when the fuel
-        ran out), the total and the counted steps."""
-        return self.execute(cells, head, fuel)[:3]
+    def outcomes(self, starts: Iterable[tuple], fuel: int) -> Iterator[tuple[int, int, int]]:
+        """The lean driver: execute's runs from the start state, one per
+        (cells, head) of starts, each yielding only the final state row
+        (accept, reject, or another when the fuel ran out), the total and
+        the counted steps. The runs are lazy, so a caller may stop early;
+        fuel is checked now, before any start is read."""
+        return map(itemgetter(0, 1, 2), self.execute(starts, _positive(fuel)))
 
-    def execute(self, cells, head: int, fuel: int, first: int = 0, q: Optional[int] = None,
-                keys: Optional[list] = None) -> tuple:
-        """Run from state row q, the start state by default, on a fresh tape
-        that holds the encoded cells from cell first on, blank elsewhere,
-        with the head on cell head (at least first), until a halt or fuel
-        total steps; a traced run passes the list each step appends its
-        key to (see trace). Returns the state row, the total and counted
-        steps, the tape, the head's index in it and cell 0's.
+    def on_words(self, words: Iterable[str], fuel: int) -> Iterator[tuple[str, tuple]]:
+        """outcomes of the runs on each word from the start configuration,
+        each paired with its word."""
+        words, again = tee(words)
+        return zip(words, self.outcomes(zip(map(self.encode, again, repeat(self.inputs)),
+                                            repeat(0)), fuel))
+
+    def execute(self, starts: Iterable[tuple], fuel: int, first: int = 0,
+                q: Optional[int] = None, keys: Optional[list] = None) -> Iterator[tuple]:
+        """Run once per (cells, head) of starts, lazily: from state row q,
+        the start state by default, on a fresh tape that holds the encoded
+        cells from cell first on, blank elsewhere, with the head on cell
+        head (at least first), until a halt or fuel total steps; a traced
+        run passes the list each step appends its key to (see trace).
+        Yields per start the state row, the total and counted steps, the
+        tape, the head's index in it and cell 0's.
 
         The tape is the cells, blanks up to the head, and one blank more,
-        between sentinels; most runs halt before it needs to grow. fuel is
-        checked first: the loop's TypeError handler would take a
-        non-integer fuel's TypeError for a table event."""
-        fuel = index(fuel)
-        if fuel <= 0:
-            raise ValueError("fuel must be positive")
-        tape = self.tape_type(self.sentinel)
-        tape += cells
-        tape += self.blank * (head - first - len(cells))
-        tape += self.right_end
-        i, origin = head - first + 1, 1 - first
-        if q is None:
-            q = self.start
+        between sentinels; most runs halt before it needs to grow. fuel
+        must be a positive int (see _positive): the loop's TypeError
+        handler would take a non-integer fuel's TypeError for a table
+        event. The loop's locals are bound once per batch."""
         table = self.table if keys is None else self.plain
-        total = counted = 0
-        while True:
-            k = 0
-            try:
-                if keys is None:
-                    for k in range(fuel - total):
-                        q, w, d, c = table[q + tape[i]]
-                        tape[i] = w
-                        i += d
+        sentinel, blank, right_end = self.sentinel, self.blank, self.right_end
+        edge, halting, fill = self.edge, self.accept, self._fill
+        size = len(table)
+        q0 = self.start if q is None else q
+        for cells, head in starts:
+            pad = head - first - len(cells)
+            tape = sentinel + cells + (blank * pad + right_end if pad > 0 else right_end)
+            i, origin = head - first + 1, 1 - first
+            q = q0
+            total = counted = 0
+            while True:
+                k = 0
+                try:
+                    if keys is None:
+                        for k in range(fuel - total):
+                            q, w, d, c = table[q + tape[i]]
+                            tape[i] = w
+                            i += d
+                            counted += c
+                    else:
+                        for k in range(fuel - total):
+                            e = q + tape[i]
+                            q, w, d, c = table[e]
+                            tape[i] = w
+                            keys.append(e + size * (i - origin))
+                            i += d
+                            counted += c
+                except TypeError:  # a halting state, a sentinel, an unfilled entry or a sweep
+                    total += k
+                    if q >= halting:  # the two halting rows come last
+                        break
+                    if tape[i] != edge:
+                        entry = q + tape[i]
+                        sweep = table[entry]
+                        if sweep is None:
+                            fill(entry)
+                            continue
+                        i, n, c = sweep.run(tape, i, fuel - total)
+                        total += n
                         counted += c
-                else:
-                    size = len(table)
-                    for k in range(fuel - total):
-                        e = q + tape[i]
-                        q, w, d, c = table[e]
-                        tape[i] = w
-                        keys.append(e + size * (i - origin))
-                        i += d
-                        counted += c
-            except TypeError:  # a halting state, a sentinel, an unfilled entry or a sweep
-                total += k
-                if q >= self.accept:  # the two halting rows come last
-                    break
-                if tape[i] != self.edge:
-                    entry = q + tape[i]
-                    sweep = table[entry]
-                    if sweep is None:
-                        self._fill(entry)
+                        if sweep.short():
+                            table[entry] = sweep.plain
                         continue
-                    i, n, c = sweep.run(tape, i, fuel - total)
-                    total += n
-                    counted += c
-                    if sweep.short():
-                        table[entry] = sweep.plain
-                    continue
-                grow = len(tape)
-                if i == 0:
-                    tape[:1] = self.sentinel + self.blank * grow
-                    i += grow
-                    origin += grow
+                    grow = len(tape)
+                    if i == 0:
+                        tape[:1] = sentinel + blank * grow
+                        i += grow
+                        origin += grow
+                    else:
+                        tape[i:] = blank * grow + sentinel
                 else:
-                    tape[i:] = self.blank * grow + self.sentinel
-            else:
-                total = fuel
-                break
-        return q, total, counted, tape, i, origin
+                    total = fuel
+                    break
+            yield q, total, counted, tape, i, origin
 
     def trace(self, keys: list) -> tuple[StepRecord, ...]:
         """The StepRecords of a traced run's keys, one record per distinct

@@ -181,8 +181,7 @@ def check_bound(
     compiled = _compile(m, cost)
     rows = []
     worst = -math.inf
-    for word in inputs:
-        q, _, counted = compiled.outcome(compiled.encode(word, compiled.inputs), 0, fuel)
+    for word, (q, _, counted) in compiled.on_words(inputs, fuel):
         bound = spec.bound(max(len(word), 1))
         # a run out of fuel fails with an unbounded margin
         halted = q in (compiled.accept, compiled.reject)

@@ -13,9 +13,11 @@ written on the tape, so their alphabet must hold tape symbols other than
 the blank and '#'; CheckingRelation refuses any other.
 
 The search encodes x once and runs the compiled checker through its lean
-driver, `outcome`, which lays out the tape as the dict reference `deliver`
-does and returns only the halt row and the total and counted steps. The
-inline search runs every certificate. A positioned run depends only on its
+batch driver, `outcomes`, which lays out each tape as the dict reference
+`deliver` does and yields only the halt row and the total and counted steps,
+lazily, so a search stops at its first witness. The inline search runs every
+certificate. Neither search fills the checker's table first: a search that
+finds an early witness uses few of its entries. A positioned run depends only on its
 head cell, and y and 0y name the same cell, so the positioned search runs
 each cell once, in the numeric order in which the canonical walk first
 meets them; its report is that walk's, from at most 2^L runs for the
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat, tee
 from typing import Optional
 
 from tmbench.cost import CostModel, COUNT_ALL
@@ -136,8 +139,8 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
     if rel.delivery == DELIVERY_POSITIONED:
         # the canonical walk first meets cell c as c in binary, l digits
         # long, after the 2^l + c - 1 certificates that name cells 0..c-1
-        for c in range(2 ** max_len):
-            q, _, counted = checker.outcome(cells, c, fuel)
+        for c, (q, _, counted) in enumerate(
+                checker.outcomes(zip(repeat(cells), range(2 ** max_len)), fuel)):
             most = max(most, counted)
             if q == checker.accept:
                 return CertificateSearchReport(True, format(c, "b") if c else "",
@@ -146,10 +149,10 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
     # inline: each certificate gets a fresh tape x#y with the head on x
     symbols = rel.checker.tape_alphabet
     cells += checker.encode(SEPARATOR, symbols, "tape")
-    tried = 0
-    for y in all_words(rel.certificate_alphabet, max_len):
-        tried += 1
-        q, _, counted = checker.outcome(cells + checker.encode(y, symbols, "tape"), 0, fuel)
+    ys, again = tee(all_words(rel.certificate_alphabet, max_len))
+    starts = ((cells + checker.encode(y, symbols, "tape"), 0) for y in again)
+    # the empty certificate comes first, so the loop runs at least once
+    for tried, (y, (q, _, counted)) in enumerate(zip(ys, checker.outcomes(starts, fuel)), 1):
         most = max(most, counted)
         if q == checker.accept:
             return CertificateSearchReport(True, y, tried, most)

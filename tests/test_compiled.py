@@ -38,7 +38,7 @@ from tmbench import (
     run_configuration,
     step,
 )
-from tmbench.machine import _compile, _Sweep, all_words
+from tmbench.machine import _compile, _CompiledMachine, _Sweep, all_words
 from tmbench.measures import IDENTITY
 from tmbench.nondet import _max_length, deliver
 
@@ -115,12 +115,19 @@ def test_run_matches_dict_stepper(data):
     check_against_reference(m, word, cost, fuel, data.draw(st.booleans()))
 
 
-def driver_outcome(m, word, cost, fuel):
-    """The lean driver on word, its final state row read as a verdict."""
-    compiled = _compile(m, cost)
-    q, total, counted = compiled.outcome(compiled.encode(word, compiled.inputs), 0, fuel)
+def as_verdict(compiled, outcome):
+    """A lean driver's (row, total, counted), its final state row read as a
+    verdict."""
+    q, total, counted = outcome
     verdicts = {compiled.accept: Verdict.ACCEPTED, compiled.reject: Verdict.REJECTED}
     return verdicts.get(q, Verdict.FUEL_EXHAUSTED), total, counted
+
+
+def driver_outcome(m, word, cost, fuel):
+    """The lean driver on word, as a batch of one start."""
+    compiled = _compile(m, cost)
+    (outcome,) = compiled.outcomes([(compiled.encode(word, compiled.inputs), 0)], fuel)
+    return as_verdict(compiled, outcome)
 
 
 def check_driver_against_run(m, word, cost, fuel, driver_first=True):
@@ -849,3 +856,199 @@ def test_linear_bound_on_long_input_exceeds_budget_at_once():
     with pytest.raises(CertificateBudgetError):
         decide_nt(rel, linear, linear, "0" * 200_000)
     assert time.process_time() - start < 1.0
+
+
+# --- fill(): the whole table in one pass -------------------------------------
+
+def filled_one_by_one(m, cost):
+    """A fresh compiled table of m under cost with every entry filled by
+    _fill, as the runs fill them lazily."""
+    compiled = _CompiledMachine(m, None if cost == COUNT_ALL else counted_set(m, cost))
+    for row in range(0, compiled.accept, compiled.width):
+        for symbol in range(compiled.edge):
+            compiled._fill(row + symbol)
+    return compiled
+
+
+def entry_value(entry):
+    """A table entry as a value: a plain tuple as it is, a sweep by what it
+    runs, never by its run statistics."""
+    if isinstance(entry, _Sweep):
+        return "sweep", entry.plain, entry.inside, entry.writes, entry.counted
+    return entry
+
+
+def check_fill(m, cost):
+    """fill() leaves the table _fill would, entry for entry, and allocates
+    nothing for traced runs."""
+    compiled = _compile(m, cost)
+    compiled.fill()
+    lazy = filled_one_by_one(m, cost)
+    assert list(map(entry_value, compiled.table)) == list(map(entry_value, lazy.table))
+    assert compiled.plain is None and compiled.fields is None
+    return compiled
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fill_matches_lazy_fills_and_runs_after_it_match_the_dict_stepper(data):
+    m = data.draw(st.one_of(machines(), looping_machines(), wide_machines()))
+    cost = data.draw(cost_models(m))
+    compiled = check_fill(m, cost)
+    if not compiled.sweeps:
+        assert not any(isinstance(entry, _Sweep) for entry in compiled.table)
+    for _ in range(data.draw(st.integers(1, 3))):
+        word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=40))
+        fuel = data.draw(st.one_of(st.integers(1, 40), fuels))
+        check_against_reference(m, word, cost, fuel)
+        check_traced(m, word, cost, fuel)
+
+
+def test_fill_counts_free_entries_as_free():
+    m = scanner_with_blind_start()
+    compiled = check_fill(m, FREE_BLIND)
+    counted = counted_set(m, FREE_BLIND)
+    flags = set()
+    for key in m.transitions:
+        entry = compiled.table[compiled.row[key[0]] + compiled.code[key[1]]]
+        flag = (entry.plain if isinstance(entry, _Sweep) else entry)[3]
+        assert flag == (key in counted)
+        flags.add(flag)
+    assert flags == {0, 1}
+    assert run(m, "0001", FREE_BLIND).counted_steps == 3
+
+
+def test_fill_builds_sweeps_for_self_loops_and_keeps_a_put_back_one():
+    m = sweeper()
+    check_fill(m, COUNT_ALL)
+    assert len(sweeps_of(m)) == 4  # r and l over 0 and 1
+    # a ping-pong self-loop goes back to its plain entry, and fill keeps it
+    t = {("q", "0"): ("q", "0", RIGHT), ("q", "1"): ("q", "1", LEFT),
+         ("q", BLANK): ("acc", BLANK, RIGHT)}
+    ping = Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"q", "acc", "rej"}),
+                   "q", "acc", "rej", t)
+    check_against_reference(ping, "01", COUNT_ALL, 1001)
+    compiled = _compile(ping, COUNT_ALL)
+    compiled.fill()
+    entries = [compiled.table[compiled.row["q"] + compiled.code[s]] for s in "01"]
+    assert all(type(entry) is tuple for entry in entries)
+    check_against_reference(ping, "01", COUNT_ALL, 999)
+
+
+def test_fill_after_traced_runs_keeps_the_traced_tables():
+    m = bouncer()
+    cost = CostModel(free_states={"L"})
+    check_traced(m, "0110", cost, 300)
+    compiled = _compile(m, cost)
+    plain, fields = list(compiled.plain), dict(compiled.fields)
+    compiled.fill()
+    assert (compiled.plain, compiled.fields) == (plain, fields)
+    check_traced(m, "0110", cost, 3000)
+
+
+# --- the batch driver: many starts through one lazy loop ---------------------
+
+def reference_from(m, cost, word, head, fuel):
+    """The dict stepper from the start state on word's cells, head on cell
+    head: (verdict, total, counted)."""
+    config = Configuration(m.start_state, dict(enumerate(word)), head)
+    return reference(m, config, counted_set(m, cost), fuel)[:3]
+
+
+def check_batch(m, cost, starts, fuel):
+    """One batch over the (word, head) starts agrees, start by start, with
+    the dict stepper and with launch; returns the batch's outcomes."""
+    compiled = _compile(m, cost)
+    encoded = [(compiled.encode(word, m.input_alphabet), head) for word, head in starts]
+    outcomes = [as_verdict(compiled, o) for o in compiled.outcomes(encoded, fuel)]
+    assert len(outcomes) == len(starts)
+    for (word, head), (cells, _), outcome in zip(starts, encoded, outcomes):
+        assert outcome == reference_from(m, cost, word, head, fuel)
+        result = compiled.launch(cells, head, fuel)
+        assert outcome == (result.verdict, result.total_steps, result.counted_steps)
+    return outcomes
+
+
+def test_a_batch_matches_its_starts_run_one_by_one():
+    long = "0110" * 25 + "0" * 100  # 402 steps from cell 0
+    # halts, fuel cut-offs inside the right and the left sweep, and heads
+    # on, inside and past the cells
+    starts = [(long, 0), ("", 0), ("01", 0), (long, 150), ("0110", 9), (long, 250),
+              ("1", 40), (long, 0)]
+    for fuel in (150, 300, 500):
+        verdicts = [v for v, _, _ in check_batch(sweeper(), COUNT_ALL, starts, fuel)]
+        assert Verdict.ACCEPTED in verdicts
+        assert (Verdict.FUEL_EXHAUSTED in verdicts) == (fuel < 402)
+    # a bouncer never halts, and its tape grows at both ends
+    cost = CostModel(free_states={"L"})
+    starts = [("0110", 0), ("", 0), ("01", 7), ("0110", 2)]
+    outcomes = check_batch(bouncer(), cost, starts, 3000)
+    assert all(v is Verdict.FUEL_EXHAUSTED and 0 < c < t == 3000 for v, t, c in outcomes)
+    tape = run(bouncer(), "0110", cost, fuel=3000, record_trace=False).final.tape
+    assert min(tape) < -30 and max(tape) > 30
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batches_of_random_starts_match_the_dict_stepper(data):
+    m = data.draw(st.one_of(machines(), looping_machines()))
+    cost = data.draw(cost_models(m))
+    words = st.text(alphabet=sorted(m.input_alphabet), max_size=30)
+    starts = data.draw(st.lists(st.tuples(words, st.integers(0, 40)), min_size=1, max_size=6))
+    check_batch(m, cost, starts, data.draw(st.one_of(st.integers(1, 60), fuels)))
+
+
+def test_a_bad_symbol_raises_mid_batch():
+    m = sweeper()
+    compiled = _compile(m, COUNT_ALL)
+    results = compiled.on_words(["01", "0x1", "10"], 50)
+    word, outcome = next(results)
+    assert (word, as_verdict(compiled, outcome)) == ("01", reference_from(m, COUNT_ALL, "01", 0,
+                                                                          50))
+    with pytest.raises(InvalidInputError, match="symbol 'x' not in input alphabet"):
+        next(results)
+    # the machine still runs after the batch that raised
+    check_against_reference(m, "10", COUNT_ALL, 50)
+
+
+def test_a_batch_stopped_early_leaves_the_machine_reusable():
+    m = sweeper()
+    compiled = _compile(m, COUNT_ALL)
+    long = "0110" * 25 + "0" * 100
+    read = []
+
+    def starts():
+        for word in ("01", long, long, "1"):
+            read.append(word)
+            yield compiled.encode(word, m.input_alphabet), 0
+
+    # any() stops at the first accepting run and reads no start past it
+    assert any(q == compiled.accept for q, _, _ in compiled.outcomes(starts(), 500))
+    assert read == ["01"]
+    # a batch left mid-way, inside a fuel cut-off's sweep, leaves no trace
+    batch = compiled.outcomes(starts(), 300)
+    next(batch)
+    assert as_verdict(compiled, next(batch)) == (Verdict.FUEL_EXHAUSTED, 300, 300)
+    del batch
+    for fuel in (300, 500):
+        check_against_reference(m, long, COUNT_ALL, fuel)
+        check_traced(m, long, COUNT_ALL, fuel)
+    assert [as_verdict(compiled, o) for o in compiled.outcomes(starts(), 500)] == [
+        reference_from(m, COUNT_ALL, word, 0, 500) for word in ("01", long, long, "1")]
+
+
+@pytest.mark.parametrize("fuel", [100.0, math.inf, "5", 0, -3])
+def test_a_bad_fuel_raises_when_a_batch_is_called(fuel):
+    compiled = _compile(sweeper(), COUNT_ALL)
+    read = []
+
+    def starts():
+        read.append(True)
+        yield compiled.encode("01", compiled.inputs), 0
+
+    with pytest.raises((TypeError, ValueError)) as raised:
+        compiled.outcomes(starts(), fuel)
+    assert raised.type is (ValueError if isinstance(fuel, int) else TypeError)
+    with pytest.raises(raised.type):
+        compiled.on_words(["01"], fuel)
+    assert not read

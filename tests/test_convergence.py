@@ -8,6 +8,7 @@ from tmbench import (
     TrieSizeError,
     Verdict,
     build_trie_machine,
+    emit_machine,
     find_convergence_index,
     run,
     verify_restriction,
@@ -322,3 +323,91 @@ def test_convergence_walk_matches_the_agreement_table(oracle):
         ]
         least = next((n for n in range(k + 1) if all(agreement[n:])), None)
         assert find_convergence_index(oracle, k, k).n_k == least
+
+
+# --- the trie build in heap order against a per-prefix construction ---------
+
+def reference_trie(L, n):
+    """The depth-n trie built prefix by prefix, each state named and each
+    child found by appending a bit: (machine, queries, state count)."""
+    transitions, states, queries = {}, {"q_accept", "q_reject"}, 0
+    for prefix in all_words("01", n):
+        q = "q_" + prefix
+        states.add(q)
+        for bit in "01":
+            child = "q_reject" if len(prefix) == n else "q_" + prefix + bit
+            transitions[(q, bit)] = (child, BLANK, "R")
+        queries += 1
+        transitions[(q, BLANK)] = ("q_accept" if L(prefix) else "q_reject", BLANK, "R")
+    machine = Machine(frozenset("01"), frozenset("01" + BLANK), frozenset(states), "q_",
+                      "q_accept", "q_reject", transitions)
+    return machine, queries, len(states)
+
+
+@pytest.mark.parametrize("lang", ALL_BUILTINS)
+def test_heap_order_build_matches_the_per_prefix_construction(lang):
+    oracle = LanguageOracle.builtin(lang)
+    for n in range(9):
+        report = build_trie_machine(oracle, n)
+        machine, queries, state_count = reference_trie(oracle, n)
+        assert report.machine == machine
+        assert (report.oracle_queries, report.state_count) == (queries, state_count)
+        assert emit_machine(report.machine) == emit_machine(machine)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_trie_build_asks_the_oracle_once_per_prefix_in_order(n):
+    asked = []
+
+    def recording(word):
+        asked.append(word)
+        return len(word) % 2 == 0
+
+    report = build_trie_machine(LanguageOracle(recording), n)
+    assert asked == list(all_words("01", n))
+    assert report.oracle_queries == len(asked) == 2 ** (n + 1) - 1
+
+
+def test_depth_zero_trie_is_one_lookup_and_two_rejections():
+    report = build_trie_machine(LanguageOracle.builtin("empty"), 0)
+    assert report.machine.transitions == {
+        ("q_", "0"): ("q_reject", BLANK, "R"),
+        ("q_", "1"): ("q_reject", BLANK, "R"),
+        ("q_", BLANK): ("q_reject", BLANK, "R"),
+    }
+    assert report.machine.states == {"q_", "q_accept", "q_reject"}
+    assert (report.oracle_queries, report.state_count) == (1, 3)
+    assert verify_trie(report, LanguageOracle.builtin("empty")) == ([], True)
+
+
+# --- oracles whose answers are truthy values, not bools -----------------------
+
+@pytest.mark.parametrize("member", [
+    lambda w: w.count("1") % 3,  # an int: 1 and 2 are members
+    lambda w: "yes" if "1" in w else "",
+])
+def test_convergence_reads_an_answer_by_its_truth_as_the_trie_does(member):
+    oracle = LanguageOracle(member)
+    as_bool = LanguageOracle(lambda w: bool(member(w)))
+    for k in range(6):
+        report = build_trie_machine(oracle, k)
+        assert verify_trie(report, oracle) == ([], True)
+        assert report.machine == build_trie_machine(as_bool, k).machine
+        assert find_convergence_index(oracle, k, k) == find_convergence_index(as_bool, k, k)
+        assert find_convergence_index(oracle, k, k).n_k is not None
+
+
+def test_convergence_asks_each_word_once_past_the_builds(monkeypatch):
+    import tmbench.convergence as convergence
+
+    asked = []
+
+    def recording(word):
+        asked.append(word)
+        return word == word[::-1]
+
+    monkeypatch.setattr(convergence, "build_trie_machine",
+                        lambda L, n: build_trie_machine(LanguageOracle.builtin("palindrome"), n))
+    report = find_convergence_index(LanguageOracle(recording), 6, 6)
+    assert report.n_k == 6
+    assert asked == list(all_words("01", 6))
