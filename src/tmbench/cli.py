@@ -157,8 +157,6 @@ def cmd_profile(args) -> int:
         if family == "all" and lengths[-1] > 16:
             raise ValueError("family 'all' is capped at length 16")
         words = WORD_FAMILIES[family]
-        if family == "all":  # runs every word up to a length: fill the table at once
-            compiled.fill()
     else:
         raise ValueError(f"unknown family {family!r}")
 

@@ -19,11 +19,12 @@ convergence, `check_bound`, the CLI's profile, the certificate searches) take
 the lean driver `outcomes`, which binds the loop's locals once per batch.
 
 The compiled table is filled entry by entry as runs reach its entries, so a
-single run on a large machine costs only the entries it uses. The callers
-that run a machine on every word up to a length (`verify_trie`, each trie of
-`find_convergence_index`, `profile --family all`) use nearly every entry,
-and a lazy fill costs a loop exit and re-entry per entry, so they fill the
-whole table first in one pass (`_CompiledMachine.fill`).
+single run on a large machine costs only the entries it uses. `verify_trie`
+and each trie of `find_convergence_index` run the trie on every word up to
+its depth, so they reach every entry, and a lazy fill costs a loop exit and
+re-entry per entry: they fill the whole table first in one pass
+(`_CompiledMachine.fill`). The CLI's profile stays lazy, since its
+`--lengths` may reach only a few entries of a large machine.
 
 `all_words` is the one enumeration of words in length-then-lexicographic
 order: the certificate search, trie synthesis and verification, and the
@@ -367,7 +368,7 @@ class _CompiledMachine:
     (target, written symbol, head move -1/+1, counted 0/1), filled in the
     first time a run needs it, so a run costs the entries it uses rather
     than the whole table; `fill` fills them all in one pass, for the
-    callers that run every word up to a length. Unfilled entries, the
+    callers that reach every entry (the trie checks). Unfilled entries, the
     halting rows and the sentinel column hold None: unpacking it raises
     TypeError, which is how the step loop notices a halt, a tape end or an
     entry to fill without testing for any of them on every step.
@@ -444,14 +445,13 @@ class _CompiledMachine:
         q, symbol = divmod(entry, self.width)
         state, read = key = (self.states[q], self.symbols[symbol])
         target, write, move = self.transitions[key]
-        counted = self.counted_keys is None or key in self.counted_keys
-        plain = (self.row[target], self.code[write], 1 if move == RIGHT else -1, int(counted))
+        plain = self._plain(key, target, write, move)
         if self.table[entry] is None:
             self.table[entry] = (self._sweep(state, move, plain)
                                  if target == state and self.sweeps else plain)
         if self.plain is not None:
             self.plain[entry] = plain
-            self.fields[entry] = (state, read, write, move, target, counted)
+            self.fields[entry] = (state, read, write, move, target, bool(plain[3]))
 
     def fill(self) -> None:
         """Fill the whole table in one pass, for callers that run a
@@ -460,15 +460,20 @@ class _CompiledMachine:
         builder, and a self-loop already filled keeps its sweep or the plain
         entry the sweep was put back as. The tables of traced runs stay
         lazy."""
-        table, row, code, keys = self.table, self.row, self.code, self.counted_keys
-        for (state, read), (target, write, move) in self.transitions.items():
+        table, row, code, plain = self.table, self.row, self.code, self._plain
+        for key, (target, write, move) in self.transitions.items():
+            state, read = key
             entry = row[state] + code[read]
             if target == state:
                 if table[entry] is None:
                     self._fill(entry)
             else:
-                table[entry] = (row[target], code[write], 1 if move == RIGHT else -1,
-                                int(keys is None or (state, read) in keys))
+                table[entry] = plain(key, target, write, move)
+
+    def _plain(self, key: tuple[str, str], target: str, write: str, move: str) -> tuple:
+        """The plain entry (row, code, +-1, counted) of the transition at key."""
+        return (self.row[target], self.code[write], 1 if move == RIGHT else -1,
+                int(self.counted_keys is None or key in self.counted_keys))
 
     def _sweep(self, state: str, move: str, plain: tuple) -> "_Sweep":
         """The sweep over every symbol that state loops on, moving move."""
