@@ -19,7 +19,6 @@ from tmbench.machine import (
     initial_configuration,
     run,
     run_configuration,
-    step,
     validate_machine,
 )
 from tmbench.cost import (

@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Callable, Optional
 
 from tmbench.cost import COUNT_ALL
-from tmbench.machine import BLANK, RIGHT, Machine, _compile, _mark_valid, all_words
+from tmbench.machine import BLANK, RIGHT, Machine, Verdict, _compile, _mark_valid, all_words
 
 MAX_TRIE_DEPTH = 20
 MAX_CONVERGENCE_K = 12
@@ -175,11 +175,12 @@ def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = 
     L is None) and whether every run took min(|w|, n) + 1 steps."""
     trie, n = _compile(report.machine, COUNT_ALL), report.n
     trie.fill()
+    accepted, rejected = Verdict.ACCEPTED, Verdict.REJECTED
     counterexamples = []
     steps_ok = True
-    for word, (q, total, _) in trie.on_words(chain(all_words("01", n), _long_word_sample(n)),
-                                             n + 4):
-        if L is not None and q != (trie.accept if len(word) <= n and L(word) else trie.reject):
+    for word, (verdict, total, _) in trie.on_words(
+            chain(all_words("01", n), _long_word_sample(n)), n + 4):
+        if L is not None and verdict is not (accepted if len(word) <= n and L(word) else rejected):
             counterexamples.append(word)
         steps_ok = steps_ok and total == min(len(word), n) + 1
     return counterexamples, steps_ok
@@ -207,10 +208,15 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> Convergenc
     The tries are run from n = k down to 0, and the walk stops at the first
     one that disagrees: n_k is the last trie that agreed, or None when the
     depth-k trie already disagrees. Beyond k no run is needed: the depth-n
-    trie decides words of length <= k exactly as L whenever n >= k. The
-    depth-k trie holds L's own answers, so None needs an oracle whose
-    answers change between calls. Each word's answer is asked once, before
-    the walk, and read by its truth, as the trie build reads it.
+    trie decides words of length <= k exactly as L whenever n >= k.
+
+    L is asked once per word of length <= k, in all_words order, before the
+    walk, and each answer is read by its truth, as the trie build reads it.
+    Every trie of the walk is built from those answers, since each prefix
+    of a depth-n <= k trie is one of those words, so L is never asked
+    again. The depth-k trie thus holds the very answers it is checked
+    against, and None means a defect: a trie that disagrees with the
+    answers it was built from.
     """
     if k < 0 or k > MAX_CONVERGENCE_K:
         raise ValueError(f"k must be in 0..{MAX_CONVERGENCE_K}")
@@ -218,12 +224,13 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> Convergenc
         raise ValueError("budget must be at least k")
     words = list(all_words("01", k))
     answers = [bool(L(w)) for w in words]  # each word's answer once, read as the trie reads it
+    known = LanguageOracle(dict(zip(words, answers)).__getitem__)
     n_k: Optional[int] = None
     for n in range(k, -1, -1):
-        trie = _compile(build_trie_machine(L, n).machine, COUNT_ALL)
+        trie = _compile(build_trie_machine(known, n).machine, COUNT_ALL)
         trie.fill()
-        if any((q == trie.accept) != member
-               for (_, (q, _, _)), member in zip(trie.on_words(words, n + 4), answers)):
+        if any((verdict is Verdict.ACCEPTED) != member
+               for (_, (verdict, _, _)), member in zip(trie.on_words(words, n + 4), answers)):
             break
         n_k = n
     return ConvergenceReport(k=k, n_k=n_k, verified_words=len(words))

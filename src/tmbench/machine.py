@@ -9,14 +9,17 @@ Runs execute on a compiled form of the machine (_CompiledMachine), built
 once per (machine, cost model) and cached on the machine. An untraced run
 takes a self-loop over a run of cells (a sweep) as one exact macro-step,
 after Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990); a traced run
-steps one transition at a time. The dict-based `step` is the reference the
-compiled loop is tested against. Every run, from a word, from a
+steps one transition at a time. Every run, from a word, from a
 configuration or from an (input, certificate) pair, goes through
-`_CompiledMachine.execute`, the one place that lays out a tape and steps.
-It runs a batch of starts lazily: a single run is a batch of one (`launch`),
-and the loops that run a machine on many inputs (trie verification and
-convergence, `check_bound`, the CLI's profile, the certificate searches) take
-the lean driver `outcomes`, which binds the loop's locals once per batch.
+`_CompiledMachine.execute`, the one place that lays out a tape and steps,
+and the one place that reads a run's final state as its Verdict. It runs a
+batch of starts lazily: a single run is a batch of one (`launch`), and the
+loops that run a machine on many inputs (trie verification and convergence,
+`check_bound`, the CLI's profile, the certificate searches) take the lean
+driver `outcomes`, which binds the loop's locals once per batch and yields
+(verdict, total, counted) per start, as a RunResult holds them. A single
+step is `run_configuration` with fuel 1; the tests keep a dict-based
+stepper as the reference the compiled loop is checked against.
 
 The compiled table is filled entry by entry as runs reach its entries, so a
 single run on a large machine costs only the entries it uses. `verify_trie`
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product, repeat, tee
 from operator import index, itemgetter
@@ -115,9 +118,6 @@ class Configuration:
     state: str
     tape: dict[int, str]  # only non-blank cells are stored
     head: int
-
-    def scanned(self) -> str:
-        return self.tape.get(self.head, BLANK)
 
     def __getattr__(self, name):
         # The final configuration of a compiled run holds its cells packed
@@ -240,25 +240,6 @@ def initial_configuration(m: Machine, input_word: str) -> Configuration:
             raise InvalidInputError(f"symbol {ch!r} not in input alphabet")
     tape = {i: ch for i, ch in enumerate(input_word)}
     return Configuration(state=m.start_state, tape=tape, head=0)
-
-
-def step(m: Machine, c: Configuration) -> Optional[tuple[Configuration, StepRecord]]:
-    """Apply one transition in place; returns None when c is already halted."""
-    if m.is_halting(c.state):
-        return None
-    read = c.scanned()
-    target, write, move = m.transitions[(c.state, read)]
-    record = StepRecord(
-        state=c.state, head=c.head, read=read, write=write, move=move,
-        target=target, counted=True,
-    )
-    if write == BLANK:
-        c.tape.pop(c.head, None)
-    else:
-        c.tape[c.head] = write
-    c.head += 1 if move == RIGHT else -1
-    c.state = target
-    return c, record
 
 
 class _Sweep:
@@ -395,10 +376,14 @@ class _CompiledMachine:
     it there makes no cycle.
 
     `execute` holds the one step loop: it lays out a tape per start of a
-    batch and yields each run's end. `launch` takes the single result of a
-    batch of one to build a RunResult; `outcomes`, the lean driver of the
-    loops that run a machine on many inputs, yields only three numbers per
-    start, and `on_words` runs it on words from the start configuration.
+    batch and yields each run's end, its Verdict first. `verdicts`, built
+    once here, is the one map from a final state to a Verdict: indexed by
+    row // width, it holds FUEL_EXHAUSTED for every state but the halting
+    two. A run reads it once, as it ends, and no step reads it.
+    `launch` takes the single result of a batch of one to build a
+    RunResult; `outcomes`, the lean driver of the loops that run a machine
+    on many inputs, yields only the verdict and the total and counted steps
+    per start, and `on_words` runs it on words from the start configuration.
     """
 
     def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
@@ -412,8 +397,9 @@ class _CompiledMachine:
         self.row = dict(zip(self.states, range(0, len(self.states) * width, width)))
         self.code = {s: i for i, s in enumerate(self.symbols)}
         self.start = self.row[m.start_state]
-        self.accept = self.row[m.accept_state]
-        self.reject = self.row[m.reject_state]
+        self.accept = self.row[m.accept_state]  # the first halting row
+        self.verdicts = [Verdict.FUEL_EXHAUSTED] * (len(self.states) - 2) + [
+            Verdict.ACCEPTED, Verdict.REJECTED]
         self.inputs = m.input_alphabet
         size = len(self.states) * width
         self.table: list = [None] * size  # plain entries, sweeps and None
@@ -517,13 +503,7 @@ class _CompiledMachine:
                 self.plain, self.fields = [None] * len(self.table), {}
             keys = []
         batch = self.execute([(cells, head)], fuel, first, q, keys)
-        q, total, counted, tape, i, origin = next(batch)
-        if q == self.accept:
-            verdict = Verdict.ACCEPTED
-        elif q == self.reject:
-            verdict = Verdict.REJECTED
-        else:
-            verdict = Verdict.FUEL_EXHAUSTED
+        verdict, total, counted, q, tape, i, origin = next(batch)
         final = Configuration.__new__(Configuration)
         final.state = self.states[q // self.width]
         final.head = i - origin
@@ -531,16 +511,12 @@ class _CompiledMachine:
         return RunResult(verdict, total, counted,
                          self.trace(keys) if keys is not None else None, final)
 
-    def run(self, word: str, fuel: int, record_trace: bool = False) -> RunResult:
-        """Run on word from the start configuration."""
-        return self.launch(self.encode(word, self.inputs), 0, fuel, record_trace)
-
-    def outcomes(self, starts: Iterable[tuple], fuel: int) -> Iterator[tuple[int, int, int]]:
+    def outcomes(self, starts: Iterable[tuple], fuel: int) -> Iterator[tuple[Verdict, int, int]]:
         """The lean driver: execute's runs from the start state, one per
-        (cells, head) of starts, each yielding only the final state row
-        (accept, reject, or another when the fuel ran out), the total and
-        the counted steps. The runs are lazy, so a caller may stop early;
-        fuel is checked now, before any start is read."""
+        (cells, head) of starts, each yielding only its Verdict, the total
+        and the counted steps, as RunResult holds them. The runs are lazy,
+        so a caller may stop early; fuel is checked now, before any start
+        is read."""
         return map(itemgetter(0, 1, 2), self.execute(starts, _positive(fuel)))
 
     def on_words(self, words: Iterable[str], fuel: int) -> Iterator[tuple[str, tuple]]:
@@ -557,8 +533,8 @@ class _CompiledMachine:
         cells from cell first on, blank elsewhere, with the head on cell
         head (at least first), until a halt or fuel total steps; a traced
         run passes the list each step appends its key to (see trace).
-        Yields per start the state row, the total and counted steps, the
-        tape, the head's index in it and cell 0's.
+        Yields per start the Verdict, the total and counted steps, the
+        final state row, the tape, the head's index in it and cell 0's.
 
         The tape is the cells, blanks up to the head, and one blank more,
         between sentinels; most runs halt before it needs to grow. fuel
@@ -568,7 +544,7 @@ class _CompiledMachine:
         table = self.table if keys is None else self.plain
         sentinel, blank, right_end = self.sentinel, self.blank, self.right_end
         edge, halting, fill = self.edge, self.accept, self._fill
-        size = len(table)
+        verdicts, width, size = self.verdicts, self.width, len(table)
         q0 = self.start if q is None else q
         for cells, head in starts:
             pad = head - first - len(cells)
@@ -619,7 +595,7 @@ class _CompiledMachine:
                 else:
                     total = fuel
                     break
-            yield q, total, counted, tape, i, origin
+            yield verdicts[q // width], total, counted, q, tape, i, origin
 
     def trace(self, keys: list) -> tuple[StepRecord, ...]:
         """The StepRecords of a traced run's keys, one record per distinct
@@ -678,9 +654,13 @@ def run_configuration(
 
     config is updated in place to the final configuration, which the result
     holds. The tape is simulated densely from its lowest to its highest
-    stored cell.
+    stored cell. With fuel 1 this is the library's one single step: a
+    halted configuration takes no step. A state the machine does not have
+    raises ValueError.
     """
     compiled = _compile(m, cost)
+    if config.state not in compiled.row:
+        raise ValueError(f"configuration state {config.state!r} is not a state of the machine")
     lo = min(min(config.tape, default=0), config.head)
     hi = max(max(config.tape, default=0), config.head)
     cells = [BLANK] * (hi - lo + 1)
@@ -690,8 +670,7 @@ def run_configuration(
                              config.head, fuel, record_trace, lo, compiled.row[config.state])
     config.state, config.head, config.tape = (result.final.state, result.final.head,
                                               result.final.tape)
-    return RunResult(result.verdict, result.total_steps, result.counted_steps,
-                     result.trace, config)
+    return replace(result, final=config)
 
 
 def run(m: Machine, input_word: str, cost: CostModel = COUNT_ALL, fuel: int = DEFAULT_FUEL,
@@ -699,7 +678,8 @@ def run(m: Machine, input_word: str, cost: CostModel = COUNT_ALL, fuel: int = DE
     """Simulate m on input_word under a cost model, bounded by fuel total
     steps. fuel must be a positive integer: a non-integer, a whole float
     included, raises TypeError, and zero or less raises ValueError."""
-    return _compile(m, cost).run(input_word, fuel, record_trace)
+    compiled = _compile(m, cost)
+    return compiled.launch(compiled.encode(input_word, compiled.inputs), 0, fuel, record_trace)
 
 
 def all_words(alphabet: Iterable[str], max_len: int, min_len: int = 0) -> Iterator[str]:

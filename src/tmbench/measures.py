@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from tmbench.cost import CostModel
-from tmbench.machine import DEFAULT_FUEL, Machine, _compile
+from tmbench.machine import DEFAULT_FUEL, Machine, Verdict, _compile
 
 # the measure families, each with the parameters parse_measure accepts for it
 FAMILY_PARAMS = {"identity": (), "linear": ("a", "b"), "log": ("a", "b"),
@@ -181,10 +181,10 @@ def check_bound(
     compiled = _compile(m, cost)
     rows = []
     worst = -math.inf
-    for word, (q, _, counted) in compiled.on_words(inputs, fuel):
+    for word, (verdict, _, counted) in compiled.on_words(inputs, fuel):
         bound = spec.bound(max(len(word), 1))
         # a run out of fuel fails with an unbounded margin
-        halted = q in (compiled.accept, compiled.reject)
+        halted = verdict is not Verdict.FUEL_EXHAUSTED
         rows.append(BoundRow(word, len(word), counted, bound,
                              halted and bound_passes(counted, bound)))
         worst = max(worst, counted - bound if halted else math.inf)

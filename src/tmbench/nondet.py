@@ -14,14 +14,14 @@ the blank and '#'; CheckingRelation refuses any other.
 
 The search encodes x once and runs the compiled checker through its lean
 batch driver, `outcomes`, which lays out each tape as the dict reference
-`deliver` does and yields only the halt row and the total and counted steps,
-lazily, so a search stops at its first witness. The inline search runs every
-certificate. Neither search fills the checker's table first: a search that
-finds an early witness uses few of its entries. A positioned run depends only on its
-head cell, and y and 0y name the same cell, so the positioned search runs
-each cell once, in the numeric order in which the canonical walk first
-meets them; its report is that walk's, from at most 2^L runs for the
-2^(L+1) - 1 certificates of length <= L.
+`deliver` does and yields only the run's Verdict and its total and counted
+steps, lazily, so a search stops at its first witness. The inline search
+runs every certificate. Neither search fills the checker's table first: a
+search that finds an early witness uses few of its entries. A positioned
+run depends only on its head cell, and y and 0y name the same cell, so
+the positioned search runs each cell once, in the numeric order in which
+the canonical walk first meets them; its report is that walk's, from at
+most 2^L runs for the 2^(L+1) - 1 certificates of length <= L.
 
 One rule bounds the certificate length: decide_nc is decide_nt with the
 identity transform. The admitted lengths are walked upward with a running
@@ -44,6 +44,7 @@ from tmbench.machine import (
     RIGHT,
     Configuration,
     Machine,
+    Verdict,
     _compile,
     all_words,
 )
@@ -135,14 +136,15 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
             ) -> CertificateSearchReport:
     checker = _compile(rel.checker, cost)
     cells = checker.encode(x, checker.inputs)  # once per search
+    accepted = Verdict.ACCEPTED
     most = 0
     if rel.delivery == DELIVERY_POSITIONED:
         # the canonical walk first meets cell c as c in binary, l digits
         # long, after the 2^l + c - 1 certificates that name cells 0..c-1
-        for c, (q, _, counted) in enumerate(
+        for c, (verdict, _, counted) in enumerate(
                 checker.outcomes(zip(repeat(cells), range(2 ** max_len)), fuel)):
             most = max(most, counted)
-            if q == checker.accept:
+            if verdict is accepted:
                 return CertificateSearchReport(True, format(c, "b") if c else "",
                                                2 ** c.bit_length() + c, most)
         return CertificateSearchReport(False, None, 2 ** (max_len + 1) - 1, most)
@@ -152,9 +154,10 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
     ys, again = tee(all_words(rel.certificate_alphabet, max_len))
     starts = ((cells + checker.encode(y, symbols, "tape"), 0) for y in again)
     # the empty certificate comes first, so the loop runs at least once
-    for tried, (y, (q, _, counted)) in enumerate(zip(ys, checker.outcomes(starts, fuel)), 1):
+    for tried, (y, (verdict, _, counted)) in enumerate(
+            zip(ys, checker.outcomes(starts, fuel)), 1):
         most = max(most, counted)
-        if q == checker.accept:
+        if verdict is accepted:
             return CertificateSearchReport(True, y, tried, most)
     return CertificateSearchReport(False, None, tried, most)
 

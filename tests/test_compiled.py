@@ -1,6 +1,7 @@
 """Differential tests: the compiled step loop and the compiled certificate
-deliveries against the dict stepper `step()` and `deliver()`, the lean
-driver against `run()`, plus the per-(machine, cost model) compile cache."""
+deliveries against the dict stepper `step()` (tests/reference.py) and
+`deliver()`, the lean driver against `run()`, plus the per-(machine, cost
+model) compile cache."""
 
 import copy
 import dataclasses
@@ -36,11 +37,12 @@ from tmbench import (
     parse_machine_file,
     run,
     run_configuration,
-    step,
 )
 from tmbench.machine import _compile, _CompiledMachine, _Sweep, all_words
 from tmbench.measures import IDENTITY
 from tmbench.nondet import _max_length, deliver
+
+from reference import step
 
 def reference(m, config, keys, fuel):
     """The dict stepper from config: (verdict, total, counted, trace, final)."""
@@ -115,19 +117,12 @@ def test_run_matches_dict_stepper(data):
     check_against_reference(m, word, cost, fuel, data.draw(st.booleans()))
 
 
-def as_verdict(compiled, outcome):
-    """A lean driver's (row, total, counted), its final state row read as a
-    verdict."""
-    q, total, counted = outcome
-    verdicts = {compiled.accept: Verdict.ACCEPTED, compiled.reject: Verdict.REJECTED}
-    return verdicts.get(q, Verdict.FUEL_EXHAUSTED), total, counted
-
-
 def driver_outcome(m, word, cost, fuel):
-    """The lean driver on word, as a batch of one start."""
+    """The lean driver on word, as a batch of one start: (verdict, total,
+    counted)."""
     compiled = _compile(m, cost)
     (outcome,) = compiled.outcomes([(compiled.encode(word, compiled.inputs), 0)], fuel)
-    return as_verdict(compiled, outcome)
+    return outcome
 
 
 def check_driver_against_run(m, word, cost, fuel, driver_first=True):
@@ -201,6 +196,36 @@ def test_run_configuration_matches_dict_stepper(data):
         verdict, total, counted, trace)
     assert result.final is config
     assert (config.state, config.head, config.tape) == (final.state, final.head, final.tape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_single_steps_of_run_configuration_match_the_dict_stepper(data):
+    """run_configuration with fuel 1 is the library's single step: step by
+    step, it moves a configuration as the dict stepper does and records the
+    one StepRecord the stepper returns; on a halted configuration, where the
+    stepper returns None, it takes no step."""
+    m = data.draw(machines())
+    tape_symbols = sorted(m.tape_alphabet)
+    cells = data.draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(tape_symbols),
+                                      max_size=6))
+    tape = {i: s for i, s in cells.items() if s != BLANK}
+    start = data.draw(st.sampled_from(sorted(m.states)))
+    head = data.draw(st.integers(-8, 8))
+    config = Configuration(start, dict(tape), head)
+    twin = Configuration(start, dict(tape), head)
+    for _ in range(data.draw(st.integers(1, 40))):
+        applied = step(m, twin)
+        result = run_configuration(m, config, COUNT_ALL, fuel=1, record_trace=True)
+        assert result.final is config
+        assert (config.state, config.head, config.tape) == (twin.state, twin.head, twin.tape)
+        if applied is None:
+            assert (result.total_steps, result.counted_steps, result.trace) == (0, 0, ())
+            assert result.verdict is (Verdict.ACCEPTED if twin.state == m.accept_state
+                                      else Verdict.REJECTED)
+            break
+        assert (result.total_steps, result.counted_steps, result.trace) == (1, 1, (applied[1],))
+        assert (result.verdict is Verdict.FUEL_EXHAUSTED) == (not m.is_halting(twin.state))
 
 
 def reference_search(rel, x, max_len, cost, fuel):
@@ -960,7 +985,7 @@ def check_batch(m, cost, starts, fuel):
     the dict stepper and with launch; returns the batch's outcomes."""
     compiled = _compile(m, cost)
     encoded = [(compiled.encode(word, m.input_alphabet), head) for word, head in starts]
-    outcomes = [as_verdict(compiled, o) for o in compiled.outcomes(encoded, fuel)]
+    outcomes = list(compiled.outcomes(encoded, fuel))
     assert len(outcomes) == len(starts)
     for (word, head), (cells, _), outcome in zip(starts, encoded, outcomes):
         assert outcome == reference_from(m, cost, word, head, fuel)
@@ -1003,8 +1028,7 @@ def test_a_bad_symbol_raises_mid_batch():
     compiled = _compile(m, COUNT_ALL)
     results = compiled.on_words(["01", "0x1", "10"], 50)
     word, outcome = next(results)
-    assert (word, as_verdict(compiled, outcome)) == ("01", reference_from(m, COUNT_ALL, "01", 0,
-                                                                          50))
+    assert (word, outcome) == ("01", reference_from(m, COUNT_ALL, "01", 0, 50))
     with pytest.raises(InvalidInputError, match="symbol 'x' not in input alphabet"):
         next(results)
     # the machine still runs after the batch that raised
@@ -1023,17 +1047,17 @@ def test_a_batch_stopped_early_leaves_the_machine_reusable():
             yield compiled.encode(word, m.input_alphabet), 0
 
     # any() stops at the first accepting run and reads no start past it
-    assert any(q == compiled.accept for q, _, _ in compiled.outcomes(starts(), 500))
+    assert any(v is Verdict.ACCEPTED for v, _, _ in compiled.outcomes(starts(), 500))
     assert read == ["01"]
     # a batch left mid-way, inside a fuel cut-off's sweep, leaves no trace
     batch = compiled.outcomes(starts(), 300)
     next(batch)
-    assert as_verdict(compiled, next(batch)) == (Verdict.FUEL_EXHAUSTED, 300, 300)
+    assert next(batch) == (Verdict.FUEL_EXHAUSTED, 300, 300)
     del batch
     for fuel in (300, 500):
         check_against_reference(m, long, COUNT_ALL, fuel)
         check_traced(m, long, COUNT_ALL, fuel)
-    assert [as_verdict(compiled, o) for o in compiled.outcomes(starts(), 500)] == [
+    assert list(compiled.outcomes(starts(), 500)) == [
         reference_from(m, COUNT_ALL, word, 0, 500) for word in ("01", long, long, "1")]
 
 

@@ -411,3 +411,19 @@ def test_convergence_asks_each_word_once_past_the_builds(monkeypatch):
     report = find_convergence_index(LanguageOracle(recording), 6, 6)
     assert report.n_k == 6
     assert asked == list(all_words("01", 6))
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 10])
+def test_convergence_asks_the_oracle_once_per_word_in_all(k):
+    """The tries of the walk are built from the walk's own answers, so the
+    oracle, with the build left as it is, is asked each word once."""
+    asked = []
+
+    def recording(word):
+        asked.append(word)
+        return word.count("1") % 2 == 0
+
+    report = find_convergence_index(LanguageOracle(recording), k, k)
+    assert asked == list(all_words("01", k))
+    assert (report.n_k, report.verified_words) == (k, 2 ** (k + 1) - 1)
+    assert report == find_convergence_index(LanguageOracle.builtin("parity-even-ones"), k, k)

@@ -11,6 +11,7 @@ from tmbench import (
     BLANK,
     COUNT_ALL,
     BoundSpec,
+    Configuration,
     InvalidInputError,
     LanguageOracle,
     Machine,
@@ -25,9 +26,10 @@ from tmbench import (
     parse_measure,
     run,
     run_configuration,
-    step,
     validate_machine,
 )
+
+from reference import scanned, step
 
 
 def scanner():
@@ -136,7 +138,7 @@ def test_initial_configuration_layout():
 def test_initial_configuration_empty_word():
     c = initial_configuration(scanner(), "")
     assert c.tape == {}
-    assert c.scanned() == BLANK
+    assert scanned(c) == BLANK
 
 
 def test_initial_configuration_bad_symbol():
@@ -177,6 +179,17 @@ def test_run_trie_linear_time():
 def test_run_rejects_zero_fuel():
     with pytest.raises(ValueError):
         run(scanner(), "0", COUNT_ALL, fuel=0)
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+def test_run_configuration_names_an_unknown_state(record_trace):
+    m = scanner()
+    config = Configuration("nope", {}, 0)
+    with pytest.raises(ValueError, match="configuration state 'nope' is not a state"):
+        run_configuration(m, config, COUNT_ALL, 1, record_trace)
+    assert (config.state, config.tape, config.head) == ("nope", {}, 0)
+    # the machine still runs after the refusal
+    assert run(m, "01", COUNT_ALL, fuel=10).verdict is Verdict.ACCEPTED
 
 
 @contextmanager

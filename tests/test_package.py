@@ -7,7 +7,7 @@ import tmbench
 
 PUBLIC_API = (
     "BLANK", "LEFT", "RIGHT", "Machine", "Configuration", "RunResult", "StepRecord",
-    "Verdict", "InvalidInputError", "validate_machine", "initial_configuration", "step",
+    "Verdict", "InvalidInputError", "validate_machine", "initial_configuration",
     "run", "run_configuration",
     "CostModel", "COUNT_ALL", "FREE_BLIND", "is_blind_state", "counted_set",
     "parse_cost_model",
@@ -23,7 +23,7 @@ PUBLIC_API = (
 
 
 def test_every_public_name_is_a_package_attribute():
-    assert len(set(PUBLIC_API)) == 46
+    assert len(set(PUBLIC_API)) == 45
     missing = [name for name in PUBLIC_API if not hasattr(tmbench, name)]
     assert not missing
 
@@ -42,6 +42,18 @@ def test_one_constructor_and_one_way_to_evaluate():
     assert not hasattr(tmbench.CostModel, "free_states_model")
     assert not hasattr(tmbench.CostModel, "custom")
     assert not callable(tmbench.MeasureFunction("identity"))
+
+
+def test_one_way_to_single_step():
+    """run_configuration with fuel 1 is the one single step; the dict
+    stepper and its scanned-symbol helper live with the tests."""
+    import tmbench.machine
+
+    assert not hasattr(tmbench, "step")
+    assert not hasattr(tmbench.machine, "step")
+    assert not hasattr(tmbench.Configuration, "scanned")
+    assert not hasattr(tmbench.Configuration("q", {}, 0), "scanned")
+    assert not hasattr(tmbench.machine._CompiledMachine, "run")
 
 
 def test_each_default_and_choice_has_one_owner():
