@@ -19,9 +19,10 @@ steps, lazily, so a search stops at its first witness. The inline search
 runs every certificate. Neither search fills the checker's table first: a
 search that finds an early witness uses few of its entries. A positioned
 run depends only on its head cell, and y and 0y name the same cell, so
-the positioned search runs each cell once, in the numeric order in which
-the canonical walk first meets them; its report is that walk's, from at
-most 2^L runs for the 2^(L+1) - 1 certificates of length <= L.
+the positioned search takes each cell once, in the numeric order in which
+the canonical walk first meets them; its report is that walk's. A run of
+k steps reads only cells within k - 1 of its start, so the search memoizes
+outcomes by that window and ends at the first window wholly past x.
 
 One rule bounds the certificate length: decide_nc is decide_nt with the
 identity transform. The admitted lengths are walked upward with a running
@@ -139,14 +140,36 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
     accepted = Verdict.ACCEPTED
     most = 0
     if rel.delivery == DELIVERY_POSITIONED:
-        # the canonical walk first meets cell c as c in binary, l digits
-        # long, after the 2^l + c - 1 certificates that name cells 0..c-1
-        for c, (verdict, _, counted) in enumerate(
-                checker.outcomes(zip(repeat(cells), range(2 ** max_len)), fuel)):
-            most = max(most, counted)
-            if verdict is accepted:
+        # the cells within r of c as bytes, blanks past x; paired with the
+        # first cell when that lies left of cell 0
+        def window(c: int, r: int):
+            lo = c - r
+            return bytes(cells[lo:c + r + 1]) if lo >= 0 else (lo, bytes(cells[:c + r + 1]))
+
+        # the driver runs each missed cell as the loop appends it
+        missed: list = []
+        runs = checker.outcomes(zip(repeat(cells), iter(missed.pop, None)), fuel)
+        memo: dict = {}
+        radius = -1
+        for c in range(2 ** max_len):
+            key = window(c, radius)
+            outcome = memo.get(key)
+            if outcome is None:
+                missed.append(c)
+                outcome = next(runs)
+                most = max(most, outcome[2])
+                if outcome[1] - 1 != radius:  # a run of k steps reads within k - 1
+                    memo.clear()
+                    radius = outcome[1] - 1
+                    key = window(c, radius)
+                memo[key] = outcome
+            if outcome[0] is accepted:
+                # the canonical walk first meets cell c as c in binary, l digits
+                # long, after the 2^l + c - 1 certificates that name cells 0..c-1
                 return CertificateSearchReport(True, format(c, "b") if c else "",
                                                2 ** c.bit_length() + c, most)
+            if c - radius >= len(cells):
+                break  # every later cell's window is this one: all blanks
         return CertificateSearchReport(False, None, 2 ** (max_len + 1) - 1, most)
     # inline: each certificate gets a fresh tape x#y with the head on x
     symbols = rel.checker.tape_alphabet

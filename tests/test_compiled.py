@@ -20,6 +20,7 @@ from tmbench import (
     LanguageOracle,
     RIGHT,
     CertificateBudgetError,
+    CertificateSearchReport,
     CheckingRelation,
     InvalidInputError,
     Configuration,
@@ -309,6 +310,120 @@ def test_positioned_search_on_long_inputs(transitions, x, report):
     rel = positioned(transitions)
     assert search(rel, x, 7, COUNT_ALL, 100) == report
     assert reference_search(rel, x, 7, COUNT_ALL, 100) == report
+
+
+# --- the positioned memo: a run's outcome is a function of its window --------
+
+def record_runs(monkeypatch, most=math.inf):
+    """The total steps of each run that reaches _CompiledMachine.execute
+    from now on, in a list that fills as they end; a run past the most
+    fails the test, so a search that runs far too often stops at once."""
+    totals = []
+    execute = _CompiledMachine.execute
+
+    def recording(self, starts, *args):
+        for result in execute(self, starts, *args):
+            totals.append(result[1])
+            assert len(totals) <= most, f"more than {most} runs"
+            yield result
+    monkeypatch.setattr(_CompiledMachine, "execute", recording)
+    return totals
+
+
+def pair_checker(first, second, move):
+    """Accepts iff its cell holds first and the next cell in direction move
+    holds second: every run reads its cell and one neighbour, radius 1."""
+    tape = "01" + BLANK
+    transitions = {("q", s): ("saw" + s, s, move) for s in tape}
+    transitions.update({("saw" + s, r): ("acc" if (s, r) == (first, second) else "rej", r, move)
+                        for s in tape for r in tape})
+    return positioned(transitions)
+
+
+@pytest.mark.parametrize("first, second, move", [
+    ("0", "1", RIGHT), ("1", "1", RIGHT), ("0", BLANK, RIGHT), ("1", "0", RIGHT),
+    ("0", "1", LEFT), ("1", BLANK, LEFT), ("1", "1", LEFT), ("0", "0", LEFT),
+])
+@pytest.mark.parametrize("x", ["0001101001" * 4, "1100" * 9, "0" * 30 + "1"])
+def test_positioned_memo_keys_on_the_neighbours_a_run_reads(first, second, move, x):
+    # equal cells with different neighbours must not share an outcome
+    rel = pair_checker(first, second, move)
+    assert search(rel, x, 7, COUNT_ALL, 100) == reference_search(rel, x, 7, COUNT_ALL, 100)
+
+
+@st.composite
+def runs_of_symbols(draw, alphabet):
+    """A word of a few long runs of one symbol each."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(alphabet), st.integers(10, 30)),
+                         min_size=1, max_size=4))
+    return "".join(symbol * n for symbol, n in runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_positioned_search_with_a_tape_alphabet_wider_than_a_byte(data):
+    checker = data.draw(wide_machines(machines(st.just("01"))))
+    rel = CheckingRelation(checker, "positioned")
+    assert _compile(checker, COUNT_ALL).tape_type is not bytearray
+    cost = data.draw(cost_models(checker))
+    x = data.draw(runs_of_symbols(sorted(checker.input_alphabet)))
+    max_len = data.draw(st.integers(5, 7))
+    fuel = data.draw(st.one_of(st.integers(1, 12), st.integers(60, 400)))
+    assert search(rel, x, max_len, cost, fuel) == reference_search(rel, x, max_len, cost, fuel)
+
+
+@st.composite
+def stepped_checkers(draw):
+    """A positioned checker that takes a drawn number of steps, 1 to 4, per
+    start symbol, those of '0' and '1' unequal, moving a drawn way; its last
+    step accepts on a drawn set of (start, last read) symbol pairs, all of
+    which start on a blank, so every search walks all of x."""
+    tape = "01" + BLANK
+    steps = dict(zip(tape, draw(st.lists(st.integers(1, 4), min_size=3, max_size=3,
+                                         ).filter(lambda k: k[0] != k[1]))))
+    pairs = draw(st.sets(st.tuples(st.just(BLANK), st.sampled_from(tape))))
+    transitions = {}
+    for s in tape:
+        move = draw(st.sampled_from([LEFT, RIGHT]))
+        state, reads = "q", s  # q reads s; every later state reads any symbol
+        for j in range(1, steps[s]):
+            transitions.update({(state, r): (f"{s}{j}", r, move) for r in reads})
+            state, reads = f"{s}{j}", tape
+        transitions.update({(state, r): ("acc" if (s, r) in pairs else "rej", r, move)
+                            for r in reads})
+    return positioned(transitions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_positioned_memo_hits_and_changes_radius_on_runs_of_one_symbol(data):
+    rel = data.draw(stepped_checkers())
+    cost = data.draw(cost_models(rel.checker))
+    x = "0" * 10 + "1" * 10 + data.draw(runs_of_symbols("01"))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        totals = record_runs(monkeypatch)
+        report = search(rel, x, 8, cost, 100)
+    assert report == reference_search(rel, x, 8, cost, 100)
+    assert len(totals) < len(x)  # memo hits
+    assert len(set(totals)) >= 2  # radius changes
+
+
+def test_positioned_search_runs_each_distinct_window_once(monkeypatch):
+    totals = record_runs(monkeypatch, 3)
+    x = "0" * 4095 + "1"
+    # a bound that admits 2^12 cells: the witness is the last of them
+    assert search(positioned(accepts_on("1")), x, 12, COUNT_ALL, 100) == (
+        True, "1" * 12, 2 ** 12 + 4095, 1)
+    assert totals == [1, 1]  # cell 0 and the '1'
+
+
+def test_positioned_search_ends_in_closed_form_past_x(monkeypatch):
+    record_runs(monkeypatch, 3)
+    g = MeasureFunction("linear", a=1e-6, b=40)
+    start = time.process_time()
+    report = decide_nc(positioned(accepts_on("1")), g, "0" * 40, budget=2 ** 41)
+    assert time.process_time() - start < 1.0
+    assert report == CertificateSearchReport(False, None, 2 ** 41 - 1, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -660,12 +775,12 @@ def test_traced_runs_after_untraced_runs_put_sweeps(data):
 
 
 @st.composite
-def wide_machines(draw):
-    """A machine of `machines()` with 256 more tape symbols, so that its
-    tape is an array('L'): wide symbol j reads like tape symbol j modulo
-    the tape alphabet's size, and a drawn set of entries writes a wide
-    symbol instead of their own."""
-    m = draw(machines())
+def wide_machines(draw, base=machines()):
+    """A machine of base (`machines()` by default) with 256 more tape
+    symbols, so that its tape is an array('L'): wide symbol j reads like
+    tape symbol j modulo the tape alphabet's size, and a drawn set of
+    entries writes a wide symbol instead of their own."""
+    m = draw(base)
     tape = sorted(m.tape_alphabet)
     wide = [chr(0x100 + j) for j in range(256)]
     transitions = dict(m.transitions)
