@@ -69,10 +69,11 @@ def _load_machine(path: str):
 
 def _parse_lengths(text: str) -> range:
     """'<lo>..<hi>' with 0 <= lo <= hi, as the range of lengths lo to hi."""
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"lengths must be '<lo>..<hi>', got {text!r}")
-    lengths = range(int(lo), int(hi) + 1)
+    lo, _, hi = text.partition("..")
+    try:
+        lengths = range(int(lo), int(hi) + 1)
+    except ValueError:  # no '..' leaves hi empty
+        raise ValueError(f"lengths must be '<lo>..<hi>', got {text!r}") from None
     if not lengths or lengths[0] < 0:
         raise ValueError(f"lengths need 0 <= lo <= hi, got {text!r}")
     return lengths

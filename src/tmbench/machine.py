@@ -37,9 +37,7 @@ CLI's word families all draw from it.
 from __future__ import annotations
 
 import enum
-from array import array
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import product, repeat, tee
 from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
@@ -159,6 +157,9 @@ def validate_machine(m: Machine) -> list[str]:
         defects.append("tape alphabet missing the blank symbol")
     if not m.input_alphabet <= tape:
         defects.append("input alphabet not a subset of tape alphabet")
+    # a tape cell is a byte, and the code after the last symbol's is the sentinel
+    if len(tape) > 255:
+        defects.append(f"tape alphabet has {len(tape)} symbols, more than 255")
     for sym in sorted(tape):
         if len(sym) != 1:
             defects.append(f"symbol {sym!r} is not a single character")
@@ -345,14 +346,15 @@ class _CompiledMachine:
     Symbols are numbered with blank 0; the next number, `edge`, is a sentinel
     cell at both ends of the tape. States are numbered with the two halting
     states last and stored premultiplied by the row width edge + 1, so the
-    entry for (state, symbol) is table[state + symbol]. An entry is
-    (target, written symbol, head move -1/+1, counted 0/1), filled in the
-    first time a run needs it, so a run costs the entries it uses rather
-    than the whole table; `fill` fills them all in one pass, for the
-    callers that reach every entry (the trie checks). Unfilled entries, the
-    halting rows and the sentinel column hold None: unpacking it raises
-    TypeError, which is how the step loop notices a halt, a tape end or an
-    entry to fill without testing for any of them on every step.
+    entry for (state, symbol) is table[state + symbol]. The table ends
+    before the halting rows: indexing one raises IndexError, which is how
+    the step loop notices a halt. An entry is (target, written symbol, head
+    move -1/+1, counted 0/1), filled in the first time a run needs it, so a
+    run costs the entries it uses rather than the whole table; `fill` fills
+    them all in one pass, for the callers that reach every entry (the trie
+    checks). Unfilled entries and the sentinel column hold None: unpacking
+    it raises TypeError, which is how the step loop notices a tape end or an
+    entry to fill without testing for either on every step.
 
     An entry whose target is its own state holds a _Sweep instead, which
     does not unpack either: the untraced loop then takes the whole run of
@@ -370,10 +372,10 @@ class _CompiledMachine:
     `fields` are allocated by the first traced run and filled with the
     table from then on; untraced runs allocate nothing for traces.
 
-    A tape is a bytearray of symbol numbers framed by sentinels, or an
-    array('L') for a tape alphabet of 256 symbols or more, which gets no
-    sweeps. The compiled form holds no reference to the machine, so caching
-    it there makes no cycle.
+    A tape is a bytearray of symbol numbers framed by sentinels, so a valid
+    machine has at most 255 tape symbols (see validate_machine). The
+    compiled form holds no reference to the machine, so caching it there
+    makes no cycle.
 
     `execute` holds the one step loop: it lays out a tape per start of a
     batch and yields each run's end, its Verdict first. `verdicts`, built
@@ -397,27 +399,24 @@ class _CompiledMachine:
         self.row = dict(zip(self.states, range(0, len(self.states) * width, width)))
         self.code = {s: i for i, s in enumerate(self.symbols)}
         self.start = self.row[m.start_state]
-        self.accept = self.row[m.accept_state]  # the first halting row
         self.verdicts = [Verdict.FUEL_EXHAUSTED] * (len(self.states) - 2) + [
             Verdict.ACCEPTED, Verdict.REJECTED]
         self.inputs = m.input_alphabet
-        size = len(self.states) * width
-        self.table: list = [None] * size  # plain entries, sweeps and None
-        self.sweeps = edge < 256
-        self.tape_type = bytearray if self.sweeps else partial(array, "L")
+        # plain entries, sweeps and None, for every state but the halting two
+        self.table: list = [None] * ((len(self.states) - 2) * width)
         # with every symbol in latin-1, a word encodes and translates as
         # bytes; deleting the bytes of the input or tape alphabet (`spelled`)
         # from it leaves the symbols outside that alphabet
         self.latin: Optional[bytes] = None
-        if self.sweeps and all(ord(s) < 256 for s in self.symbols):
+        if all(ord(s) < 256 for s in self.symbols):
             codes = bytearray(256)
             for s, i in self.code.items():
                 codes[ord(s)] = i
             self.latin = bytes(codes)
             self.spelled = {a: "".join(a).encode("latin-1")
                             for a in (m.input_alphabet, m.tape_alphabet)}
-        self.blank = self.tape_type([0])
-        self.sentinel = self.tape_type([edge])
+        self.blank = bytearray([0])
+        self.sentinel = bytearray([edge])
         self.right_end = self.blank + self.sentinel
         # for traced runs: per entry, the plain entry, never a sweep, and per
         # filled entry, the fields of its StepRecord but the head; allocated
@@ -433,17 +432,17 @@ class _CompiledMachine:
         target, write, move = self.transitions[key]
         plain = self._plain(key, target, write, move)
         if self.table[entry] is None:
-            self.table[entry] = (self._sweep(state, move, plain)
-                                 if target == state and self.sweeps else plain)
+            self.table[entry] = self._sweep(state, move, plain) if target == state else plain
         if self.plain is not None:
             self.plain[entry] = plain
             self.fields[entry] = (state, read, write, move, target, bool(plain[3]))
 
     def fill(self) -> None:
-        """Fill the whole table in one pass, for callers that run a
-        machine on every word up to a length and would otherwise fill most
-        entries one by one. Self-loops go through _fill, so sweeps have one
-        builder, and a self-loop already filled keeps its sweep or the plain
+        """Fill the entry of every transition in one pass, for callers
+        that run a machine on every word up to a length and would otherwise
+        fill most entries one by one; only the sentinel column stays None.
+        Every self-loop becomes a sweep through _fill, the one builder of
+        sweeps, and a self-loop already filled keeps its sweep or the plain
         entry the sweep was put back as. The tables of traced runs stay
         lazy."""
         table, row, code, plain = self.table, self.row, self.code, self._plain
@@ -488,7 +487,7 @@ class _CompiledMachine:
                 if not raw.translate(None, self.spelled[alphabet]):
                     return raw.translate(self.latin)
         elif alphabet.issuperset(word):
-            return self.tape_type(map(self.code.__getitem__, word))
+            return bytes(map(self.code.__getitem__, word))
         bad = next(ch for ch in word if ch not in alphabet)
         raise InvalidInputError(f"symbol {bad!r} not in {what} alphabet")
 
@@ -543,7 +542,7 @@ class _CompiledMachine:
         event. The loop's locals are bound once per batch."""
         table = self.table if keys is None else self.plain
         sentinel, blank, right_end = self.sentinel, self.blank, self.right_end
-        edge, halting, fill = self.edge, self.accept, self._fill
+        edge, fill = self.edge, self._fill
         verdicts, width, size = self.verdicts, self.width, len(table)
         q0 = self.start if q is None else q
         for cells, head in starts:
@@ -569,10 +568,11 @@ class _CompiledMachine:
                             keys.append(e + size * (i - origin))
                             i += d
                             counted += c
-                except TypeError:  # a halting state, a sentinel, an unfilled entry or a sweep
+                except IndexError:  # a halting state: its row lies past the table's end
                     total += k
-                    if q >= halting:  # the two halting rows come last
-                        break
+                    break
+                except TypeError:  # a sentinel, an unfilled entry or a sweep
+                    total += k
                     if tape[i] != edge:
                         entry = q + tape[i]
                         sweep = table[entry]
@@ -653,23 +653,27 @@ def run_configuration(
     or fuel runs out.
 
     config is updated in place to the final configuration, which the result
-    holds. The tape is simulated densely from its lowest to its highest
-    stored cell. With fuel 1 this is the library's one single step: a
-    halted configuration takes no step. A state the machine does not have
-    raises ValueError.
+    holds. A run of fuel steps reads only the cells within fuel of the head,
+    so only the stored cells there are laid out, densely, and the others
+    pass to the final tape unchanged. With fuel 1 this is the library's one
+    single step: a halted configuration takes no step. A state the machine
+    does not have raises ValueError.
     """
     compiled = _compile(m, cost)
     if config.state not in compiled.row:
         raise ValueError(f"configuration state {config.state!r} is not a state of the machine")
-    lo = min(min(config.tape, default=0), config.head)
-    hi = max(max(config.tape, default=0), config.head)
-    cells = [BLANK] * (hi - lo + 1)
+    fuel, head = _positive(fuel), config.head
+    near, far = {}, {}
     for i, sym in config.tape.items():
+        (near if abs(i - head) <= fuel else far)[i] = sym
+    lo, hi = min([*near, head]), max([*near, head])
+    cells = [BLANK] * (hi - lo + 1)
+    for i, sym in near.items():
         cells[i - lo] = sym
     result = compiled.launch(compiled.encode("".join(cells), m.tape_alphabet, "tape"),
-                             config.head, fuel, record_trace, lo, compiled.row[config.state])
-    config.state, config.head, config.tape = (result.final.state, result.final.head,
-                                              result.final.tape)
+                             head, fuel, record_trace, lo, compiled.row[config.state])
+    far.update(result.final.tape)
+    config.state, config.head, config.tape = result.final.state, result.final.head, far
     return replace(result, final=config)
 
 

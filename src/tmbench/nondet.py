@@ -8,9 +8,10 @@ Two certificate deliveries:
                base-2 value of y (empty y = cell 0). This models constant-cost
                array indexing: the seek is paid by the convention, not by steps.
 
-x must be a word over the checker's input alphabet. Inline certificates are
-written on the tape, so their alphabet must hold tape symbols other than
-the blank and '#'; CheckingRelation refuses any other.
+Certificates are words over {0,1}, as in the standard verifier
+definition of NP. x must be a word over the checker's input alphabet.
+Inline certificates are written on the tape, so an inline checker's tape
+alphabet must hold '0', '1' and '#'; CheckingRelation refuses any other.
 
 The search encodes x once and runs the compiled checker through its lean
 batch driver, `outcomes`, which lays out each tape as the dict reference
@@ -22,13 +23,13 @@ run depends only on its head cell, and y and 0y name the same cell, so
 the positioned search takes each cell once, in the numeric order in which
 the canonical walk first meets them; its report is that walk's. A run of
 k steps reads only cells within k - 1 of its start, so the search memoizes
-outcomes by that window and ends at the first window wholly past x.
+outcomes by that window while the radius stays, and ends at the first
+window wholly past x.
 
 One rule bounds the certificate length: decide_nc is decide_nt with the
 identity transform. The admitted lengths are walked upward with a running
 count of their certificates, and a bound that admits more than the budget
-raises CertificateBudgetError; an infinite one over a non-empty alphabet
-raises before any walk.
+raises CertificateBudgetError; an infinite one raises before any walk.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class CertificateBudgetError(RuntimeError):
 class CheckingRelation:
     checker: Machine
     delivery: str
-    certificate_alphabet: frozenset[str] = frozenset({"0", "1"})
 
     def __post_init__(self):
         if self.delivery not in DELIVERIES:
@@ -78,14 +78,9 @@ class CheckingRelation:
                 raise ValueError("inline delivery requires '#' in the checker tape alphabet")
             if SEPARATOR in self.checker.input_alphabet:
                 raise ValueError("'#' must not be an input symbol")
-            writable = self.checker.tape_alphabet - {BLANK, SEPARATOR}
-            if not self.certificate_alphabet <= writable:
+            if not {"0", "1"} <= self.checker.tape_alphabet:
                 raise ValueError(
-                    f"certificate symbols {sorted(self.certificate_alphabet - writable)} "
-                    f"are not tape symbols other than '{BLANK}' and '{SEPARATOR}'")
-        else:
-            if self.certificate_alphabet != frozenset({"0", "1"}):
-                raise ValueError("positioned delivery requires certificates over {0,1}")
+                    "inline delivery requires '0' and '1' in the checker tape alphabet")
 
 
 @dataclass(frozen=True)
@@ -111,24 +106,20 @@ def deliver(rel: CheckingRelation, x: str, y: str) -> Configuration:
     return Configuration(state=m.start_state, tape=tape, head=position)
 
 
-def _max_length(rel: CheckingRelation, g: MeasureFunction, transform: MeasureFunction,
-                x: str, budget: int) -> int:
+def _max_length(g: MeasureFunction, transform: MeasureFunction, x: str, budget: int) -> int:
     """The longest admitted certificate length: 0, which lies within any
     positive bound, and each length l >= 1 with
     T(l) <= g(T(max(|x|,1))) + eps. T is strictly increasing, so the
     admitted lengths are 0, 1, ..., the result. A running count of the
     certificates they admit raises CertificateBudgetError as soon as it
-    passes budget; an infinite bound over a non-empty alphabet raises at
-    once."""
+    passes budget; an infinite bound raises at once."""
     rhs = compose(g, transform, max(len(x), 1)) + EPS
-    size = len(rel.certificate_alphabet)
     max_len, count = 0, 1
-    while count <= budget and not (size and rhs == math.inf):
-        # over an empty alphabet no length past 0 adds a certificate
-        if not size or evaluate(transform, max_len + 1) > rhs:
+    while count <= budget and rhs != math.inf:
+        if evaluate(transform, max_len + 1) > rhs:
             return max_len
         max_len += 1
-        count += size ** max_len
+        count += 2 ** max_len
     raise CertificateBudgetError(
         f"the length bound admits more certificates than the budget {budget}")
 
@@ -149,20 +140,24 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
         # the driver runs each missed cell as the loop appends it
         missed: list = []
         runs = checker.outcomes(zip(repeat(cells), iter(missed.pop, None)), fuel)
+        # the memo holds outcomes of one radius, the latest run's; a run that
+        # changes it empties the memo and is not kept, so a cell costs at most
+        # one slice, and none while the radius changes on every run
         memo: dict = {}
-        radius = -1
+        radius = None  # until the first run
         for c in range(2 ** max_len):
-            key = window(c, radius)
+            key = window(c, radius) if memo else None
             outcome = memo.get(key)
             if outcome is None:
                 missed.append(c)
                 outcome = next(runs)
                 most = max(most, outcome[2])
-                if outcome[1] - 1 != radius:  # a run of k steps reads within k - 1
+                new = outcome[1] - 1  # a run of k steps reads within k - 1
+                if radius is None or new == radius:
+                    memo[window(c, new) if key is None else key] = outcome
+                else:
                     memo.clear()
-                    radius = outcome[1] - 1
-                    key = window(c, radius)
-                memo[key] = outcome
+                radius = new
             if outcome[0] is accepted:
                 # the canonical walk first meets cell c as c in binary, l digits
                 # long, after the 2^l + c - 1 certificates that name cells 0..c-1
@@ -174,7 +169,7 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
     # inline: each certificate gets a fresh tape x#y with the head on x
     symbols = rel.checker.tape_alphabet
     cells += checker.encode(SEPARATOR, symbols, "tape")
-    ys, again = tee(all_words(rel.certificate_alphabet, max_len))
+    ys, again = tee(all_words("01", max_len))
     starts = ((cells + checker.encode(y, symbols, "tape"), 0) for y in again)
     # the empty certificate comes first, so the loop runs at least once
     for tried, (y, (verdict, _, counted)) in enumerate(
@@ -199,7 +194,7 @@ def decide_nc(
     The witness is the first accepting certificate in canonical
     length-then-lexicographic order; acceptance itself is order-free.
     """
-    return _search(rel, _max_length(rel, g, IDENTITY, x, budget), x, cost, fuel)
+    return _search(rel, _max_length(g, IDENTITY, x, budget), x, cost, fuel)
 
 
 def decide_nt(
@@ -214,7 +209,7 @@ def decide_nt(
     """Transformed search: the empty certificate, which lies within any
     positive bound, and the certificates of length |y| >= 1 with
     T(|y|) <= g(T(max(|x|,1))) + eps."""
-    return _search(rel, _max_length(rel, g, transform, x, budget), x, cost, fuel)
+    return _search(rel, _max_length(g, transform, x, budget), x, cost, fuel)
 
 
 def build_demo_machines() -> tuple[Machine, CheckingRelation]:

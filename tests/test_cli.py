@@ -9,8 +9,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tmbench.cli
 from tmbench import (
+    BLANK,
     BUILTIN_LANGUAGES,
+    RIGHT,
     LanguageOracle,
+    Machine,
     build_demo_machines,
     build_trie_machine,
     emit_machine,
@@ -45,6 +48,22 @@ def test_run_exit_status(capsys, scanner_file):
     code, _, _ = invoke(capsys, "run", "--machine", scanner_file,
                         "--input", "001", "--exit-status")
     assert code == 0
+
+
+def test_run_on_a_tape_alphabet_past_255_symbols_is_exit_2(capsys, tmp_path):
+    # a tape cell is a byte: 255 symbols, the blank's included, is the most
+    for size, code in ((255, 0), (256, 2)):
+        symbols = [chr(0x100 + i) for i in range(size - 1)]
+        machine = Machine(frozenset(symbols), frozenset(symbols + [BLANK]),
+                          frozenset({"q", "acc", "rej"}), "q", "acc", "rej",
+                          {("q", s): ("acc", s, RIGHT) for s in symbols + [BLANK]})
+        path = tmp_path / f"wide{size}.tm"
+        path.write_text(emit_machine(machine))
+        result = invoke(capsys, "run", "--machine", str(path), "--input", symbols[-1])
+        assert result[0] == code
+        if code:
+            assert result[1:] == ("", "error: line 0: invalid machine: "
+                                      "tape alphabet has 256 symbols, more than 255\n")
 
 
 def test_run_empty_word_token(capsys, scanner_file):
@@ -171,12 +190,18 @@ def test_profile_all_cap(capsys, scanner_file):
         assert out == ""
 
 
-@pytest.mark.parametrize("lengths", ["-2..1", "-1..-1", "3..2", "1-4", "a..3"])
+BAD_LENGTHS = {"-2..1": "need 0 <= lo <= hi", "-1..-1": "need 0 <= lo <= hi",
+               "3..2": "need 0 <= lo <= hi", "1-4": "must be '<lo>..<hi>'",
+               "a..3": "must be '<lo>..<hi>'", "1..b": "must be '<lo>..<hi>'"}
+
+
+@pytest.mark.parametrize("lengths", list(BAD_LENGTHS))
 def test_profile_bad_lengths_is_exit_2(capsys, scanner_file, lengths):
     code, out, err = invoke(capsys, "profile", "--machine", scanner_file,
                             f"--lengths={lengths}", "--family", "zeros")
     assert code == 2
     assert err.startswith("error:")
+    assert err == f"error: lengths {BAD_LENGTHS[lengths]}, got {lengths!r}\n"
     assert out == ""
 
 

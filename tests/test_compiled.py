@@ -234,7 +234,7 @@ def reference_search(rel, x, max_len, cost, fuel):
     deliver() and run by the dict stepper: (accepted, witness, tried, most)."""
     keys = counted_set(rel.checker, cost)
     tried = most = 0
-    for y in all_words(rel.certificate_alphabet, max_len):
+    for y in all_words("01", max_len):
         tried += 1
         verdict, _, counted, _, _ = reference(rel.checker, deliver(rel, x, y), keys, fuel)
         most = max(most, counted)
@@ -357,19 +357,6 @@ def runs_of_symbols(draw, alphabet):
     runs = draw(st.lists(st.tuples(st.sampled_from(alphabet), st.integers(10, 30)),
                          min_size=1, max_size=4))
     return "".join(symbol * n for symbol, n in runs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_positioned_search_with_a_tape_alphabet_wider_than_a_byte(data):
-    checker = data.draw(wide_machines(machines(st.just("01"))))
-    rel = CheckingRelation(checker, "positioned")
-    assert _compile(checker, COUNT_ALL).tape_type is not bytearray
-    cost = data.draw(cost_models(checker))
-    x = data.draw(runs_of_symbols(sorted(checker.input_alphabet)))
-    max_len = data.draw(st.integers(5, 7))
-    fuel = data.draw(st.one_of(st.integers(1, 12), st.integers(60, 400)))
-    assert search(rel, x, max_len, cost, fuel) == reference_search(rel, x, max_len, cost, fuel)
 
 
 @st.composite
@@ -514,16 +501,6 @@ def test_infinite_bound_exceeds_the_budget():
     rel = build_demo_machines()[1]
     with pytest.raises(CertificateBudgetError):
         decide_nc(rel, MeasureFunction("exp2"), "0" * 1100)
-    # over an empty certificate alphabet the empty certificate is the only
-    # one, under any bound
-    t = {("s", c): ("s", c, RIGHT) for c in "01"}
-    t[("s", "#")] = ("y", "#", RIGHT)
-    t[("s", BLANK)] = ("n", BLANK, RIGHT)
-    seek = Machine(frozenset("01"), frozenset("01#" + BLANK), frozenset("syn"), "s", "y", "n", t)
-    empty = CheckingRelation(seek, "inline", frozenset())
-    exp2 = MeasureFunction("exp2")
-    assert decide_nc(empty, exp2, "0" * 1100).witness == ""
-    assert decide_nt(empty, exp2, IDENTITY, "0" * 1100).certificates_tried == 1
 
 
 def bouncer():
@@ -558,22 +535,24 @@ def test_tape_grows_past_both_ends():
     assert min(result.final.tape) < -30 and max(result.final.tape) > 30
 
 
-def test_tape_alphabet_wider_than_a_byte():
-    """300 tape symbols do not fit a bytearray; the tape widens to array('L')."""
-    symbols = [chr(0x100 + i) for i in range(300)]
-    t = {("s", c): ("s", symbols[(i + 1) % 300], RIGHT) for i, c in enumerate(symbols)}
+def test_a_tape_alphabet_of_255_symbols_matches_the_dict_stepper():
+    """255 tape symbols, the blank's included, fill a byte cell: the sentinel
+    takes code 255. The first state rewrites each cell to the next symbol,
+    and the second sweeps back over them."""
+    symbols = [chr(0x100 + i) for i in range(254)]
+    t = {("s", c): ("s", symbols[(i + 1) % 254], RIGHT) for i, c in enumerate(symbols)}
     t[("s", BLANK)] = ("b", symbols[-1], LEFT)
     for c in symbols:
         t[("b", c)] = ("b", c, LEFT)
     t[("b", BLANK)] = ("acc", BLANK, RIGHT)
     m = Machine(frozenset(symbols), frozenset(symbols + [BLANK]),
                 frozenset({"s", "b", "acc", "rej"}), "s", "acc", "rej", t)
-    word = "".join(symbols[::7])
-    verdict, total, counted, trace, final = reference(
-        m, initial_configuration(m, word), counted_set(m, COUNT_ALL), 1000)
-    result = run(m, word, fuel=1000)
-    assert (result.verdict, result.total_steps, result.trace) == (verdict, total, trace)
-    assert result.final.tape == final.tape
+    assert _compile(m, COUNT_ALL).edge == 255
+    word = "".join(symbols[::7]) * 3
+    for fuel in (20, 105, 1000):
+        check_against_reference(m, word, COUNT_ALL, fuel, record_trace=True)
+        check_against_reference(m, word, COUNT_ALL, fuel)
+    assert sweeps_of(m)
 
 
 # --- sweeps: a self-loop over a run of cells as one macro-step --------------
@@ -685,20 +664,6 @@ def test_traced_and_untraced_runs_share_one_compiled_object(first_traced):
     assert sweeps_of(m, cost)
 
 
-def test_tape_alphabet_wider_than_a_byte_keeps_the_per_step_loop():
-    symbols = [chr(0x100 + i) for i in range(300)]
-    t = {("r", c): ("r", c, RIGHT) for c in symbols}
-    t[("r", BLANK)] = ("l", BLANK, LEFT)
-    t.update({("l", c): ("l", symbols[-1 - i], LEFT) for i, c in enumerate(symbols)})
-    t[("l", BLANK)] = ("acc", BLANK, RIGHT)
-    m = Machine(frozenset(symbols), frozenset(symbols + [BLANK]),
-                frozenset({"r", "l", "acc", "rej"}), "r", "acc", "rej", t)
-    word = "".join(symbols) * 2
-    for fuel in (100, 650, 2000):
-        check_against_reference(m, word, COUNT_ALL, fuel)
-    assert not sweeps_of(m)
-
-
 def test_ping_pong_entries_go_back_to_plain_steps():
     """One-cell runs cost more as sweeps than as steps: after a trial the
     entries hold their plain tuples again, and the run stays exact."""
@@ -774,36 +739,6 @@ def test_traced_runs_after_untraced_runs_put_sweeps(data):
     check_against_reference(m, word, cost, fuel)
 
 
-@st.composite
-def wide_machines(draw, base=machines()):
-    """A machine of base (`machines()` by default) with 256 more tape
-    symbols, so that its tape is an array('L'): wide symbol j reads like
-    tape symbol j modulo the tape alphabet's size, and a drawn set of
-    entries writes a wide symbol instead of their own."""
-    m = draw(base)
-    tape = sorted(m.tape_alphabet)
-    wide = [chr(0x100 + j) for j in range(256)]
-    transitions = dict(m.transitions)
-    for q in {q for q, _ in m.transitions}:
-        for j, symbol in enumerate(wide):
-            transitions[(q, symbol)] = m.transitions[(q, tape[j % len(tape)])]
-    for key in draw(st.sets(st.sampled_from(sorted(m.transitions)))):
-        target, _, move = transitions[key]
-        transitions[key] = (target, draw(st.sampled_from(wide)), move)
-    return dataclasses.replace(m, tape_alphabet=m.tape_alphabet | set(wide),
-                               transitions=transitions)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_traced_runs_on_a_tape_alphabet_wider_than_a_byte(data):
-    m = data.draw(wide_machines())
-    cost = data.draw(cost_models(m))
-    word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
-    check_traced(m, word, cost, data.draw(fuels))
-    assert not _compile(m, cost).sweeps
-
-
 # --- traced runs share one record per distinct (entry, head) key ---------------
 
 def bb5():
@@ -868,7 +803,7 @@ def encoding(compiled, word):
     return [compiled.code[ch] for ch in word]
 
 
-@pytest.mark.parametrize("symbols", ["01", "0é", "01αβ", [chr(0x100 + i) for i in range(300)]])
+@pytest.mark.parametrize("symbols", ["01", "0é", "01αβ"])
 def test_encode_matches_the_symbol_numbers(symbols):
     m = Machine(frozenset(symbols), frozenset([*symbols, BLANK]),
                 frozenset({"q", "acc", "rej"}), "q", "acc", "rej",
@@ -965,26 +900,20 @@ def test_parsed_machine_is_not_validated_again(monkeypatch):
 
 # --- certificate budget as a running count -----------------------------------
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-def test_budget_check_matches_the_sum(k):
-    t = {("s", c): ("n", c, RIGHT) for c in "0123#" + BLANK}
-    checker = Machine(frozenset("0"), frozenset("0123#" + BLANK), frozenset("syn"), "s", "y",
-                      "n", t)
-    rel = CheckingRelation(checker, "inline", frozenset("0123"[:k]))
+def test_budget_check_matches_the_sum():
     # slope 1/2 on a word of length 2*max_len admits the lengths 0..max_len
     half = MeasureFunction("linear", a=0.5)
     for max_len in range(12):
-        total = sum(k ** length for length in range(max_len + 1))
+        total = sum(2 ** length for length in range(max_len + 1))
         x = "0" * (2 * max_len)
         for budget in {1, total - 1, total, total + 1, 10 ** 6}:
             if budget < 1:
                 continue
             if total > budget:
                 with pytest.raises(CertificateBudgetError):
-                    _max_length(rel, half, IDENTITY, x, budget)
+                    _max_length(half, IDENTITY, x, budget)
             else:
-                # over an empty alphabet no length past 0 adds a certificate
-                assert _max_length(rel, half, IDENTITY, x, budget) == (max_len if k else 0)
+                assert _max_length(half, IDENTITY, x, budget) == max_len
 
 
 def test_linear_bound_on_long_input_exceeds_budget_at_once():
@@ -1004,7 +933,7 @@ def filled_one_by_one(m, cost):
     """A fresh compiled table of m under cost with every entry filled by
     _fill, as the runs fill them lazily."""
     compiled = _CompiledMachine(m, None if cost == COUNT_ALL else counted_set(m, cost))
-    for row in range(0, compiled.accept, compiled.width):
+    for row in range(0, len(compiled.table), compiled.width):
         for symbol in range(compiled.edge):
             compiled._fill(row + symbol)
     return compiled
@@ -1032,11 +961,9 @@ def check_fill(m, cost):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_fill_matches_lazy_fills_and_runs_after_it_match_the_dict_stepper(data):
-    m = data.draw(st.one_of(machines(), looping_machines(), wide_machines()))
+    m = data.draw(st.one_of(machines(), looping_machines()))
     cost = data.draw(cost_models(m))
-    compiled = check_fill(m, cost)
-    if not compiled.sweeps:
-        assert not any(isinstance(entry, _Sweep) for entry in compiled.table)
+    check_fill(m, cost)
     for _ in range(data.draw(st.integers(1, 3))):
         word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=40))
         fuel = data.draw(st.one_of(st.integers(1, 40), fuels))

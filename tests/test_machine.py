@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import signal
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -110,6 +111,26 @@ def test_every_defect_kind_in_order():
     ]
 
 
+def wide_machine(size):
+    """A machine over size tape symbols, the blank's included, that accepts
+    on its first step."""
+    symbols = [chr(0x100 + i) for i in range(size - 1)]
+    return Machine(frozenset(symbols), frozenset(symbols + [BLANK]),
+                   frozenset({"q", "acc", "rej"}), "q", "acc", "rej",
+                   {("q", s): ("acc", s, RIGHT) for s in symbols + [BLANK]})
+
+
+def test_a_tape_alphabet_past_255_symbols_is_a_defect():
+    # a tape cell is a byte, and one code past the symbols' is the sentinel
+    assert validate_machine(wide_machine(255)) == []
+    assert run(wide_machine(255), chr(0x100)).verdict is Verdict.ACCEPTED
+    for size in (256, 300):
+        message = f"tape alphabet has {size} symbols, more than 255"
+        assert validate_machine(wide_machine(size)) == [message]
+        with pytest.raises(ValueError, match=f"^invalid machine: {message}$"):
+            run(wide_machine(size), chr(0x100))
+
+
 def test_total_table_with_extra_keys_reports_only_the_extras():
     # keys outside (non-halting state) x (tape alphabet) must not make up
     # for a missing one, nor be counted as one
@@ -190,6 +211,21 @@ def test_run_configuration_names_an_unknown_state(record_trace):
     assert (config.state, config.tape, config.head) == ("nope", {}, 0)
     # the machine still runs after the refusal
     assert run(m, "01", COUNT_ALL, fuel=10).verdict is Verdict.ACCEPTED
+
+
+@pytest.mark.parametrize("head, verdict, heads", [
+    (0, Verdict.REJECTED, [0, 1]),  # reads '0', then the blank at 1
+    (10 ** 12, Verdict.ACCEPTED, [10 ** 12, 10 ** 12 + 1]),  # reads '0', then '1'
+])
+def test_run_configuration_lays_out_only_the_cells_near_the_head(head, verdict, heads):
+    # cells 10^12 apart: a run of fuel 5 reads only those within 5 of its head
+    tape = {0: "0", 10 ** 12: "0", 10 ** 12 + 1: "1"}
+    config = Configuration("q_scan", dict(tape), head)
+    start = time.process_time()
+    result = run_configuration(scanner(), config, COUNT_ALL, 5, record_trace=True)
+    assert time.process_time() - start < 0.5
+    assert result.verdict is verdict and [r.head for r in result.trace] == heads
+    assert config.tape == tape and config.head == heads[-1] + 1
 
 
 @contextmanager

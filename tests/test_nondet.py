@@ -1,5 +1,5 @@
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,6 +17,7 @@ from tmbench import (
     decide_nc,
     decide_nt,
     run,
+    validate_machine,
 )
 from tmbench.machine import all_words
 from tmbench.nondet import deliver
@@ -254,10 +255,28 @@ def test_inline_separator_must_not_be_an_input_symbol():
         CheckingRelation(checker=hash_input, delivery="inline")
 
 
-def test_positioned_requires_binary_certificates():
-    with pytest.raises(ValueError):
-        CheckingRelation(checker=demo_checker().checker, delivery="positioned",
-                         certificate_alphabet=frozenset({"a", "b"}))
+def test_a_relation_is_its_checker_and_delivery():
+    # certificates are words over {0,1} for both deliveries: no alphabet field
+    assert [f.name for f in fields(CheckingRelation)] == ["checker", "delivery"]
+    for delivery in ("positioned", "inline"):
+        with pytest.raises(TypeError):
+            CheckingRelation(checker=inline_checker().checker, delivery=delivery,
+                             certificate_alphabet=frozenset({"0", "1"}))
+
+
+@pytest.mark.parametrize("missing", ["0", "1"])
+def test_inline_requires_the_certificate_symbols(missing):
+    # an inline certificate is written on the tape, so '0' and '1' must be tape symbols
+    checker = inline_checker().checker
+    kept = "01".replace(missing, "")
+    bad = replace(checker, input_alphabet=frozenset(kept),
+                  tape_alphabet=checker.tape_alphabet - {missing},
+                  transitions={key: value for key, value in checker.transitions.items()
+                               if key[1] != missing})
+    assert validate_machine(bad) == []
+    with pytest.raises(ValueError, match="requires '0' and '1' in the checker tape alphabet"):
+        CheckingRelation(checker=bad, delivery="inline")
+    assert CheckingRelation(checker=bad, delivery="positioned").delivery == "positioned"
 
 
 def test_search_reads_x_over_the_input_alphabet():
@@ -269,23 +288,9 @@ def test_search_reads_x_over_the_input_alphabet():
         decide_nc(demo_checker(), LOG11, "0_1")
 
 
-@pytest.mark.parametrize("alphabet", [{"a"}, {"0", "a"}, {BLANK}, {"#"}, {"1", "#"}])
-def test_inline_certificate_alphabet_must_be_writable(alphabet):
-    with pytest.raises(ValueError, match="certificate symbols"):
-        CheckingRelation(inline_checker().checker, "inline", frozenset(alphabet))
-
-
-def test_inline_certificate_alphabet_inside_the_tape_alphabet():
-    for alphabet in ({"0"}, {"1"}, {"0", "1"}, set()):
-        rel = CheckingRelation(inline_checker().checker, "inline", frozenset(alphabet))
-        report = decide_nc(rel, MeasureFunction("linear", a=1, b=0), "00")
-        assert report.accepted == ("1" in alphabet)
-
-
-def test_infinite_bound_over_one_symbol_raises_at_once():
-    # 2^1100 is past the largest double: the bound is infinite, and a
-    # one-symbol alphabet adds only one certificate per length
-    rel = CheckingRelation(inline_checker().checker, "inline", frozenset({"0"}))
+def test_infinite_bound_raises_at_once():
+    # 2^1100 is past the largest double: the bound is infinite
+    rel = inline_checker()
     start = time.process_time()
     with pytest.raises(CertificateBudgetError):
         decide_nc(rel, MeasureFunction("exp2"), "0" * 1100)
