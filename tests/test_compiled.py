@@ -360,6 +360,48 @@ def runs_of_symbols(draw, alphabet):
 
 
 @st.composite
+def full_byte_machines(draw, base=machines()):
+    """A machine of base (`machines()` by default) widened to 255 tape
+    symbols, the most a byte cell holds beside the sentinel: wide symbol j
+    reads like tape symbol j modulo the base's tape alphabet size, and a
+    drawn set of entries writes a wide symbol instead of their own."""
+    m = draw(base)
+    tape = sorted(m.tape_alphabet)
+    wide = [chr(0x100 + j) for j in range(255 - len(tape))]
+    transitions = dict(m.transitions)
+    for q in {q for q, _ in m.transitions}:
+        for j, symbol in enumerate(wide):
+            transitions[(q, symbol)] = m.transitions[(q, tape[j % len(tape)])]
+    for key in draw(st.sets(st.sampled_from(sorted(m.transitions)))):
+        target, _, move = transitions[key]
+        transitions[key] = (target, draw(st.sampled_from(wide)), move)
+    return dataclasses.replace(m, tape_alphabet=m.tape_alphabet | set(wide),
+                               transitions=transitions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_positioned_search_with_a_tape_alphabet_of_255_symbols(data):
+    checker = data.draw(full_byte_machines(machines(st.just("01"))))
+    rel = CheckingRelation(checker, "positioned")
+    assert _compile(checker, COUNT_ALL).edge == 255
+    cost = data.draw(cost_models(checker))
+    x = data.draw(runs_of_symbols(sorted(checker.input_alphabet)))
+    max_len = data.draw(st.integers(5, 7))
+    fuel = data.draw(st.one_of(st.integers(1, 12), st.integers(60, 400)))
+    assert search(rel, x, max_len, cost, fuel) == reference_search(rel, x, max_len, cost, fuel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_traced_runs_on_a_tape_alphabet_of_255_symbols(data):
+    m = data.draw(full_byte_machines())
+    cost = data.draw(cost_models(m))
+    word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
+    check_traced(m, word, cost, data.draw(fuels))
+
+
+@st.composite
 def stepped_checkers(draw):
     """A positioned checker that takes a drawn number of steps, 1 to 4, per
     start symbol, those of '0' and '1' unequal, moving a drawn way; its last
@@ -803,7 +845,7 @@ def encoding(compiled, word):
     return [compiled.code[ch] for ch in word]
 
 
-@pytest.mark.parametrize("symbols", ["01", "0é", "01αβ"])
+@pytest.mark.parametrize("symbols", ["01", "0é", "01αβ", [chr(0x100 + i) for i in range(254)]])
 def test_encode_matches_the_symbol_numbers(symbols):
     m = Machine(frozenset(symbols), frozenset([*symbols, BLANK]),
                 frozenset({"q", "acc", "rej"}), "q", "acc", "rej",
@@ -900,11 +942,13 @@ def test_parsed_machine_is_not_validated_again(monkeypatch):
 
 # --- certificate budget as a running count -----------------------------------
 
-def test_budget_check_matches_the_sum():
-    # slope 1/2 on a word of length 2*max_len admits the lengths 0..max_len
-    half = MeasureFunction("linear", a=0.5)
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_budget_check_matches_the_sum(k):
+    # slope 1/2 and offset k on a word of length 2*max_len admit the
+    # lengths 0..max_len + k
+    half = MeasureFunction("linear", a=0.5, b=k)
     for max_len in range(12):
-        total = sum(2 ** length for length in range(max_len + 1))
+        total = sum(2 ** length for length in range(max_len + k + 1))
         x = "0" * (2 * max_len)
         for budget in {1, total - 1, total, total + 1, 10 ** 6}:
             if budget < 1:
@@ -913,7 +957,7 @@ def test_budget_check_matches_the_sum():
                 with pytest.raises(CertificateBudgetError):
                     _max_length(half, IDENTITY, x, budget)
             else:
-                assert _max_length(half, IDENTITY, x, budget) == max_len
+                assert _max_length(half, IDENTITY, x, budget) == max_len + k
 
 
 def test_linear_bound_on_long_input_exceeds_budget_at_once():

@@ -279,6 +279,51 @@ def test_inline_requires_the_certificate_symbols(missing):
     assert CheckingRelation(checker=bad, delivery="positioned").delivery == "positioned"
 
 
+@pytest.mark.parametrize("alphabet", [{"a"}, {"0", "a"}, {BLANK}, {"#"}, {"1", "#"}])
+def test_inline_certificate_alphabet_must_be_writable(alphabet):
+    # a checker whose tape symbols beside '#' and the blank are alphabet
+    # cannot have {0,1} certificates written on its tape
+    tape = frozenset(alphabet) | {"a", "#", BLANK}
+    checker = Machine(frozenset({"a"}), tape, frozenset("syn"), "s", "y", "n",
+                      {("s", c): ("n", c, RIGHT) for c in tape})
+    assert validate_machine(checker) == []
+    with pytest.raises(ValueError, match="requires '0' and '1' in the checker tape alphabet"):
+        CheckingRelation(checker, "inline")
+
+
+def test_inline_certificate_alphabet_inside_the_tape_alphabet():
+    # tape symbols past '0', '1' and '#' add no certificates: the search
+    # tries the words over {0,1} alone
+    checker = inline_checker().checker
+    wide = replace(checker, tape_alphabet=checker.tape_alphabet | {"a", "b"},
+                   transitions={**checker.transitions,
+                                **{(q, c): ("q_reject", c, RIGHT)
+                                   for q in ("q_seek", "q_read") for c in "ab"}})
+    rel = CheckingRelation(wide, "inline")
+    bound = MeasureFunction("linear", a=1, b=0)
+    report = decide_nc(rel, bound, "00")
+    assert (report.accepted, report.witness, report.certificates_tried) == (True, "1", 3)
+    report = decide_nc(rel, bound, "")
+    assert (report.accepted, report.witness, report.certificates_tried) == (True, "1", 3)
+    report = decide_nt(rel, bound, IDENTITY, "00")
+    assert report.witness == "1"
+
+
+def test_positioned_requires_binary_certificates():
+    # a positioned certificate names a cell by its base-2 value, so the
+    # search tries words over {0,1} even when no '0' or '1' is a tape symbol
+    t = {("s", "a"): ("n", "a", RIGHT), ("s", "b"): ("y", "b", RIGHT),
+         ("s", BLANK): ("n", BLANK, RIGHT)}
+    seek_b = Machine(frozenset("ab"), frozenset("ab" + BLANK), frozenset("syn"), "s", "y",
+                     "n", t)
+    rel = CheckingRelation(seek_b, "positioned")
+    report = decide_nc(rel, MeasureFunction("linear", a=1, b=0), "aab")
+    assert (report.accepted, report.witness, report.certificates_tried) == (True, "10", 6)
+    report = decide_nc(rel, MeasureFunction("linear", a=1, b=0), "aaa")
+    assert (report.accepted, report.witness) == (False, None)
+    assert report.certificates_tried == len(list(all_words("01", 3)))
+
+
 def test_search_reads_x_over_the_input_alphabet():
     # '#' and the blank are tape symbols, but not input symbols
     for x in ("0#1", "0_1", "#"):
