@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or parse error, 3 a verification command
-found a counterexample. `run --exit-status` maps the verdict itself:
-accepted 0, rejected 1, fuel exhausted 4.
+Exit codes: 0 success, 2 usage or parse error (or a run out of memory), 3
+a verification command found a counterexample. `run --exit-status` maps
+the verdict itself: accepted 0, rejected 1, fuel exhausted 4.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def cmd_run(args) -> int:
 
 def cmd_gen_trie(args) -> int:
     report = build_trie_machine(load_language(args.lang), args.n)
-    text = emit_machine(report.machine)
+    text = emit_machine(report.listing())
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -307,8 +307,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (MachineParseError, CertificateBudgetError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # a MemoryError, from a tape that a large --fuel lets grow, has no message
+    except (MachineParseError, CertificateBudgetError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

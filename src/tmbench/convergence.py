@@ -7,6 +7,14 @@ membership lookup baked in at construction time. The machine accepts exactly
 the words of L with length <= n, in |w| + 1 steps; longer words are rejected
 on the (n+1)-th symbol.
 
+A built trie is its oracle's answers, one byte per prefix in heap order
+(all_words order: prefix h's children are 2h+1 and 2h+2). Each view of it
+is computed from them when it is needed, and only then: the integer table
+that verification and convergence run (_trie_table), the listing that
+gen-trie writes in sorted order, which is the trie's preorder
+(TrieMachineReport.listing), and the Machine with its transitions dict,
+for a caller that reads `machine`.
+
 The trie sequence converges to L on the words of length <= k from some
 index n_k on. find_convergence_index finds it by running the tries from
 depth k downward and stopping at the first that disagrees, so a language
@@ -17,11 +25,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from tmbench.cost import COUNT_ALL
-from tmbench.machine import BLANK, RIGHT, Machine, Verdict, _compile, _mark_valid, all_words
+from tmbench.machine import (BLANK, RIGHT, Machine, Verdict, _compile, _CompiledMachine,
+                             _mark_valid, all_words)
+from tmbench.textfmt import Listing
 
 MAX_TRIE_DEPTH = 20
 MAX_CONVERGENCE_K = 12
@@ -91,10 +101,56 @@ class LanguageOracle:
 
 @dataclass(frozen=True)
 class TrieMachineReport:
+    """A depth-n trie machine and the cost of its build.
+
+    The report build_trie_machine returns holds the oracle's answers, one
+    byte per prefix in heap order, and builds `machine`, with its
+    transitions dict, only when that is first read. Verification runs the
+    table the answers give (_trie_table) and gen-trie writes their listing,
+    so neither builds the dict. A report built by hand holds its machine,
+    and verification runs that machine."""
+
     machine: Machine
     n: int
     oracle_queries: int
     state_count: int
+
+    def __getattr__(self, name):
+        if name != "machine" or "_answers" not in self.__dict__:
+            raise AttributeError(name)
+        states, start, accept, reject, inputs, tape, rows = self.listing()
+        self.__dict__["machine"] = machine = Machine(
+            *map(frozenset, (inputs, tape, states)), start, accept, reject, dict(rows))
+        # total over {0,1,_} for every non-halting state by construction, so
+        # running or verifying it skips validate_machine
+        _mark_valid(machine)
+        return machine
+
+    def listing(self) -> Listing:
+        """The built machine as its file lists it, with no sort and no
+        transitions dict. The state for a prefix is named after it ("q_"
+        is the empty prefix and the start state), which keeps words with
+        leading zeros distinct, so sorted names list the prefixes in
+        preorder, then the halting states. Each state's transitions on 0, 1
+        and blank follow in that order, generated once, as they are read.
+        Consumed symbols are overwritten with blank, and the bits of the
+        depth-n prefixes go to reject."""
+        n, accept, reject = self.n, "q_accept", "q_reject"
+        # the preorder of depth n: the empty prefix, then the preorder of
+        # depth n - 1 under 0, then under 1
+        preorder = [""]
+        for _ in range(n):
+            preorder = [""] + ["0" + p for p in preorder] + ["1" + p for p in preorder]
+        member = dict(zip(all_words("01", n), self._answers))
+        names = ["q_" + p for p in preorder]
+
+        def rows():
+            for p, q in zip(preorder, names):
+                zero, one = (q + "0", q + "1") if len(p) < n else (reject, reject)
+                yield (q, "0"), (zero, BLANK, RIGHT)
+                yield (q, "1"), (one, BLANK, RIGHT)
+                yield (q, BLANK), (accept if member[p] else reject, BLANK, RIGHT)
+        return Listing(names + [accept, reject], "q_", accept, reject, "01", "01" + BLANK, rows())
 
 
 @dataclass(frozen=True)
@@ -104,57 +160,42 @@ class ConvergenceReport:
     verified_words: int
 
 
-def _state_name(prefix: str) -> str:
-    return "q_" + prefix
-
-
 def build_trie_machine(L: LanguageOracle, n: int) -> TrieMachineReport:
-    """Compile the oracle into the depth-n trie machine.
-
-    States are named after the prefix read so far ("q_" is the empty prefix
-    and the start state), which keeps words with leading zeros distinct.
-    Consumed symbols are overwritten with blank. The oracle is asked once
-    per prefix, in all_words order, and its answer read by its truth.
-    """
+    """The depth-n trie machine of the oracle, as a report that holds L's
+    answers and builds the machine from them on first read (see
+    TrieMachineReport). L is asked once per prefix, in all_words order, and
+    its answer read by its truth."""
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if n > MAX_TRIE_DEPTH:
-        raise TrieSizeError(
-            f"depth {n} needs 2^{n + 1}+1 states, "
-            f"over the budget (max depth {MAX_TRIE_DEPTH})"
-        )
-    accept, reject = "q_accept", "q_reject"
-    # in all_words order the prefixes form a heap: prefix h's children are
-    # 2h+1 and 2h+2, and the 2^n depth-n prefixes, whose children are the
-    # depth cap's rejections, come last. So the moves into every state but
-    # the root, then the rejections, pair up as each prefix's bit-0 and
-    # bit-1 moves.
-    prefixes = list(all_words("01", n))
-    names = [_state_name(prefix) for prefix in prefixes]
-    moves = [(q, BLANK, RIGHT) for q in names[1:]] + [(reject, BLANK, RIGHT)] * 2 ** (n + 1)
-    accepting, rejecting = (accept, BLANK, RIGHT), moves[-1]
-    transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for q, zero, one, prefix in zip(names, moves[::2], moves[1::2], prefixes):
-        transitions[(q, "0")] = zero
-        transitions[(q, "1")] = one
-        transitions[(q, BLANK)] = accepting if L(prefix) else rejecting
-    states = frozenset({accept, reject, *names})
+        raise TrieSizeError(f"depth {n} needs 2^{n + 1}+1 states, "
+                            f"over the budget (max depth {MAX_TRIE_DEPTH})")
+    answers = bytes(map(bool, map(L, all_words("01", n))))
+    report = object.__new__(TrieMachineReport)  # its machine is built on first read
+    report.__dict__.update(n=n, oracle_queries=len(answers), state_count=len(answers) + 2,
+                           _answers=answers)
+    return report
 
-    machine = Machine(
-        input_alphabet=frozenset({"0", "1"}),
-        tape_alphabet=frozenset({"0", "1", BLANK}),
-        states=states,
-        start_state=_state_name(""),
-        accept_state=accept,
-        reject_state=reject,
-        transitions=transitions,
-    )
-    # total over {0,1,_} for every non-halting state by construction, so
-    # running or verifying it skips validate_machine
-    _mark_valid(machine)
-    return TrieMachineReport(
-        machine=machine, n=n, oracle_queries=len(prefixes), state_count=len(states)
-    )
+
+def _trie_table(report: TrieMachineReport) -> _CompiledMachine:
+    """report's machine compiled under COUNT_ALL with every entry filled.
+
+    A built report's comes straight from its answers. In all_words order
+    the prefixes form a heap: prefix h's children are 2h+1 and 2h+2, and
+    the depth-n prefixes come last. With the symbols numbered blank, 0, 1,
+    prefix h is row 4h, its bit b moves to row 4(2h+1+b), or to reject
+    past the last prefix, and blank to accept or reject by h's answer;
+    accept and reject are the rows after the last prefix's.
+    """
+    answers = report.__dict__.get("_answers")
+    if answers is None:
+        return _compile(report.machine, COUNT_ALL).fill()
+    accept, reject = (4 * len(answers), 0, 1, 1), (4 * len(answers) + 4, 0, 1, 1)
+    # the moves into every row but the root's, then the depth cap's rejections
+    moves = [(row, 0, 1, 1) for row in range(4, accept[0], 4)] + [reject] * (len(answers) + 1)
+    lookups = [accept if member else reject for member in answers]
+    table = list(chain.from_iterable(zip(lookups, moves[0::2], moves[1::2], repeat(None))))
+    return _CompiledMachine.from_columns([BLANK, "0", "1"], frozenset("01"), table)
 
 
 def _long_word_sample(n: int) -> list[str]:
@@ -173,11 +214,9 @@ def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = 
     words of length n+1. Returns the words on which it does not halt with
     L's verdict (the longer ones must be rejected; none are looked for when
     L is None) and whether every run took min(|w|, n) + 1 steps."""
-    trie, n = _compile(report.machine, COUNT_ALL), report.n
-    trie.fill()
+    trie, n = _trie_table(report), report.n
     accepted, rejected = Verdict.ACCEPTED, Verdict.REJECTED
-    counterexamples = []
-    steps_ok = True
+    counterexamples, steps_ok = [], True
     for word, (verdict, total, _) in trie.on_words(
             chain(all_words("01", n), _long_word_sample(n)), n + 4):
         if L is not None and verdict is not (accepted if len(word) <= n and L(word) else rejected):
@@ -227,8 +266,7 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> Convergenc
     known = LanguageOracle(dict(zip(words, answers)).__getitem__)
     n_k: Optional[int] = None
     for n in range(k, -1, -1):
-        trie = _compile(build_trie_machine(known, n).machine, COUNT_ALL)
-        trie.fill()
+        trie = _trie_table(build_trie_machine(known, n))
         if any((verdict is Verdict.ACCEPTED) != member
                for (_, (verdict, _, _)), member in zip(trie.on_words(words, n + 4), answers)):
             break

@@ -21,13 +21,16 @@ driver `outcomes`, which binds the loop's locals once per batch and yields
 step is `run_configuration` with fuel 1; the tests keep a dict-based
 stepper as the reference the compiled loop is checked against.
 
-The compiled table is filled entry by entry as runs reach its entries, so a
-single run on a large machine costs only the entries it uses. `verify_trie`
-and each trie of `find_convergence_index` run the trie on every word up to
-its depth, so they reach every entry, and a lazy fill costs a loop exit and
-re-entry per entry: they fill the whole table first in one pass
-(`_CompiledMachine.fill`). The CLI's profile stays lazy, since its
-`--lengths` may reach only a few entries of a large machine.
+The compiled table of a Machine is filled entry by entry as runs reach its
+entries, so a single run on a large machine costs only the entries it
+uses, and the CLI's profile, whose `--lengths` may reach only a few entries
+of a large machine, stays lazy. A caller that has the whole table in
+integers builds the compiled form from it (`_CompiledMachine.from_columns`)
+with no Machine at all: `verify_trie` and each trie of
+`find_convergence_index` run a built trie on the table its oracle's answers
+give. A trie report built by hand is compiled from its machine and filled
+in one pass (`_CompiledMachine.fill`), since verification reaches every
+entry and a lazy fill costs a loop exit and re-entry per entry.
 
 `all_words` is the one enumeration of words in length-then-lexicographic
 order: the certificate search, trie synthesis and verification, and the
@@ -351,10 +354,12 @@ class _CompiledMachine:
     the step loop notices a halt. An entry is (target, written symbol, head
     move -1/+1, counted 0/1), filled in the first time a run needs it, so a
     run costs the entries it uses rather than the whole table; `fill` fills
-    them all in one pass, for the callers that reach every entry (the trie
-    checks). Unfilled entries and the sentinel column hold None: unpacking
-    it raises TypeError, which is how the step loop notices a tape end or an
-    entry to fill without testing for either on every step.
+    them all in one pass, for a caller that reaches every entry (the checks
+    of a trie built by hand), and `from_columns` takes a table that is
+    complete already, with no names (a built trie's). Unfilled entries and
+    the sentinel column hold None: unpacking it raises TypeError, which is
+    how the step loop notices a tape end or an entry to fill without
+    testing for either on every step.
 
     An entry whose target is its own state holds a _Sweep instead, which
     does not unpack either: the untraced loop then takes the whole run of
@@ -391,38 +396,54 @@ class _CompiledMachine:
     def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
         self.transitions = m.transitions
         self.counted_keys = counted_keys  # None counts every entry
-        self.symbols = [BLANK] + sorted(m.tape_alphabet - {BLANK})
-        self.edge = edge = len(self.symbols)
-        self.width = width = edge + 1
         self.states = list(m.states - {m.accept_state, m.reject_state})
         self.states += [m.accept_state, m.reject_state]
+        width = len(m.tape_alphabet) + 1
         self.row = dict(zip(self.states, range(0, len(self.states) * width, width)))
-        self.code = {s: i for i, s in enumerate(self.symbols)}
-        self.start = self.row[m.start_state]
-        self.verdicts = [Verdict.FUEL_EXHAUSTED] * (len(self.states) - 2) + [
-            Verdict.ACCEPTED, Verdict.REJECTED]
-        self.inputs = m.input_alphabet
         # plain entries, sweeps and None, for every state but the halting two
-        self.table: list = [None] * ((len(self.states) - 2) * width)
+        self._columns([BLANK] + sorted(m.tape_alphabet - {BLANK}), m.input_alphabet,
+                      [None] * ((len(self.states) - 2) * width), self.row[m.start_state])
+
+    @classmethod
+    def from_columns(cls, symbols: list[str], inputs: frozenset[str], table: list):
+        """A compiled machine from a ready table in integers, with no names:
+        symbols are numbered in their order, blank first, and table holds
+        the rows of every state but the halting two, the start state's
+        first, and the halting rows, accept's then reject's, follow its
+        end. Every entry but the sentinel column's must be plain, so
+        nothing is filled or swept by name. It runs through the lean
+        driver (outcomes, on_words): without state names it has no final
+        configuration or trace to build."""
+        return cls.__new__(cls)._columns(symbols, inputs, table, 0)
+
+    def _columns(self, symbols: list[str], inputs: frozenset[str], table: list, start: int):
+        """Set the attributes that follow from the symbols and the table;
+        returns self."""
+        self.symbols, self.inputs, self.table, self.start = symbols, inputs, table, start
+        self.edge, self.width = len(symbols), len(symbols) + 1
+        self.code = {s: i for i, s in enumerate(symbols)}
+        self.verdicts = [Verdict.FUEL_EXHAUSTED] * (len(table) // self.width) + [
+            Verdict.ACCEPTED, Verdict.REJECTED]
         # with every symbol in latin-1, a word encodes and translates as
         # bytes; deleting the bytes of the input or tape alphabet (`spelled`)
         # from it leaves the symbols outside that alphabet
         self.latin: Optional[bytes] = None
-        if all(ord(s) < 256 for s in self.symbols):
+        if all(ord(s) < 256 for s in symbols):
             codes = bytearray(256)
             for s, i in self.code.items():
                 codes[ord(s)] = i
             self.latin = bytes(codes)
             self.spelled = {a: "".join(a).encode("latin-1")
-                            for a in (m.input_alphabet, m.tape_alphabet)}
+                            for a in (inputs, frozenset(symbols))}
         self.blank = bytearray([0])
-        self.sentinel = bytearray([edge])
+        self.sentinel = bytearray([self.edge])
         self.right_end = self.blank + self.sentinel
         # for traced runs: per entry, the plain entry, never a sweep, and per
         # filled entry, the fields of its StepRecord but the head; allocated
         # by the first traced run and filled with the table from then on
         self.plain: Optional[list] = None
         self.fields: Optional[dict] = None
+        return self
 
     def _fill(self, entry: int) -> None:
         """Fill the table entry if it is empty, and its plain entry and
@@ -437,23 +458,20 @@ class _CompiledMachine:
             self.plain[entry] = plain
             self.fields[entry] = (state, read, write, move, target, bool(plain[3]))
 
-    def fill(self) -> None:
-        """Fill the entry of every transition in one pass, for callers
-        that run a machine on every word up to a length and would otherwise
-        fill most entries one by one; only the sentinel column stays None.
-        Every self-loop becomes a sweep through _fill, the one builder of
-        sweeps, and a self-loop already filled keeps its sweep or the plain
-        entry the sweep was put back as. The tables of traced runs stay
-        lazy."""
-        table, row, code, plain = self.table, self.row, self.code, self._plain
-        for key, (target, write, move) in self.transitions.items():
-            state, read = key
-            entry = row[state] + code[read]
-            if target == state:
-                if table[entry] is None:
-                    self._fill(entry)
-            else:
-                table[entry] = plain(key, target, write, move)
+    def fill(self) -> _CompiledMachine:
+        """Fill every empty entry through _fill in one pass, for a caller
+        that runs a machine on every word up to a length and would
+        otherwise fill most entries one by one, each at a loop exit; only
+        the sentinel column stays None. An entry already filled keeps its
+        sweep or the plain entry a sweep was put back as. The tables of
+        traced runs stay lazy. Returns self."""
+        plain, self.plain = self.plain, None  # so that _fill leaves the traced tables
+        for state, read in self.transitions:
+            entry = self.row[state] + self.code[read]
+            if self.table[entry] is None:
+                self._fill(entry)
+        self.plain = plain
+        return self
 
     def _plain(self, key: tuple[str, str], target: str, write: str, move: str) -> tuple:
         """The plain entry (row, code, +-1, counted) of the transition at key."""
@@ -647,7 +665,7 @@ def run_configuration(
     config: Configuration,
     cost: CostModel,
     fuel: int,
-    record_trace: bool = True,
+    record_trace: bool = False,
 ) -> RunResult:
     """Iterate from an arbitrary configuration under a cost model until halt
     or fuel runs out.
@@ -678,10 +696,11 @@ def run_configuration(
 
 
 def run(m: Machine, input_word: str, cost: CostModel = COUNT_ALL, fuel: int = DEFAULT_FUEL,
-        record_trace: bool = True) -> RunResult:
+        record_trace: bool = False) -> RunResult:
     """Simulate m on input_word under a cost model, bounded by fuel total
     steps. fuel must be a positive integer: a non-integer, a whole float
-    included, raises TypeError, and zero or less raises ValueError."""
+    included, raises TypeError, and zero or less raises ValueError. The
+    result holds the run's StepRecords only if record_trace."""
     compiled = _compile(m, cost)
     return compiled.launch(compiled.encode(input_word, compiled.inputs), 0, fuel, record_trace)
 

@@ -18,6 +18,7 @@ in a symbol or a state name, so the symbol '#' is written '\\#'.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from tmbench.machine import BLANK, LEFT, RIGHT, Machine, require_valid
 
@@ -110,18 +111,25 @@ def parse_machine_file(text: str) -> Machine:
     return machine
 
 
-def emit_machine(m: Machine) -> str:
+# A machine as its file lists it, every part in the order written: the
+# states, the named states, the alphabets, and the transitions as
+# ((state, read), (target, write, move)) rows.
+Listing = namedtuple("Listing", ["states", "start_state", "accept_state", "reject_state",
+                                 "input_alphabet", "tape_alphabet", "rows"])
+
+
+def emit_machine(m: Machine | Listing) -> str:
     """Render in the text format; output is canonical (sorted) so emitting the
-    same machine twice is byte-identical. Each '#' in a symbol or a state
-    name is written '\\#', so it parses back rather than starting a comment."""
-    lines = [
-        "states: " + " ".join(sorted(m.states)),
-        "start: " + m.start_state,
-        "accept: " + m.accept_state,
-        "reject: " + m.reject_state,
-        "input_alphabet: " + " ".join(sorted(m.input_alphabet)),
-        "tape_alphabet: " + " ".join(sorted(m.tape_alphabet)),
-    ]
-    for (src, read), (target, write, move) in sorted(m.transitions.items()):
-        lines.append(f"trans: {src} {read} -> {target} {write} {move}")
+    same machine twice is byte-identical. A Listing is written in its own
+    order, so a caller whose listing comes in sorted order skips the sort
+    and the dict. Each '#' in a symbol or a state name is written '\\#',
+    so it parses back rather than starting a comment."""
+    if isinstance(m, Machine):
+        m = Listing(sorted(m.states), m.start_state, m.accept_state, m.reject_state,
+                    *map(sorted, (m.input_alphabet, m.tape_alphabet, m.transitions.items())))
+    states, start, accept, reject, inputs, tape, rows = m
+    lines = [f"{key}: {value}" for key, value in zip(HEADER_KEYS, (
+        " ".join(states), start, accept, reject, " ".join(inputs), " ".join(tape)))]
+    lines += [f"trans: {src} {read} -> {target} {write} {move}"
+              for (src, read), (target, write, move) in rows]
     return "\n".join(lines).replace("#", "\\#") + "\n"

@@ -177,7 +177,8 @@ def test_criterion_8_cost_model_laws():
         machine = machines[idx]
         s = rng.choice(non_halting[idx])
         word = "".join(rng.choice("01") for _ in range(rng.randrange(13)))
-        result = run(machine, word, CostModel(free_states={s}), fuel=100)
+        result = run(machine, word, CostModel(free_states={s}), fuel=100,
+                     record_trace=True)
         from_s = sum(1 for rec in result.trace if rec.state == s)
         ok = ok and result.counted_steps + from_s == result.total_steps
     report(8, "count-all equals total steps; freeing one state removes "

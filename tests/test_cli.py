@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import io
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -593,3 +595,37 @@ def test_every_command_line_ends_in_an_exit_code(argv, machine_bytes, word_bytes
     assert "Traceback" not in err.getvalue()
     if code == 2 and err.getvalue():
         assert err.getvalue().startswith(("error:", "usage:"))
+
+
+WALKER = """\
+states: q acc rej
+start: q
+accept: acc
+reject: rej
+input_alphabet: 0 1
+tape_alphabet: 0 1 _
+trans: q 0 -> q _ R
+trans: q 1 -> q _ R
+trans: q _ -> q _ R
+"""
+
+
+def test_a_run_out_of_memory_is_exit_2(tmp_path):
+    """A machine that walks right forever grows its tape with the fuel; in
+    a child process whose address space is capped at 512 MB, a fuel of
+    10^10 runs out of memory, which main reports as one error line."""
+    pytest.importorskip("resource")
+    machine = tmp_path / "walker.tm"
+    machine.write_text(WALKER)
+    src = str(Path(tmbench.cli.__file__).resolve().parent.parent)
+    child = (
+        "import resource, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from tmbench.cli import main\n"
+        f"sys.exit(main(['run', '--machine', {str(machine)!r}, '--input', '0',"
+        " '--fuel', '10000000000']))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")

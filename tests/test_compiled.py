@@ -192,7 +192,7 @@ def test_run_configuration_matches_dict_stepper(data):
     config = Configuration(start, dict(tape), head)
     twin = Configuration(start, dict(tape), head)
     verdict, total, counted, trace, final = reference(m, twin, keys, fuel)
-    result = run_configuration(m, config, cost, fuel)
+    result = run_configuration(m, config, cost, fuel, record_trace=True)
     assert (result.verdict, result.total_steps, result.counted_steps, result.trace) == (
         verdict, total, counted, trace)
     assert result.final is config
@@ -481,14 +481,14 @@ def test_cost_model_laws(data):
     m = data.draw(machines())
     word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
     fuel = data.draw(fuels)
-    every = run(m, word, COUNT_ALL, fuel=fuel)
+    every = run(m, word, COUNT_ALL, fuel=fuel, record_trace=True)
     assert every.counted_steps == every.total_steps
     # freeing no state, or counting every transition, is counting all
     for same in (CostModel(free_states=()), CostModel(predicate=lambda *_: True)):
         assert counted_set(m, same) == counted_set(m, COUNT_ALL)
-        assert run(m, word, same, fuel=fuel) == every
+        assert run(m, word, same, fuel=fuel, record_trace=True) == every
     free = data.draw(st.sets(st.sampled_from(sorted(m.states))))
-    result = run(m, word, CostModel(free_states=free), fuel=fuel)
+    result = run(m, word, CostModel(free_states=free), fuel=fuel, record_trace=True)
     taken_free = sum(record.state in free for record in result.trace)
     assert result.counted_steps + taken_free == result.total_steps == every.total_steps
     assert counted_set(m, FREE_BLIND) <= counted_set(m, COUNT_ALL)
@@ -804,7 +804,7 @@ def test_bb5_trace_shares_its_records_and_leaves_no_memo():
     trace = check_traced(m, "", COUNT_ALL, 100_000).trace
     assert len(trace) == 100_000 and len({id(r) for r in trace}) == 2_254
     for fuel in (100_000, 5_000):
-        assert run(m, "", fuel=fuel).trace == trace[:fuel]
+        assert run(m, "", fuel=fuel, record_trace=True).trace == trace[:fuel]
     assert set(vars(compiled)) == attributes and set(vars(machine_module)) == module
 
 
@@ -822,7 +822,7 @@ def test_traced_run_from_a_configuration_left_of_cell_zero():
     tape = {-7: "a", -4: "1", -1: "0", 2: "1"}
     config, twin = Configuration("L", dict(tape), -1), Configuration("L", dict(tape), -1)
     verdict, total, counted, trace, final = reference(m, twin, counted_set(m, cost), 2000)
-    result = run_configuration(m, config, cost, 2000)
+    result = run_configuration(m, config, cost, 2000, record_trace=True)
     assert (result.verdict, result.total_steps, result.counted_steps, result.trace) == (
         verdict, total, counted, trace)
     assert (config.state, config.head, config.tape) == (final.state, final.head, final.tape)
@@ -830,7 +830,7 @@ def test_traced_run_from_a_configuration_left_of_cell_zero():
 
 
 def test_pickle_and_copies_keep_a_shared_trace():
-    result = run(bouncer(), "0110", fuel=3000)
+    result = run(bouncer(), "0110", fuel=3000, record_trace=True)
     objects = len({id(r) for r in result.trace})
     assert objects < len(result.trace)
     for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result), copy.copy(result)):
@@ -880,9 +880,9 @@ def scanner_with_blind_start():
 
 def test_two_cost_models_count_independently():
     m = scanner_with_blind_start()
-    first = run(m, "0001", COUNT_ALL)
-    blind = run(m, "0001", FREE_BLIND)
-    again = run(m, "0001", COUNT_ALL)
+    first = run(m, "0001", COUNT_ALL, record_trace=True)
+    blind = run(m, "0001", FREE_BLIND, record_trace=True)
+    again = run(m, "0001", COUNT_ALL, record_trace=True)
     assert (first.total_steps, first.counted_steps) == (4, 4)
     assert (blind.total_steps, blind.counted_steps) == (4, 3)
     assert again == first

@@ -15,13 +15,17 @@ from tmbench import (
     verify_step_count,
     verify_trie,
 )
+from tmbench.cli import main
 from tmbench.convergence import (
     BUILTIN_LANGUAGES,
     LONG_WORD_SAMPLE,
     TrieMachineReport,
     _long_word_sample,
+    _trie_table,
 )
-from tmbench.machine import all_words
+from tmbench.machine import _compile, all_words, initial_configuration
+
+from reference import step
 
 ALL_BUILTINS = sorted(BUILTIN_LANGUAGES)
 
@@ -427,3 +431,117 @@ def test_convergence_asks_the_oracle_once_per_word_in_all(k):
     assert asked == list(all_words("01", k))
     assert (report.n_k, report.verified_words) == (k, 2 ** (k + 1) - 1)
     assert report == find_convergence_index(LanguageOracle.builtin("parity-even-ones"), k, k)
+
+
+# --- the trie from its answers against the per-prefix construction ----------
+
+FINITE_LANGUAGES = [{"", "01"}, {"1"}, {"0110"}, {"000", "1"}]
+LANGUAGES = ([(name, LanguageOracle.builtin(name)) for name in ALL_BUILTINS]
+             + [(sorted(words), LanguageOracle.finite(words)) for words in FINITE_LANGUAGES])
+LANGUAGE_IDS = [str(name) for name, _ in LANGUAGES]
+
+
+def language_spec(name, tmp_path):
+    """The --lang argument for a built-in name or a finite word list."""
+    if isinstance(name, str):
+        return name
+    path = tmp_path / "lang.txt"
+    path.write_text("".join(f"{word or 'eps'}\n" for word in name))
+    return f"@{path}"
+
+
+@pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
+def test_gen_trie_writes_the_per_prefix_construction(name, oracle, tmp_path, capsys):
+    spec = language_spec(name, tmp_path)
+    for n in range(9):
+        assert main(["gen-trie", "--lang", spec, "--n", str(n), "--out", "-"]) == 0
+        out, err = capsys.readouterr()
+        machine, queries, state_count = reference_trie(oracle, n)
+        assert out == emit_machine(machine)
+        assert err == f"# states={state_count} oracle_queries={queries}\n"
+
+
+def hand_built(machine, n):
+    """A report that holds machine, so that verifying it runs that machine."""
+    return TrieMachineReport(machine=machine, n=n, oracle_queries=2 ** (n + 1) - 1,
+                             state_count=len(machine.states))
+
+
+@pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
+def test_verify_trie_from_the_answers_matches_running_the_per_prefix_machine(name, oracle):
+    other = LanguageOracle.builtin("parity-even-ones")
+    for n in range(9):
+        built, by_hand = build_trie_machine(oracle, n), hand_built(reference_trie(oracle, n)[0], n)
+        for L in (oracle, None, other):
+            assert verify_trie(built, L) == verify_trie(by_hand, L)
+        assert "machine" not in vars(built)
+        assert verify_trie(built, oracle) == ([], True)
+
+
+@pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
+def test_the_table_from_the_answers_runs_as_the_compiled_machine(name, oracle):
+    """Verdict, total and counted steps of every word up to length n + 2,
+    with fuel to spare and with fuel that runs out."""
+    for n in range(9):
+        report = build_trie_machine(oracle, n)
+        table = _trie_table(report)
+        assert "machine" not in vars(report)
+        compiled = _compile(reference_trie(oracle, n)[0], COUNT_ALL)
+        words = list(all_words("01", min(n + 2, 7)))
+        for fuel in (n + 4, 1, 2):
+            assert list(table.on_words(words, fuel)) == list(compiled.on_words(words, fuel))
+
+
+def stepped(m, word, fuel):
+    """The dict stepper's run of m on word: its verdict, its step records
+    and its final configuration."""
+    config, records = initial_configuration(m, word), []
+    while len(records) < fuel and (applied := step(m, config)) is not None:
+        records.append(applied[1])
+    verdict = {m.accept_state: Verdict.ACCEPTED,
+               m.reject_state: Verdict.REJECTED}.get(config.state, Verdict.FUEL_EXHAUSTED)
+    return verdict, tuple(records), config
+
+
+@pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
+def test_runs_on_the_built_machine_match_the_dict_stepper(name, oracle):
+    for n in range(9):
+        machine = build_trie_machine(oracle, n).machine
+        assert machine == reference_trie(oracle, n)[0]
+        for word in all_words("01", min(n + 1, 6)):
+            for fuel in (n + 4, 2):
+                verdict, records, final = stepped(machine, word, fuel)
+                for record_trace in (True, False):
+                    result = run(machine, word, COUNT_ALL, fuel, record_trace)
+                    assert (result.verdict, result.total_steps, result.counted_steps) == (
+                        verdict, len(records), len(records))
+                    assert result.trace == (records if record_trace else None)
+                    assert (result.final.state, result.final.head, result.final.tape) == (
+                        final.state, final.head, final.tape)
+
+
+def test_build_and_verify_at_depth_12_build_no_transitions_dict(monkeypatch):
+    import tmbench.convergence as convergence
+
+    def refuse(*args):
+        raise AssertionError("the transitions dict was built")
+
+    oracle = LanguageOracle.builtin("div3")
+    monkeypatch.setattr(convergence, "Machine", refuse)
+    monkeypatch.setattr(convergence, "_compile", refuse)
+    report = build_trie_machine(oracle, 12)
+    assert verify_trie(report, oracle) == ([], True)
+    assert verify_restriction(report, oracle) == (True, [])
+    assert verify_step_count(report)
+    assert "machine" not in vars(report)
+    assert find_convergence_index(oracle, 6, 6).n_k == 6
+
+
+def test_a_built_report_builds_its_machine_once_and_equals_a_hand_built_one():
+    report = build_trie_machine(LanguageOracle.builtin("palindrome"), 3)
+    machine = report.machine
+    assert report.machine is machine
+    assert report == hand_built(machine, 3)
+    assert repr(report) == repr(hand_built(machine, 3))
+    with pytest.raises(AttributeError):
+        report.no_such_field

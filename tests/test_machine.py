@@ -244,11 +244,13 @@ def time_limit(seconds):
 
 
 FUEL_ENTRY_POINTS = {
-    "run traced": lambda fuel: run(scanner(), "000", COUNT_ALL, fuel=fuel),
+    "run traced": lambda fuel: run(scanner(), "000", COUNT_ALL, fuel=fuel,
+                                   record_trace=True),
     "run untraced": lambda fuel: run(scanner(), "000", COUNT_ALL, fuel=fuel,
                                      record_trace=False),
     "run_configuration traced": lambda fuel: run_configuration(
-        scanner(), initial_configuration(scanner(), "000"), COUNT_ALL, fuel),
+        scanner(), initial_configuration(scanner(), "000"), COUNT_ALL, fuel,
+        record_trace=True),
     "run_configuration untraced": lambda fuel: run_configuration(
         scanner(), initial_configuration(scanner(), "000"), COUNT_ALL, fuel,
         record_trace=False),
@@ -269,6 +271,13 @@ def test_a_non_integer_fuel_raises_type_error(entry, fuel):
     assert FUEL_ENTRY_POINTS[entry](100) is not None
 
 
+def test_runs_record_no_trace_by_default():
+    assert run(scanner(), "0000", COUNT_ALL, fuel=100).trace is None
+    config = initial_configuration(scanner(), "0000")
+    assert run_configuration(scanner(), config, COUNT_ALL, 100).trace is None
+    assert run(scanner(), "0000", COUNT_ALL, fuel=100, record_trace=True).trace
+
+
 def test_run_scanner_all_zeros():
     # hand trace: four symbol reads plus the blank read
     result = run(scanner(), "0000", COUNT_ALL, fuel=100)
@@ -283,22 +292,22 @@ def test_run_fuel_exhaustion():
 
 
 def test_determinism():
-    a = run(scanner(), "0010", COUNT_ALL, fuel=50)
-    b = run(scanner(), "0010", COUNT_ALL, fuel=50)
+    a = run(scanner(), "0010", COUNT_ALL, fuel=50, record_trace=True)
+    b = run(scanner(), "0010", COUNT_ALL, fuel=50, record_trace=True)
     assert a == b
     assert a.trace == b.trace
 
 
 @pytest.mark.parametrize("word", ["", "0", "1", "0010", "0000"])
 def test_fuel_monotonicity(word):
-    small = run(scanner(), word, COUNT_ALL, fuel=len(word) + 1)
+    small = run(scanner(), word, COUNT_ALL, fuel=len(word) + 1, record_trace=True)
     for extra in (0, 1, 10, 1000):
-        again = run(scanner(), word, COUNT_ALL, fuel=len(word) + 1 + extra)
+        again = run(scanner(), word, COUNT_ALL, fuel=len(word) + 1 + extra, record_trace=True)
         assert again == small
 
 
 def test_trace_consistency():
-    result = run(trie(3), "011", COUNT_ALL, fuel=100)
+    result = run(trie(3), "011", COUNT_ALL, fuel=100, record_trace=True)
     assert len(result.trace) == result.total_steps
     assert sum(r.counted for r in result.trace) == result.counted_steps
 
@@ -312,7 +321,7 @@ def test_tape_locality(word):
 
 
 def test_step_records_are_slotted_values():
-    result = run(trie(3), "011", COUNT_ALL, fuel=100)
+    result = run(trie(3), "011", COUNT_ALL, fuel=100, record_trace=True)
     record = result.trace[0]
     assert not hasattr(record, "__dict__")
     fields = [getattr(record, f.name) for f in dataclasses.fields(StepRecord)]

@@ -83,7 +83,8 @@ def test_round_trip_runs_identically():
     machine = build_trie_machine(LanguageOracle.builtin("palindrome"), 3).machine
     reparsed = parse_machine_file(emit_machine(machine))
     for word in all_words("01", 4):
-        assert run(reparsed, word, COUNT_ALL, fuel=20) == run(machine, word, COUNT_ALL, fuel=20)
+        assert (run(reparsed, word, COUNT_ALL, fuel=20, record_trace=True)
+                == run(machine, word, COUNT_ALL, fuel=20, record_trace=True))
 
 
 def test_duplicate_transition_rejected():
