@@ -12,8 +12,9 @@ together.
     python3 tools/trie_scale.py              # depths 14 and 16
     python3 tools/trie_scale.py 12 14 16     # the depths given
 
-Each depth runs in a child process of its own, one after another, so one
-depth's peak does not carry into the next.
+Each depth runs in a child process of its own (this script with
+--in-process and the depth), one after another, so one depth's peak does
+not carry into the next.
 """
 
 from __future__ import annotations
