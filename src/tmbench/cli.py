@@ -89,7 +89,7 @@ WORD_FAMILIES = {
 def cmd_run(args) -> int:
     machine = _load_machine(args.machine)
     cost = parse_cost_model(args.cost)
-    result = run(machine, _word(args.input), cost, fuel=args.fuel, record_trace=False)
+    result = run(machine, _word(args.input), cost, fuel=args.fuel)
     print(f"verdict: {result.verdict.value}")
     print(f"total_steps: {result.total_steps}")
     print(f"counted_steps: {result.counted_steps}")
@@ -220,7 +220,7 @@ def cmd_demo_nlogtime(args) -> int:
     g = parse_measure("log:a=1,b=1")
     print("n,scanner_counted,checker_max_counted,witness_len")
     for n in range(1, args.max_n + 1):
-        scan = run(scanner, "0" * n, COUNT_ALL, fuel=4 * n + 16, record_trace=False)
+        scan = run(scanner, "0" * n, COUNT_ALL, fuel=4 * n + 16)
         report = decide_nc(checker, g, "0" * (n - 1) + "1", COUNT_ALL, fuel=64)
         wlen = len(report.witness) if report.witness is not None else -1
         print(f"{n},{scan.counted_steps},{report.max_checker_counted_steps},{wlen}")

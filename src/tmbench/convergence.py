@@ -24,13 +24,13 @@ that only the depth-k trie decides costs two tries, not k + 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Optional
 
-from tmbench.cost import COUNT_ALL
-from tmbench.machine import (BLANK, RIGHT, Machine, Verdict, _compile, _CompiledMachine,
-                             _mark_valid, all_words)
+from tmbench.machine import (BLANK, RIGHT, Machine, Verdict, _CompiledMachine, _mark_valid,
+                             all_words)
 from tmbench.textfmt import Listing
 
 MAX_TRIE_DEPTH = 20
@@ -101,26 +101,35 @@ class LanguageOracle:
 
 @dataclass(frozen=True)
 class TrieMachineReport:
-    """A depth-n trie machine and the cost of its build.
+    """A depth-n trie machine as its oracle's answers, one byte per prefix
+    in heap order (see build_trie_machine). Two reports are equal, and hash
+    alike, when their depths and answers are.
 
-    The report build_trie_machine returns holds the oracle's answers, one
-    byte per prefix in heap order, and builds `machine`, with its
-    transitions dict, only when that is first read. Verification runs the
-    table the answers give (_trie_table) and gen-trie writes their listing,
-    so neither builds the dict. A report built by hand holds its machine,
-    and verification runs that machine."""
+    Every view is computed from the answers: verification runs the table
+    they give (_trie_table), gen-trie writes their listing, and `machine`,
+    with its transitions dict, is built only when it is first read."""
 
-    machine: Machine
     n: int
-    oracle_queries: int
-    state_count: int
+    answers: bytes = field(repr=False)
 
-    def __getattr__(self, name):
-        if name != "machine" or "_answers" not in self.__dict__:
-            raise AttributeError(name)
+    def __post_init__(self):
+        if self.n < 0 or len(self.answers) != 2 ** (self.n + 1) - 1:
+            raise ValueError(f"depth {self.n} with {len(self.answers)} answers: a trie "
+                             "needs depth >= 0 and 2^(depth+1) - 1 answers")
+
+    @property
+    def oracle_queries(self) -> int:
+        return len(self.answers)
+
+    @property
+    def state_count(self) -> int:
+        return len(self.answers) + 2
+
+    @cached_property
+    def machine(self) -> Machine:
         states, start, accept, reject, inputs, tape, rows = self.listing()
-        self.__dict__["machine"] = machine = Machine(
-            *map(frozenset, (inputs, tape, states)), start, accept, reject, dict(rows))
+        machine = Machine(*map(frozenset, (inputs, tape, states)), start, accept, reject,
+                          dict(rows))
         # total over {0,1,_} for every non-halting state by construction, so
         # running or verifying it skips validate_machine
         _mark_valid(machine)
@@ -141,7 +150,7 @@ class TrieMachineReport:
         preorder = [""]
         for _ in range(n):
             preorder = [""] + ["0" + p for p in preorder] + ["1" + p for p in preorder]
-        member = dict(zip(all_words("01", n), self._answers))
+        member = dict(zip(all_words("01", n), self.answers))
         names = ["q_" + p for p in preorder]
 
         def rows():
@@ -164,32 +173,24 @@ def build_trie_machine(L: LanguageOracle, n: int) -> TrieMachineReport:
     """The depth-n trie machine of the oracle, as a report that holds L's
     answers and builds the machine from them on first read (see
     TrieMachineReport). L is asked once per prefix, in all_words order, and
-    its answer read by its truth."""
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
+    its answer read by its truth. A negative n asks L nothing and is
+    refused by the report."""
     if n > MAX_TRIE_DEPTH:
         raise TrieSizeError(f"depth {n} needs 2^{n + 1}+1 states, "
                             f"over the budget (max depth {MAX_TRIE_DEPTH})")
-    answers = bytes(map(bool, map(L, all_words("01", n))))
-    report = object.__new__(TrieMachineReport)  # its machine is built on first read
-    report.__dict__.update(n=n, oracle_queries=len(answers), state_count=len(answers) + 2,
-                           _answers=answers)
-    return report
+    return TrieMachineReport(n, bytes(map(bool, map(L, all_words("01", n)))))
 
 
 def _trie_table(report: TrieMachineReport) -> _CompiledMachine:
-    """report's machine compiled under COUNT_ALL with every entry filled.
-
-    A built report's comes straight from its answers. In all_words order
-    the prefixes form a heap: prefix h's children are 2h+1 and 2h+2, and
-    the depth-n prefixes come last. With the symbols numbered blank, 0, 1,
-    prefix h is row 4h, its bit b moves to row 4(2h+1+b), or to reject
-    past the last prefix, and blank to accept or reject by h's answer;
-    accept and reject are the rows after the last prefix's.
+    """report's machine compiled under COUNT_ALL with every entry filled,
+    straight from its answers. In all_words order the prefixes form a
+    heap: prefix h's children are 2h+1 and 2h+2, and the depth-n prefixes
+    come last. With the symbols numbered blank, 0, 1, prefix h is row 4h,
+    its bit b moves to row 4(2h+1+b), or to reject past the last prefix,
+    and blank to accept or reject by h's answer; accept and reject are the
+    rows after the last prefix's.
     """
-    answers = report.__dict__.get("_answers")
-    if answers is None:
-        return _compile(report.machine, COUNT_ALL).fill()
+    answers = report.answers
     accept, reject = (4 * len(answers), 0, 1, 1), (4 * len(answers) + 4, 0, 1, 1)
     # the moves into every row but the root's, then the depth cap's rejections
     moves = [(row, 0, 1, 1) for row in range(4, accept[0], 4)] + [reject] * (len(answers) + 1)

@@ -28,9 +28,7 @@ of a large machine, stays lazy. A caller that has the whole table in
 integers builds the compiled form from it (`_CompiledMachine.from_columns`)
 with no Machine at all: `verify_trie` and each trie of
 `find_convergence_index` run a built trie on the table its oracle's answers
-give. A trie report built by hand is compiled from its machine and filled
-in one pass (`_CompiledMachine.fill`), since verification reaches every
-entry and a lazy fill costs a loop exit and re-entry per entry.
+give.
 
 `all_words` is the one enumeration of words in length-then-lexicographic
 order: the certificate search, trie synthesis and verification, and the
@@ -353,13 +351,11 @@ class _CompiledMachine:
     before the halting rows: indexing one raises IndexError, which is how
     the step loop notices a halt. An entry is (target, written symbol, head
     move -1/+1, counted 0/1), filled in the first time a run needs it, so a
-    run costs the entries it uses rather than the whole table; `fill` fills
-    them all in one pass, for a caller that reaches every entry (the checks
-    of a trie built by hand), and `from_columns` takes a table that is
-    complete already, with no names (a built trie's). Unfilled entries and
-    the sentinel column hold None: unpacking it raises TypeError, which is
-    how the step loop notices a tape end or an entry to fill without
-    testing for either on every step.
+    run costs the entries it uses rather than the whole table;
+    `from_columns` takes a table that is complete already, with no names
+    (a built trie's). Unfilled entries and the sentinel column hold None:
+    unpacking it raises TypeError, which is how the step loop notices a
+    tape end or an entry to fill without testing for either on every step.
 
     An entry whose target is its own state holds a _Sweep instead, which
     does not unpack either: the untraced loop then takes the whole run of
@@ -457,21 +453,6 @@ class _CompiledMachine:
         if self.plain is not None:
             self.plain[entry] = plain
             self.fields[entry] = (state, read, write, move, target, bool(plain[3]))
-
-    def fill(self) -> _CompiledMachine:
-        """Fill every empty entry through _fill in one pass, for a caller
-        that runs a machine on every word up to a length and would
-        otherwise fill most entries one by one, each at a loop exit; only
-        the sentinel column stays None. An entry already filled keeps its
-        sweep or the plain entry a sweep was put back as. The tables of
-        traced runs stay lazy. Returns self."""
-        plain, self.plain = self.plain, None  # so that _fill leaves the traced tables
-        for state, read in self.transitions:
-            entry = self.row[state] + self.code[read]
-            if self.table[entry] is None:
-                self._fill(entry)
-        self.plain = plain
-        return self
 
     def _plain(self, key: tuple[str, str], target: str, write: str, move: str) -> tuple:
         """The plain entry (row, code, +-1, counted) of the transition at key."""

@@ -128,8 +128,8 @@ def emit_machine(m: Machine | Listing) -> str:
         m = Listing(sorted(m.states), m.start_state, m.accept_state, m.reject_state,
                     *map(sorted, (m.input_alphabet, m.tape_alphabet, m.transitions.items())))
     states, start, accept, reject, inputs, tape, rows = m
-    lines = [f"{key}: {value}" for key, value in zip(HEADER_KEYS, (
+    lines = [f"{key}: {value}\n" for key, value in zip(HEADER_KEYS, (
         " ".join(states), start, accept, reject, " ".join(inputs), " ".join(tape)))]
-    lines += [f"trans: {src} {read} -> {target} {write} {move}"
+    lines += [f"trans: {src} {read} -> {target} {write} {move}\n"
               for (src, read), (target, write, move) in rows]
-    return "\n".join(lines).replace("#", "\\#") + "\n"
+    return "".join(lines).replace("#", "\\#")

@@ -971,53 +971,22 @@ def test_linear_bound_on_long_input_exceeds_budget_at_once():
     assert time.process_time() - start < 1.0
 
 
-# --- fill(): the whole table in one pass -------------------------------------
+# --- _fill: the entries a run fills lazily ----------------------------------
 
 def filled_one_by_one(m, cost):
-    """A fresh compiled table of m under cost with every entry filled by
-    _fill, as the runs fill them lazily."""
-    compiled = _CompiledMachine(m, None if cost == COUNT_ALL else counted_set(m, cost))
+    """m's compiled table under cost, as the runs use it, with every entry
+    filled by _fill, as the runs fill them lazily; an entry filled already
+    keeps its sweep or the plain entry a sweep was put back as."""
+    compiled = _compile(m, cost)
     for row in range(0, len(compiled.table), compiled.width):
         for symbol in range(compiled.edge):
             compiled._fill(row + symbol)
     return compiled
 
 
-def entry_value(entry):
-    """A table entry as a value: a plain tuple as it is, a sweep by what it
-    runs, never by its run statistics."""
-    if isinstance(entry, _Sweep):
-        return "sweep", entry.plain, entry.inside, entry.writes, entry.counted
-    return entry
-
-
-def check_fill(m, cost):
-    """fill() leaves the table _fill would, entry for entry, and allocates
-    nothing for traced runs."""
-    compiled = _compile(m, cost)
-    compiled.fill()
-    lazy = filled_one_by_one(m, cost)
-    assert list(map(entry_value, compiled.table)) == list(map(entry_value, lazy.table))
-    assert compiled.plain is None and compiled.fields is None
-    return compiled
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_fill_matches_lazy_fills_and_runs_after_it_match_the_dict_stepper(data):
-    m = data.draw(st.one_of(machines(), looping_machines()))
-    cost = data.draw(cost_models(m))
-    check_fill(m, cost)
-    for _ in range(data.draw(st.integers(1, 3))):
-        word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=40))
-        fuel = data.draw(st.one_of(st.integers(1, 40), fuels))
-        check_against_reference(m, word, cost, fuel)
-        check_traced(m, word, cost, fuel)
-
-
 def test_fill_counts_free_entries_as_free():
     m = scanner_with_blind_start()
-    compiled = check_fill(m, FREE_BLIND)
+    compiled = filled_one_by_one(m, FREE_BLIND)
     counted = counted_set(m, FREE_BLIND)
     flags = set()
     for key in m.transitions:
@@ -1031,30 +1000,18 @@ def test_fill_counts_free_entries_as_free():
 
 def test_fill_builds_sweeps_for_self_loops_and_keeps_a_put_back_one():
     m = sweeper()
-    check_fill(m, COUNT_ALL)
+    filled_one_by_one(m, COUNT_ALL)
     assert len(sweeps_of(m)) == 4  # r and l over 0 and 1
-    # a ping-pong self-loop goes back to its plain entry, and fill keeps it
+    # a ping-pong self-loop goes back to its plain entry, and _fill keeps it
     t = {("q", "0"): ("q", "0", RIGHT), ("q", "1"): ("q", "1", LEFT),
          ("q", BLANK): ("acc", BLANK, RIGHT)}
     ping = Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"q", "acc", "rej"}),
                    "q", "acc", "rej", t)
     check_against_reference(ping, "01", COUNT_ALL, 1001)
-    compiled = _compile(ping, COUNT_ALL)
-    compiled.fill()
+    compiled = filled_one_by_one(ping, COUNT_ALL)
     entries = [compiled.table[compiled.row["q"] + compiled.code[s]] for s in "01"]
     assert all(type(entry) is tuple for entry in entries)
     check_against_reference(ping, "01", COUNT_ALL, 999)
-
-
-def test_fill_after_traced_runs_keeps_the_traced_tables():
-    m = bouncer()
-    cost = CostModel(free_states={"L"})
-    check_traced(m, "0110", cost, 300)
-    compiled = _compile(m, cost)
-    plain, fields = list(compiled.plain), dict(compiled.fields)
-    compiled.fill()
-    assert (compiled.plain, compiled.fields) == (plain, fields)
-    check_traced(m, "0110", cost, 3000)
 
 
 # --- the batch driver: many starts through one lazy loop ---------------------

@@ -1,5 +1,9 @@
+import hashlib
+from contextlib import contextmanager
+
 import pytest
 
+import tmbench.convergence as convergence
 from tmbench import (
     BLANK,
     COUNT_ALL,
@@ -129,6 +133,16 @@ def test_verify_restriction(lang):
     assert counterexamples == []
 
 
+@contextmanager
+def running(machine):
+    """Within the block, verify_trie and find_convergence_index run machine,
+    compiled as a run compiles it, in place of the table a report's answers
+    give: one simulated run per word, entries filled as the runs reach them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(convergence, "_trie_table", lambda report: _compile(machine, COUNT_ALL))
+        yield
+
+
 def test_verify_restriction_catches_corruption():
     oracle = LanguageOracle.builtin("contains-1")
     report = build_trie_machine(oracle, 2)
@@ -136,14 +150,10 @@ def test_verify_restriction_catches_corruption():
     trans = dict(m.transitions)
     # flip one membership lookup: the word "11" now rejects
     trans[("q_11", BLANK)] = (m.reject_state, BLANK, "R")
-    corrupted = TrieMachineReport(
-        machine=Machine(m.input_alphabet, m.tape_alphabet, m.states,
-                        m.start_state, m.accept_state, m.reject_state, trans),
-        n=report.n,
-        oracle_queries=report.oracle_queries,
-        state_count=report.state_count,
-    )
-    ok, counterexamples = verify_restriction(corrupted, oracle)
+    corrupted = Machine(m.input_alphabet, m.tape_alphabet, m.states,
+                        m.start_state, m.accept_state, m.reject_state, trans)
+    with running(corrupted):
+        ok, counterexamples = verify_restriction(report, oracle)
     assert not ok
     assert counterexamples == ["11"]
 
@@ -156,15 +166,11 @@ def test_verify_step_count_catches_corruption():
     # the lookup for "1" detours through the state for "11", whose lookup
     # accepts: the verdict stays right, the run takes one step more
     trans[("q_1", BLANK)] = ("q_11", BLANK, "R")
-    corrupted = TrieMachineReport(
-        machine=Machine(m.input_alphabet, m.tape_alphabet, m.states,
-                        m.start_state, m.accept_state, m.reject_state, trans),
-        n=report.n,
-        oracle_queries=report.oracle_queries,
-        state_count=report.state_count,
-    )
-    assert verify_restriction(corrupted, oracle) == (True, [])
-    assert not verify_step_count(corrupted)
+    corrupted = Machine(m.input_alphabet, m.tape_alphabet, m.states,
+                        m.start_state, m.accept_state, m.reject_state, trans)
+    with running(corrupted):
+        assert verify_restriction(report, oracle) == (True, [])
+        assert not verify_step_count(report)
     assert verify_step_count(report)
 
 
@@ -176,15 +182,11 @@ def test_verify_trie_reports_verdicts_and_step_counts_together():
     # the lookup for "1" detours through the state for "00", whose lookup
     # rejects: a wrong verdict and one step more
     trans[("q_1", BLANK)] = ("q_00", BLANK, "R")
-    corrupted = TrieMachineReport(
-        machine=Machine(m.input_alphabet, m.tape_alphabet, m.states,
-                        m.start_state, m.accept_state, m.reject_state, trans),
-        n=report.n,
-        oracle_queries=report.oracle_queries,
-        state_count=report.state_count,
-    )
-    assert verify_trie(corrupted, oracle) == (["1"], False)
-    assert verify_trie(corrupted) == ([], False)
+    corrupted = Machine(m.input_alphabet, m.tape_alphabet, m.states,
+                        m.start_state, m.accept_state, m.reject_state, trans)
+    with running(corrupted):
+        assert verify_trie(report, oracle) == (["1"], False)
+        assert verify_trie(report) == ([], False)
     assert verify_trie(report, oracle) == ([], True)
     assert verify_trie(report) == ([], True)
 
@@ -211,14 +213,10 @@ def test_verify_trie_counts_a_run_that_does_not_halt_as_a_counterexample():
     trans = dict(m.transitions)
     # the lookup for "0" walks left forever: no verdict, where L rejects
     trans[("q_0", BLANK)] = ("q_0", BLANK, "L")
-    looping = TrieMachineReport(
-        machine=Machine(m.input_alphabet, m.tape_alphabet, m.states,
-                        m.start_state, m.accept_state, m.reject_state, trans),
-        n=report.n,
-        oracle_queries=report.oracle_queries,
-        state_count=report.state_count,
-    )
-    assert verify_trie(looping, oracle) == (["0"], False)
+    looping = Machine(m.input_alphabet, m.tape_alphabet, m.states,
+                      m.start_state, m.accept_state, m.reject_state, trans)
+    with running(looping):
+        assert verify_trie(report, oracle) == (["0"], False)
 
 
 @pytest.mark.parametrize("lang", ALL_BUILTINS)
@@ -461,19 +459,15 @@ def test_gen_trie_writes_the_per_prefix_construction(name, oracle, tmp_path, cap
         assert err == f"# states={state_count} oracle_queries={queries}\n"
 
 
-def hand_built(machine, n):
-    """A report that holds machine, so that verifying it runs that machine."""
-    return TrieMachineReport(machine=machine, n=n, oracle_queries=2 ** (n + 1) - 1,
-                             state_count=len(machine.states))
-
-
 @pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
 def test_verify_trie_from_the_answers_matches_running_the_per_prefix_machine(name, oracle):
     other = LanguageOracle.builtin("parity-even-ones")
     for n in range(9):
-        built, by_hand = build_trie_machine(oracle, n), hand_built(reference_trie(oracle, n)[0], n)
+        built = build_trie_machine(oracle, n)
         for L in (oracle, None, other):
-            assert verify_trie(built, L) == verify_trie(by_hand, L)
+            with running(reference_trie(oracle, n)[0]):
+                expected = verify_trie(built, L)
+            assert verify_trie(built, L) == expected
         assert "machine" not in vars(built)
         assert verify_trie(built, oracle) == ([], True)
 
@@ -521,14 +515,14 @@ def test_runs_on_the_built_machine_match_the_dict_stepper(name, oracle):
 
 
 def test_build_and_verify_at_depth_12_build_no_transitions_dict(monkeypatch):
-    import tmbench.convergence as convergence
+    import tmbench.machine
 
     def refuse(*args):
         raise AssertionError("the transitions dict was built")
 
     oracle = LanguageOracle.builtin("div3")
     monkeypatch.setattr(convergence, "Machine", refuse)
-    monkeypatch.setattr(convergence, "_compile", refuse)
+    monkeypatch.setattr(tmbench.machine, "_compile", refuse)
     report = build_trie_machine(oracle, 12)
     assert verify_trie(report, oracle) == ([], True)
     assert verify_restriction(report, oracle) == (True, [])
@@ -541,7 +535,48 @@ def test_a_built_report_builds_its_machine_once_and_equals_a_hand_built_one():
     report = build_trie_machine(LanguageOracle.builtin("palindrome"), 3)
     machine = report.machine
     assert report.machine is machine
-    assert report == hand_built(machine, 3)
-    assert repr(report) == repr(hand_built(machine, 3))
+    by_hand = TrieMachineReport(3, report.answers)
+    assert report == by_hand
+    assert repr(report) == repr(by_hand)
+    assert by_hand.machine == machine
     with pytest.raises(AttributeError):
         report.no_such_field
+
+
+def test_a_report_is_a_value_of_its_depth_and_its_answers():
+    report = build_trie_machine(LanguageOracle.builtin("all"), 3)
+    same = build_trie_machine(LanguageOracle(lambda w: True), 3)
+    assert report == same and hash(report) == hash(same)
+    assert report != build_trie_machine(LanguageOracle.builtin("all"), 2)
+    assert report != build_trie_machine(LanguageOracle.builtin("empty"), 3)
+    assert (report.n, report.answers) == (3, b"\x01" * 15)
+    assert repr(report) == "TrieMachineReport(n=3)"
+    assert "machine" not in vars(report)
+    with pytest.raises(AttributeError):
+        report.state_count = 0
+
+
+@pytest.mark.parametrize("n,answers", [(3, b"\x01"), (0, b""), (0, b"\x00\x01"), (-1, b"")])
+def test_a_report_refuses_a_negative_depth_or_a_wrong_answer_count(n, answers):
+    with pytest.raises(ValueError):
+        TrieMachineReport(n, answers)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_a_report_built_by_hand_lists_and_builds_its_machine(n):
+    answers = bytes(w.count("1") % 2 for w in all_words("01", n))
+    report = TrieMachineReport(n, answers)
+    assert report == build_trie_machine(LanguageOracle(lambda w: w.count("1") % 2 == 1), n)
+    assert (report.oracle_queries, report.state_count) == (2 ** (n + 1) - 1, 2 ** (n + 1) + 1)
+    assert emit_machine(report.listing()) == emit_machine(report.machine)
+    assert verify_trie(report, lambda w: w.count("1") % 2 == 1) == ([], True)
+
+
+def test_gen_trie_at_the_benchmark_depth_writes_the_pinned_bytes(capsys):
+    assert main(["gen-trie", "--lang", "div3", "--n", "14", "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    data = out.encode("utf-8")
+    assert len(data) == 4_784_174
+    assert hashlib.sha256(data).hexdigest() == (
+        "adb76e27437c962bb13f3c95cb7dab4009c1b89996caa19e6fee5281854c13cb")
+    assert err == "# states=32769 oracle_queries=32767\n"

@@ -1,13 +1,13 @@
 """Time and peak memory of the trie layers at large depths.
 
 For the div3 language at each depth, prints one line per layer: build
-(build_trie_machine), verify (verify_trie against the oracle) and emit
-(the text gen-trie writes), with the layer's CPU time (process time,
-which other processes on a shared machine disturb less than wall time)
-and the process's peak resident set size (ru_maxrss) once the layer is
-done. The layers run
-in that order, so the peak after verify is that of build and verify
-together.
+(build_trie_machine), verify (verify_trie against the oracle), emit
+(the text gen-trie writes) and machine (the first read of
+report.machine, which builds the transitions dict), with the layer's CPU
+time (process time, which other processes on a shared machine disturb
+less than wall time) and the process's peak resident set size
+(ru_maxrss) once the layer is done. The layers run in that order, so
+the peak after verify is that of build and verify together.
 
     python3 tools/trie_scale.py              # depths 14 and 16
     python3 tools/trie_scale.py 12 14 16     # the depths given
@@ -37,7 +37,7 @@ def peak_mb() -> float:
 
 
 def measure(n: int) -> None:
-    """Run and print the three layers at depth n in this process."""
+    """Run and print the four layers at depth n in this process."""
     sys.path.insert(0, str(SRC))
     from tmbench.convergence import LanguageOracle, build_trie_machine, verify_trie
     from tmbench.textfmt import emit_machine
@@ -54,8 +54,11 @@ def measure(n: int) -> None:
     start = time.process_time()
     text = emit_machine(report.listing())
     layers.append(("emit", time.process_time() - start, peak_mb()))
+    start = time.process_time()
+    report.machine
+    layers.append(("machine", time.process_time() - start, peak_mb()))
     for layer, seconds, peak in layers:
-        print(f"div3 n={n:<2}  {layer:<6}  {seconds:7.3f} s  peak_rss {peak:7.1f} MB", flush=True)
+        print(f"div3 n={n:<2}  {layer:<7}  {seconds:7.3f} s  peak_rss {peak:7.1f} MB", flush=True)
     print(f"div3 n={n:<2}  states={report.state_count} file={len(text)} B", flush=True)
 
 
