@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
+from operator import index
 from typing import Callable, Optional
 
 from tmbench.machine import (BLANK, RIGHT, Machine, Verdict, _CompiledMachine, _mark_valid,
@@ -102,8 +103,9 @@ class LanguageOracle:
 @dataclass(frozen=True)
 class TrieMachineReport:
     """A depth-n trie machine as its oracle's answers, one byte per prefix
-    in heap order (see build_trie_machine). Two reports are equal, and hash
-    alike, when their depths and answers are.
+    in heap order (see build_trie_machine): the depth an integer, and the
+    answers bytes, each 0 or 1. Two reports are equal, and hash alike, when
+    their depths and answers are.
 
     Every view is computed from the answers: verification runs the table
     they give (_trie_table), gen-trie writes their listing, and `machine`,
@@ -113,9 +115,13 @@ class TrieMachineReport:
     answers: bytes = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 0 or len(self.answers) != 2 ** (self.n + 1) - 1:
-            raise ValueError(f"depth {self.n} with {len(self.answers)} answers: a trie "
-                             "needs depth >= 0 and 2^(depth+1) - 1 answers")
+        if not isinstance(self.answers, bytes):
+            raise TypeError(f"answers must be bytes, not {type(self.answers).__name__}")
+        # index() raises TypeError for a depth that is not an integer
+        if (index(self.n) < 0 or len(self.answers) != 2 ** (self.n + 1) - 1
+                or self.answers.translate(None, b"\x00\x01")):
+            raise ValueError(f"depth {self.n} with {len(self.answers)} answers: a trie needs "
+                             "depth >= 0 and 2^(depth+1) - 1 answers, each 0 or 1")
 
     @property
     def oracle_queries(self) -> int:

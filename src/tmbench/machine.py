@@ -341,6 +341,21 @@ def _positive(fuel) -> int:
     return fuel
 
 
+class _Cells(dict):
+    """str.translate's table from one alphabet to tape cells: ord(symbol) to
+    chr(its number), a code below 256. translate looks the symbols of a word
+    up in order, so the first one outside the alphabet raises
+    InvalidInputError, which names it and the alphabet. It must not raise a
+    LookupError: translate would pass that symbol through unchanged."""
+
+    def __init__(self, code: dict[str, int], alphabet: Iterable[str], what: str):
+        super().__init__({ord(s): chr(code[s]) for s in alphabet})
+        self.what = what
+
+    def __missing__(self, key: int):
+        raise InvalidInputError(f"symbol {chr(key)!r} not in {self.what} alphabet")
+
+
 class _CompiledMachine:
     """A valid machine's transition table under one cost model, in integers.
 
@@ -374,7 +389,9 @@ class _CompiledMachine:
     table from then on; untraced runs allocate nothing for traces.
 
     A tape is a bytearray of symbol numbers framed by sentinels, so a valid
-    machine has at most 255 tape symbols (see validate_machine). The
+    machine has at most 255 tape symbols (see validate_machine). A word
+    becomes cells through one translate table per alphabet, input and tape
+    (_Cells, in `cell_tables`), which names the first symbol outside it. The
     compiled form holds no reference to the machine, so caching it there
     makes no cycle.
 
@@ -420,17 +437,9 @@ class _CompiledMachine:
         self.code = {s: i for i, s in enumerate(symbols)}
         self.verdicts = [Verdict.FUEL_EXHAUSTED] * (len(table) // self.width) + [
             Verdict.ACCEPTED, Verdict.REJECTED]
-        # with every symbol in latin-1, a word encodes and translates as
-        # bytes; deleting the bytes of the input or tape alphabet (`spelled`)
-        # from it leaves the symbols outside that alphabet
-        self.latin: Optional[bytes] = None
-        if all(ord(s) < 256 for s in symbols):
-            codes = bytearray(256)
-            for s, i in self.code.items():
-                codes[ord(s)] = i
-            self.latin = bytes(codes)
-            self.spelled = {a: "".join(a).encode("latin-1")
-                            for a in (inputs, frozenset(symbols))}
+        # encode's translate table per alphabet
+        self.cell_tables = {a: _Cells(self.code, a, what)
+                            for a, what in ((inputs, "input"), (frozenset(symbols), "tape"))}
         self.blank = bytearray([0])
         self.sentinel = bytearray([self.edge])
         self.right_end = self.blank + self.sentinel
@@ -475,20 +484,11 @@ class _CompiledMachine:
                       None if writes == bytes(range(256)) else bytes(writes),
                       None if counted == loop else bytes(counted))
 
-    def encode(self, word: str, alphabet: frozenset[str], what: str = "input"):
-        """word's cells as symbol numbers; every symbol must be in alphabet."""
-        if self.latin is not None:
-            try:
-                raw = word.encode("latin-1")
-            except UnicodeEncodeError:
-                pass
-            else:
-                if not raw.translate(None, self.spelled[alphabet]):
-                    return raw.translate(self.latin)
-        elif alphabet.issuperset(word):
-            return bytes(map(self.code.__getitem__, word))
-        bad = next(ch for ch in word if ch not in alphabet)
-        raise InvalidInputError(f"symbol {bad!r} not in {what} alphabet")
+    def encode(self, word: str, alphabet: frozenset[str]) -> bytes:
+        """word's cells as symbol numbers; alphabet is the machine's input or
+        tape alphabet, and the first symbol of word outside it raises
+        InvalidInputError (see _Cells)."""
+        return word.translate(self.cell_tables[alphabet]).encode("latin-1")
 
     def launch(self, cells, head: int, fuel: int, record_trace: bool = False,
                first: int = 0, q: Optional[int] = None) -> RunResult:
@@ -669,7 +669,7 @@ def run_configuration(
     cells = [BLANK] * (hi - lo + 1)
     for i, sym in near.items():
         cells[i - lo] = sym
-    result = compiled.launch(compiled.encode("".join(cells), m.tape_alphabet, "tape"),
+    result = compiled.launch(compiled.encode("".join(cells), m.tape_alphabet),
                              head, fuel, record_trace, lo, compiled.row[config.state])
     far.update(result.final.tape)
     config.state, config.head, config.tape = result.final.state, result.final.head, far

@@ -135,7 +135,7 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
         # first cell when that lies left of cell 0
         def window(c: int, r: int):
             lo = c - r
-            return bytes(cells[lo:c + r + 1]) if lo >= 0 else (lo, bytes(cells[:c + r + 1]))
+            return cells[lo:c + r + 1] if lo >= 0 else (lo, cells[:c + r + 1])
 
         # the driver runs each missed cell as the loop appends it
         missed: list = []
@@ -168,9 +168,9 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
         return CertificateSearchReport(False, None, 2 ** (max_len + 1) - 1, most)
     # inline: each certificate gets a fresh tape x#y with the head on x
     symbols = rel.checker.tape_alphabet
-    cells += checker.encode(SEPARATOR, symbols, "tape")
+    cells += checker.encode(SEPARATOR, symbols)
     ys, again = tee(all_words("01", max_len))
-    starts = ((cells + checker.encode(y, symbols, "tape"), 0) for y in again)
+    starts = ((cells + checker.encode(y, symbols), 0) for y in again)
     # the empty certificate comes first, so the loop runs at least once
     for tried, (y, (verdict, _, counted)) in enumerate(
             zip(ys, checker.outcomes(starts, fuel)), 1):

@@ -562,6 +562,18 @@ def test_a_report_refuses_a_negative_depth_or_a_wrong_answer_count(n, answers):
         TrieMachineReport(n, answers)
 
 
+@pytest.mark.parametrize("n,answers,error", [
+    (1, bytearray(b"\x01\x00\x01"), TypeError),  # unhashable
+    (1, [5, "", None], TypeError),  # its listing would read each value by its truth
+    (1, b"\x02\x00\x01", ValueError),  # would list the same machine as b"\x01\x00\x01"
+    (1.0, b"\x01\x00\x01", TypeError),  # would fail only in listing()
+])
+def test_a_report_refuses_a_non_integer_depth_or_answers_that_are_not_bytes_0_and_1(
+        n, answers, error):
+    with pytest.raises(error):
+        TrieMachineReport(n, answers)
+
+
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_a_report_built_by_hand_lists_and_builds_its_machine(n):
     answers = bytes(w.count("1") % 2 for w in all_words("01", n))

@@ -213,6 +213,17 @@ def test_run_configuration_names_an_unknown_state(record_trace):
     assert run(m, "01", COUNT_ALL, fuel=10).verdict is Verdict.ACCEPTED
 
 
+@pytest.mark.parametrize("record_trace", [True, False])
+def test_run_configuration_names_a_cell_outside_the_tape_alphabet(record_trace):
+    m = scanner()
+    tape = {0: "0", 2: "x", 3: "1"}
+    config = Configuration("q_scan", dict(tape), 0)
+    with pytest.raises(InvalidInputError) as raised:
+        run_configuration(m, config, COUNT_ALL, 5, record_trace)
+    assert str(raised.value) == "symbol 'x' not in tape alphabet"
+    assert (config.state, config.tape, config.head) == ("q_scan", tape, 0)
+
+
 @pytest.mark.parametrize("head, verdict, heads", [
     (0, Verdict.REJECTED, [0, 1]),  # reads '0', then the blank at 1
     (10 ** 12, Verdict.ACCEPTED, [10 ** 12, 10 ** 12 + 1]),  # reads '0', then '1'

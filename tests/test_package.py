@@ -2,6 +2,10 @@
 public API, reachable as attributes and bound by a star import."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
 
 import tmbench
 
@@ -71,3 +75,18 @@ def test_each_default_and_choice_has_one_owner():
         assert options[(name, "--fuel")].default is DEFAULT_FUEL
     assert options[("check-bound", "--mode")].choices is MODES
     assert options[("nsearch", "--delivery")].choices is DELIVERIES
+
+
+def test_the_package_and_its_cli_import_only_the_standard_library():
+    """No runtime dependencies: in a fresh interpreter, importing tmbench
+    and tmbench.cli loads no top-level module but tmbench and the standard
+    library's."""
+    code = ("import json, sys; before = set(sys.modules); import tmbench, tmbench.cli; "
+            "print(json.dumps(sorted({name.partition('.')[0] for name in sys.modules} - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    loaded = json.loads(out)
+    assert "tmbench" in loaded
+    assert [name for name in loaded
+            if name != "tmbench" and name not in sys.stdlib_module_names] == []
