@@ -656,12 +656,16 @@ def run_configuration(
     so only the stored cells there are laid out, densely, and the others
     pass to the final tape unchanged. With fuel 1 this is the library's one
     single step: a halted configuration takes no step. A state the machine
-    does not have raises ValueError.
+    does not have raises ValueError, and a stored cell outside the tape
+    alphabet, however far from the head, InvalidInputError naming the
+    leftmost such cell's symbol; either leaves config as it was.
     """
     compiled = _compile(m, cost)
     if config.state not in compiled.row:
         raise ValueError(f"configuration state {config.state!r} is not a state of the machine")
     fuel, head = _positive(fuel), config.head
+    # every stored cell, near or far, leftmost first, before any is laid out
+    compiled.encode("".join(sym for _, sym in sorted(config.tape.items())), m.tape_alphabet)
     near, far = {}, {}
     for i, sym in config.tape.items():
         (near if abs(i - head) <= fuel else far)[i] = sym

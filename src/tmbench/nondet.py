@@ -20,11 +20,13 @@ steps, lazily, so a search stops at its first witness. The inline search
 runs every certificate. Neither search fills the checker's table first: a
 search that finds an early witness uses few of its entries. A positioned
 run depends only on its head cell, and y and 0y name the same cell, so
-the positioned search takes each cell once, in the numeric order in which
-the canonical walk first meets them; its report is that walk's. A run of
+the positioned search meets the cells in the numeric order in which the
+canonical walk first meets them; its report is that walk's. A run of
 k steps reads only cells within k - 1 of its start, so the search memoizes
 outcomes by that window while the radius stays, and ends at the first
-window wholly past x.
+window wholly past x. A window equal to the last cell's lies with it in a
+run of one symbol of x, and so do the windows of the cells after it up to
+the first that leaves the run: the search goes there in one step.
 
 One rule bounds the certificate length: decide_nc is decide_nt with the
 identity transform. The admitted lengths are walked upward with a running
@@ -34,7 +36,9 @@ raises CertificateBudgetError; an infinite one raises before any walk.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from itertools import repeat, tee
 from typing import Optional
@@ -124,6 +128,13 @@ def _max_length(g: MeasureFunction, transform: MeasureFunction, x: str, budget: 
         f"the length bound admits more certificates than the budget {budget}")
 
 
+@functools.cache
+def _run_of(code: int) -> re.Pattern:
+    """A run of the cell code, matched by a literal one-byte repeat;
+    compiled once per code, so at most 256 are kept."""
+    return re.compile(re.escape(bytes([code])) + b"+")
+
+
 def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: int
             ) -> CertificateSearchReport:
     checker = _compile(rel.checker, cost)
@@ -141,11 +152,12 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
         missed: list = []
         runs = checker.outcomes(zip(repeat(cells), iter(missed.pop, None)), fuel)
         # the memo holds outcomes of one radius, the latest run's; a run that
-        # changes it empties the memo and is not kept, so a cell costs at most
-        # one slice, and none while the radius changes on every run
+        # changes it empties the memo and is not kept, so a cell met costs at
+        # most one slice, and none while the radius changes on every run
         memo: dict = {}
         radius = None  # until the first run
-        for c in range(2 ** max_len):
+        c, stop, last = 0, 2 ** max_len, None
+        while c < stop:
             key = window(c, radius) if memo else None
             outcome = memo.get(key)
             if outcome is None:
@@ -158,6 +170,12 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
                 else:
                     memo.clear()
                 radius = new
+            elif key == last:
+                # the last cell's window moved one cell right reads the same,
+                # so both lie in a run of one symbol, as do the windows of the
+                # cells up to the first whose window leaves it: go there
+                c = _run_of(key[0]).match(cells, c - radius).end() - radius
+                continue
             if outcome[0] is accepted:
                 # the canonical walk first meets cell c as c in binary, l digits
                 # long, after the 2^l + c - 1 certificates that name cells 0..c-1
@@ -165,6 +183,8 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
                                                2 ** c.bit_length() + c, most)
             if c - radius >= len(cells):
                 break  # every later cell's window is this one: all blanks
+            last = key
+            c += 1
         return CertificateSearchReport(False, None, 2 ** (max_len + 1) - 1, most)
     # inline: each certificate gets a fresh tape x#y with the head on x
     symbols = rel.checker.tape_alphabet

@@ -344,7 +344,12 @@ def pair_checker(first, second, move):
     ("0", "1", RIGHT), ("1", "1", RIGHT), ("0", BLANK, RIGHT), ("1", "0", RIGHT),
     ("0", "1", LEFT), ("1", BLANK, LEFT), ("1", "1", LEFT), ("0", "0", LEFT),
 ])
-@pytest.mark.parametrize("x", ["0001101001" * 4, "1100" * 9, "0" * 30 + "1"])
+@pytest.mark.parametrize("x", [
+    "0001101001" * 4, "1100" * 9, "0" * 30 + "1",
+    "1" + "0" * 30,  # a run that ends at x's end, where windows are cut short
+    "0" * 31,  # one run from cell 0 to the end
+    "000111" * 6,  # runs exactly 2r + 1 = 3 long
+])
 def test_positioned_memo_keys_on_the_neighbours_a_run_reads(first, second, move, x):
     # equal cells with different neighbours must not share an outcome
     rel = pair_checker(first, second, move)
@@ -444,6 +449,16 @@ def test_positioned_search_runs_each_distinct_window_once(monkeypatch):
     assert search(positioned(accepts_on("1")), x, 12, COUNT_ALL, 100) == (
         True, "1" * 12, 2 ** 12 + 4095, 1)
     assert totals == [1, 1]  # cell 0 and the '1'
+    # a run of 2^22 - 1 cells is taken in one step: a bound that admits
+    # exactly length 22, whose last cell is the '1'
+    totals.clear()
+    g = MeasureFunction("linear", a=1e-6, b=17.9)
+    start = time.process_time()
+    report = decide_nc(positioned(accepts_on("1")), g, "0" * (2 ** 22 - 1) + "1",
+                       budget=2 ** 23)
+    assert time.process_time() - start < 0.5
+    assert report == CertificateSearchReport(True, "1" * 22, 2 ** 23 - 1, 1)
+    assert totals == [1, 1]
 
 
 def test_positioned_search_ends_in_closed_form_past_x(monkeypatch):

@@ -216,12 +216,17 @@ def test_run_configuration_names_an_unknown_state(record_trace):
 @pytest.mark.parametrize("record_trace", [True, False])
 def test_run_configuration_names_a_cell_outside_the_tape_alphabet(record_trace):
     m = scanner()
-    tape = {0: "0", 2: "x", 3: "1"}
-    config = Configuration("q_scan", dict(tape), 0)
-    with pytest.raises(InvalidInputError) as raised:
-        run_configuration(m, config, COUNT_ALL, 5, record_trace)
-    assert str(raised.value) == "symbol 'x' not in tape alphabet"
-    assert (config.state, config.tape, config.head) == ("q_scan", tape, 0)
+    for tape, culprit in [
+        ({0: "0", 2: "x", 3: "1"}, "x"),
+        ({0: "0", 100: "x"}, "x"),  # far past the reach of fuel 5
+        # several: the leftmost cell's, whatever the order they were stored in
+        ({3: "z", 0: "0", 100: "y", -100: "w", 1: "1"}, "w"),
+    ]:
+        config = Configuration("q_scan", dict(tape), 0)
+        with pytest.raises(InvalidInputError) as raised:
+            run_configuration(m, config, COUNT_ALL, 5, record_trace)
+        assert str(raised.value) == f"symbol {culprit!r} not in tape alphabet"
+        assert (config.state, config.tape, config.head) == ("q_scan", tape, 0)
 
 
 @pytest.mark.parametrize("head, verdict, heads", [

@@ -1,0 +1,61 @@
+"""CPU time of positioned certificate search on long inputs.
+
+For each input length n, prints the best-of-five CPU time (process time,
+which other processes on a shared machine disturb less than wall time) of
+decide_nc with positioned delivery, under the bound log2(n+1) + 1, on
+three inputs:
+
+    runs   x = 0^(n/2) 1^(n/2), the demo checker: mostly runs of one
+           symbol, witness at cell n/2
+    early  x = (01)^(n/2), the demo checker: no runs, witness at cell 1
+    walk   x = (01)^(n/2), a checker that accepts only on a blank: no
+           runs, every cell of x is walked before the witness at cell n
+
+A run of one symbol is taken in one step, so `runs` costs about as much
+at any n; `early` and `walk` show the cost on input without runs.
+
+    python3 tools/search_scale.py              # n = 4096 and 65536
+    python3 tools/search_scale.py 1024 4096    # the lengths given
+
+Everything runs in this one process.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DEFAULT_LENGTHS = (4096, 65536)
+REPEATS = 5
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(SRC))
+    from tmbench import BLANK, RIGHT, build_demo_machines, decide_nc, parse_measure
+
+    _, demo = build_demo_machines()
+    checker = demo.checker
+    on_blank = dataclasses.replace(demo, checker=dataclasses.replace(checker, transitions={
+        (checker.start_state, s): ("q_accept" if s == BLANK else "q_reject", s, RIGHT)
+        for s in ("0", "1", BLANK)}))
+    g = parse_measure("log:a=1,b=1")
+    for n in map(int, argv or DEFAULT_LENGTHS):
+        half = n // 2
+        cases = [("runs", demo, "0" * half + "1" * half), ("early", demo, "01" * half),
+                 ("walk", on_blank, "01" * half)]
+        for name, rel, x in cases:
+            best = float("inf")
+            for _ in range(REPEATS):
+                start = time.process_time()
+                report = decide_nc(rel, g, x)
+                best = min(best, time.process_time() - start)
+            print(f"{name:<5}  n={n:<6}  {best * 1e3:9.3f} ms  accepted={report.accepted} "
+                  f"witness={report.witness!r} tried={report.certificates_tried}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
