@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from itertools import product, repeat, tee
-from operator import index, itemgetter
+from operator import index
 from typing import Iterable, Iterator, Mapping, Optional
 
 from tmbench.cost import COUNT_ALL, CostModel, counted_set
@@ -290,7 +290,7 @@ class _Sweep:
             start = end = i
             stop = i + limit
             while True:
-                hi = min(end + window, stop)
+                hi = end + window if end + window < stop else stop  # min() costs more
                 j = tape[end:hi].translate(inside).find(0)
                 if j >= 0:
                     end += j
@@ -302,9 +302,9 @@ class _Sweep:
             head = end
         else:
             start = end = i + 1
-            stop = end - limit
+            stop = end - limit if end > limit else 0
             while True:
-                lo = max(start - window, stop, 0)
+                lo = start - window if start - window > stop else stop
                 j = tape[lo:start].translate(inside).rfind(0)
                 if j >= 0:
                     start = lo + j + 1
@@ -500,7 +500,7 @@ class _CompiledMachine:
             if self.plain is None:
                 self.plain, self.fields = [None] * len(self.table), {}
             keys = []
-        batch = self.execute([(cells, head)], fuel, first, q, keys)
+        batch = self.execute([(cells, head)], fuel, False, first, q, keys)
         verdict, total, counted, q, tape, i, origin = next(batch)
         final = Configuration.__new__(Configuration)
         final.state = self.states[q // self.width]
@@ -515,24 +515,26 @@ class _CompiledMachine:
         and the counted steps, as RunResult holds them. The runs are lazy,
         so a caller may stop early; fuel is checked now, before any start
         is read."""
-        return map(itemgetter(0, 1, 2), self.execute(starts, _positive(fuel)))
+        return self.execute(starts, _positive(fuel), True)  # lean
 
     def on_words(self, words: Iterable[str], fuel: int) -> Iterator[tuple[str, tuple]]:
         """outcomes of the runs on each word from the start configuration,
-        each paired with its word."""
-        words, again = tee(words)
+        each paired with its word; a list of words is read twice, any
+        other iterable once."""
+        words, again = (words, words) if isinstance(words, list) else tee(words)
         return zip(words, self.outcomes(zip(map(self.encode, again, repeat(self.inputs)),
                                             repeat(0)), fuel))
 
-    def execute(self, starts: Iterable[tuple], fuel: int, first: int = 0,
+    def execute(self, starts: Iterable[tuple], fuel: int, lean: bool = False, first: int = 0,
                 q: Optional[int] = None, keys: Optional[list] = None) -> Iterator[tuple]:
         """Run once per (cells, head) of starts, lazily: from state row q,
         the start state by default, on a fresh tape that holds the encoded
         cells from cell first on, blank elsewhere, with the head on cell
         head (at least first), until a halt or fuel total steps; a traced
         run passes the list each step appends its key to (see trace).
-        Yields per start the Verdict, the total and counted steps, the
-        final state row, the tape, the head's index in it and cell 0's.
+        Yields per start the Verdict, the total and counted steps, and
+        unless lean, the final state row, the tape, the head's index in it
+        and cell 0's.
 
         The tape is the cells, blanks up to the head, and one blank more,
         between sentinels; most runs halt before it needs to grow. fuel
@@ -594,7 +596,8 @@ class _CompiledMachine:
                 else:
                     total = fuel
                     break
-            yield verdicts[q // width], total, counted, q, tape, i, origin
+            end = verdicts[q // width], total, counted
+            yield end if lean else end + (q, tape, i, origin)
 
     def trace(self, keys: list) -> tuple[StepRecord, ...]:
         """The StepRecords of a traced run's keys, one record per distinct

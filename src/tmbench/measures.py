@@ -2,7 +2,8 @@
 
 A measure function serves two roles: as a runtime bound g and as a transform
 T of the input length. Bound checking composes them in one of three modes:
-plain g(x), outer g(T(x)), inner T(g(x)).
+plain g(x), outer g(T(x)), inner T(g(x)), and evaluates the bound once per
+word length, not once per word.
 """
 
 from __future__ import annotations
@@ -139,13 +140,20 @@ class BoundSpec:
         return compose(self.transform, self.g, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundRow:
+    """One word's check: a slotted value, with no __dict__ and no weak
+    references, built as StepRecord is (see _CompiledMachine.trace)."""
+
     input: str
     length: int
     counted_steps: int
     bound: float
     passed: bool
+
+
+# the slots' descriptors set a row's fields, in field order, past the frozen __setattr__
+_ROW_SETTERS = tuple(getattr(BoundRow, name).__set__ for name in BoundRow.__slots__)
 
 
 @dataclass(frozen=True)
@@ -155,8 +163,14 @@ class BoundReport:
     worst_margin: float
 
 
+def bound_limit(bound: float) -> float:
+    """The most counted steps bound admits: floor(bound + EPS), or inf for an
+    infinite bound."""
+    return bound if bound == math.inf else math.floor(bound + EPS)
+
+
 def bound_passes(counted: int, bound: float) -> bool:
-    return bound == math.inf or counted <= math.floor(bound + EPS)
+    return counted <= bound_limit(bound)
 
 
 def check_bound(
@@ -168,10 +182,11 @@ def check_bound(
 ) -> BoundReport:
     """Run m on each input and compare counted steps against the bound.
 
-    The empty word lies outside the measure domain and is checked against the
-    bound at length 1. inputs is read once, so an exhausted iterator is
-    refused as empty rather than passed vacuously, and a string, whose
-    letters would be the words, is refused.
+    The bound is evaluated once per word length, and every row of one
+    length holds that one float. The empty word lies outside the measure
+    domain and is checked against the bound at length 1. inputs is read
+    once, so an exhausted iterator is refused as empty rather than passed
+    vacuously, and a string, whose letters would be the words, is refused.
     """
     if isinstance(inputs, str):
         raise TypeError("inputs must be a collection of words, not a string")
@@ -179,20 +194,30 @@ def check_bound(
     if not inputs:
         raise ValueError("inputs must be non-empty")
     compiled = _compile(m, cost)
+    bounds = {n: spec.bound(max(n, 1)) for n in set(map(len, inputs))}
+    limits = {n: (b, bound_limit(b)) for n, b in bounds.items()}
     rows = []
-    worst = -math.inf
-    for word, (verdict, _, counted) in compiled.on_words(inputs, fuel):
-        bound = spec.bound(max(len(word), 1))
+    verdict, worst = True, -math.inf
+    new, exhausted = object.__new__, Verdict.FUEL_EXHAUSTED
+    set_input, set_length, set_counted, set_bound, set_passed = _ROW_SETTERS
+    for word, (end, _, counted) in compiled.on_words(inputs, fuel):
+        n = len(word)
+        bound, limit = limits[n]
         # a run out of fuel fails with an unbounded margin
-        halted = verdict is not Verdict.FUEL_EXHAUSTED
-        rows.append(BoundRow(word, len(word), counted, bound,
-                             halted and bound_passes(counted, bound)))
-        worst = max(worst, counted - bound if halted else math.inf)
-    return BoundReport(
-        per_input=tuple(rows),
-        verdict=all(r.passed for r in rows),
-        worst_margin=worst,
-    )
+        halted = end is not exhausted
+        passed = halted and counted <= limit
+        margin = counted - bound if halted else math.inf
+        if margin > worst:
+            worst = margin
+        verdict = verdict and passed
+        row = new(BoundRow)
+        set_input(row, word)
+        set_length(row, n)
+        set_counted(row, counted)
+        set_bound(row, bound)
+        set_passed(row, passed)
+        rows.append(row)
+    return BoundReport(per_input=tuple(rows), verdict=verdict, worst_margin=worst)
 
 
 def parse_params(text: str, names: tuple[str, ...], convert: Callable[[str], object],

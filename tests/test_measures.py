@@ -1,12 +1,18 @@
+import dataclasses
 import math
+import pickle
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tmbench import (
+    BoundReport,
     BoundSpec,
     COUNT_ALL,
+    FREE_BLIND,
     LanguageOracle,
     MeasureFunction,
     build_demo_machines,
@@ -15,9 +21,11 @@ from tmbench import (
     check_monotone_sample,
     evaluate,
     parse_measure,
+    run,
+    Verdict,
 )
 from tmbench.machine import all_words
-from tmbench.measures import _log2_evaluate, bound_passes, compose
+from tmbench.measures import FAMILY_PARAMS, BoundRow, _log2_evaluate, bound_passes, compose
 
 IDENTITY = MeasureFunction("identity")
 
@@ -265,6 +273,108 @@ def test_check_bound_reads_an_iterator_once_and_refuses_it_exhausted():
     assert len(report.per_input) == 15
     with pytest.raises(ValueError, match="non-empty"):
         check_bound(trie3(), COUNT_ALL, BoundSpec(g=IDENTITY), words, fuel=10)
+
+
+def reference_check_bound(m, cost, spec, words, fuel):
+    """check_bound word by word: run(), the bound at max(|w|, 1), bound_passes."""
+    rows, margins = [], []
+    for word in words:
+        result = run(m, word, cost, fuel)
+        bound = spec.bound(max(len(word), 1))
+        halted = result.verdict is not Verdict.FUEL_EXHAUSTED
+        rows.append(BoundRow(word, len(word), result.counted_steps, bound,
+                             halted and bound_passes(result.counted_steps, bound)))
+        margins.append(result.counted_steps - bound if halted else math.inf)
+    return BoundReport(tuple(rows), all(row.passed for row in rows), max(margins))
+
+
+# a wide spread of each parameter: a and k large enough to overflow to inf at
+# the lengths drawn, a small enough for bounds below 1
+measures = st.builds(
+    MeasureFunction,
+    family=st.sampled_from(sorted(FAMILY_PARAMS)),
+    a=st.sampled_from([1e-3, 0.3, 1.0, 2.5, 1e300]) | st.floats(1e-3, 1e3),
+    b=st.sampled_from([0.0, 0.5, 3.0]) | st.floats(0, 1e3),
+    k=st.sampled_from([0.5, 2.0, 400.0]) | st.floats(0.05, 5),
+)
+
+
+@st.composite
+def bound_specs(draw):
+    mode = draw(st.sampled_from(["plain", "outer", "inner"]))
+    return BoundSpec(g=draw(measures), mode=mode,
+                     transform=None if mode == "plain" else draw(measures))
+
+
+@st.composite
+def word_lists(draw):
+    """Words of mixed lengths, the empty word among them, and many of one length."""
+    n = draw(st.integers(0, 12))
+    words = draw(st.lists(st.text("01", max_size=12), max_size=12))
+    words += draw(st.lists(st.text("01", min_size=n, max_size=n), max_size=12))
+    return draw(st.permutations(words + [""] * draw(st.integers(0, 2))))
+
+
+EXP2_OF_EXP2 = BoundSpec(g=MeasureFunction("exp2"), mode="outer",
+                        transform=MeasureFunction("exp2"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine=st.sampled_from(["scanner", "trie3"]),
+       cost=st.sampled_from([COUNT_ALL, FREE_BLIND]), spec=bound_specs(),
+       words=word_lists(), fuel=st.integers(1, 16))
+# bounds that overflow to inf next to finite ones, and only infinite ones,
+# whose worst margin is -inf
+@example(machine="scanner", cost=COUNT_ALL, spec=EXP2_OF_EXP2,
+         words=["0" * 11, "", "1", "0" * 11], fuel=16)
+@example(machine="scanner", cost=COUNT_ALL, spec=EXP2_OF_EXP2, words=["0" * 12, "1" * 11], fuel=16)
+# bounds below 1, and runs out of fuel
+@example(machine="trie3", cost=COUNT_ALL, spec=BoundSpec(g=MeasureFunction("log", a=1e-3)),
+         words=["", "0", "1", "01"], fuel=1)
+def test_check_bound_matches_a_word_by_word_reference(machine, cost, spec, words, fuel):
+    m = build_demo_machines()[0] if machine == "scanner" else trie3()
+    words = words or [""]
+    assert check_bound(m, cost, spec, words, fuel) == reference_check_bound(
+        m, cost, spec, words, fuel)
+
+
+def test_check_bound_evaluates_one_bound_per_length(monkeypatch):
+    calls = []
+    bound = BoundSpec.bound
+
+    def counting(self, x):
+        calls.append(x)
+        return bound(self, x)
+    monkeypatch.setattr(BoundSpec, "bound", counting)
+    # 80 words of 48 lengths, shaped like the benchmark's check_bound batch
+    rng = random.Random(1)
+    words = ["0" * n for n in range(33, 49)]
+    for n in range(1, 33):
+        p = rng.randrange(n)
+        words += ["0" * p + "1" + "0" * (n - 1 - p), "0" * (n - 1 - p) + "1" + "0" * p]
+    spec = BoundSpec(g=MeasureFunction("power", a=1, k=2), mode="outer",
+                     transform=MeasureFunction("log", a=1, b=1))
+    report = check_bound(build_demo_machines()[0], COUNT_ALL, spec, words)
+    assert len(words) == 80 and len(set(map(len, words))) == 48
+    assert sorted(calls) == list(range(1, 49))
+    first = {}
+    for row in report.per_input:
+        assert row.bound is first.setdefault(row.length, row.bound)
+
+
+def test_bound_row_is_a_frozen_slotted_value():
+    row = check_bound(trie3(), COUNT_ALL, BoundSpec(g=IDENTITY), ["01"], fuel=10).per_input[0]
+    same = BoundRow("01", 2, 3, 2.0, False)
+    assert row == same and hash(row) == hash(same)
+    assert row != BoundRow("01", 2, 3, 2.0, True)
+    assert repr(row) == "BoundRow(input='01', length=2, counted_steps=3, bound=2.0, passed=False)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.passed = True
+    copy = pickle.loads(pickle.dumps(row))
+    assert copy == row and hash(copy) == hash(row)
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(row)
 
 
 def test_identity_transform_collapse():
