@@ -167,7 +167,7 @@ def cmd_profile(args) -> int:
     rows = []
     for length in lengths:
         best, best_word = -1, ""
-        for word, (verdict, _, counted) in compiled.on_words(words(length), args.fuel):
+        for word, verdict, _, counted in compiled.on_words(words(length), args.fuel):
             if verdict is Verdict.FUEL_EXHAUSTED:
                 raise ValueError(f"the run on {_render_word(word)} exhausted its fuel "
                                  f"{args.fuel} before halting")

@@ -224,7 +224,7 @@ def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = 
     trie, n = _trie_table(report), report.n
     accepted, rejected = Verdict.ACCEPTED, Verdict.REJECTED
     counterexamples, steps_ok = [], True
-    for word, (verdict, total, _) in trie.on_words(
+    for word, verdict, total, _ in trie.on_words(
             chain(all_words("01", n), _long_word_sample(n)), n + 4):
         if L is not None and verdict is not (accepted if len(word) <= n and L(word) else rejected):
             counterexamples.append(word)
@@ -275,7 +275,7 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> Convergenc
     for n in range(k, -1, -1):
         trie = _trie_table(build_trie_machine(known, n))
         if any((verdict is Verdict.ACCEPTED) != member
-               for (_, (verdict, _, _)), member in zip(trie.on_words(words, n + 4), answers)):
+               for (_, verdict, _, _), member in zip(trie.on_words(words, n + 4), answers)):
             break
         n_k = n
     return ConvergenceReport(k=k, n_k=n_k, verified_words=len(words))

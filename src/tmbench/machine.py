@@ -16,8 +16,10 @@ and the one place that reads a run's final state as its Verdict. It runs a
 batch of starts lazily: a single run is a batch of one (`launch`), and the
 loops that run a machine on many inputs (trie verification and convergence,
 `check_bound`, the CLI's profile, the certificate searches) take the lean
-driver `outcomes`, which binds the loop's locals once per batch and yields
-(verdict, total, counted) per start, as a RunResult holds them. A single
+driver `outcomes`, which binds the loop's locals once per batch. Each start
+carries a label of the caller's, which the driver hands back with the run's
+end: (label, verdict, total, counted) per start, the last three as a
+RunResult holds them, so no caller pairs outcomes with its inputs. A single
 step is `run_configuration` with fuel 1; the tests keep a dict-based
 stepper as the reference the compiled loop is checked against.
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from itertools import product, repeat, tee
+from itertools import product
 from operator import index
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -395,15 +397,17 @@ class _CompiledMachine:
     compiled form holds no reference to the machine, so caching it there
     makes no cycle.
 
-    `execute` holds the one step loop: it lays out a tape per start of a
-    batch and yields each run's end, its Verdict first. `verdicts`, built
-    once here, is the one map from a final state to a Verdict: indexed by
-    row // width, it holds FUEL_EXHAUSTED for every state but the halting
-    two. A run reads it once, as it ends, and no step reads it.
-    `launch` takes the single result of a batch of one to build a
-    RunResult; `outcomes`, the lean driver of the loops that run a machine
-    on many inputs, yields only the verdict and the total and counted steps
-    per start, and `on_words` runs it on words from the start configuration.
+    `execute` holds the one step loop: it lays out a tape per (label,
+    cells, head) start of a batch and yields each run's end, the start's
+    label first and its Verdict next. `verdicts`, built once here, is the
+    one map from a final state to a Verdict: indexed by row // width, it
+    holds FUEL_EXHAUSTED for every state but the halting two. A run reads
+    it once, as it ends, and no step reads it.
+    `launch` takes the single result of a batch of one, labelled None, to
+    build a RunResult; `outcomes`, the lean driver of the loops that run a
+    machine on many inputs, yields only the label, the verdict and the
+    total and counted steps per start, and `on_words` runs it on words from
+    the start configuration, each labelled with its word.
     """
 
     def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
@@ -425,7 +429,8 @@ class _CompiledMachine:
         first, and the halting rows, accept's then reject's, follow its
         end. Every entry but the sentinel column's must be plain, so
         nothing is filled or swept by name. It runs through the lean
-        driver (outcomes, on_words): without state names it has no final
+        driver (outcomes, on_words), which yields (label, verdict, total,
+        counted) per start: without state names it has no final
         configuration or trace to build."""
         return cls.__new__(cls)._columns(symbols, inputs, table, 0)
 
@@ -500,8 +505,8 @@ class _CompiledMachine:
             if self.plain is None:
                 self.plain, self.fields = [None] * len(self.table), {}
             keys = []
-        batch = self.execute([(cells, head)], fuel, False, first, q, keys)
-        verdict, total, counted, q, tape, i, origin = next(batch)
+        batch = self.execute([(None, cells, head)], fuel, False, first, q, keys)
+        _, verdict, total, counted, q, tape, i, origin = next(batch)
         final = Configuration.__new__(Configuration)
         final.state = self.states[q // self.width]
         final.head = i - origin
@@ -509,32 +514,30 @@ class _CompiledMachine:
         return RunResult(verdict, total, counted,
                          self.trace(keys) if keys is not None else None, final)
 
-    def outcomes(self, starts: Iterable[tuple], fuel: int) -> Iterator[tuple[Verdict, int, int]]:
+    def outcomes(self, starts: Iterable[tuple], fuel: int) -> Iterator[tuple]:
         """The lean driver: execute's runs from the start state, one per
-        (cells, head) of starts, each yielding only its Verdict, the total
-        and the counted steps, as RunResult holds them. The runs are lazy,
-        so a caller may stop early; fuel is checked now, before any start
-        is read."""
+        (label, cells, head) of starts, each yielding only its label, its
+        Verdict, the total and the counted steps, the last three as
+        RunResult holds them. The runs are lazy, so a caller may stop
+        early; fuel is checked now, before any start is read."""
         return self.execute(starts, _positive(fuel), True)  # lean
 
-    def on_words(self, words: Iterable[str], fuel: int) -> Iterator[tuple[str, tuple]]:
+    def on_words(self, words: Iterable[str], fuel: int) -> Iterator[tuple]:
         """outcomes of the runs on each word from the start configuration,
-        each paired with its word; a list of words is read twice, any
-        other iterable once."""
-        words, again = (words, words) if isinstance(words, list) else tee(words)
-        return zip(words, self.outcomes(zip(map(self.encode, again, repeat(self.inputs)),
-                                            repeat(0)), fuel))
+        each labelled with its word; words is read once, lazily."""
+        encode, inputs = self.encode, self.inputs
+        return self.outcomes(((word, encode(word, inputs), 0) for word in words), fuel)
 
     def execute(self, starts: Iterable[tuple], fuel: int, lean: bool = False, first: int = 0,
                 q: Optional[int] = None, keys: Optional[list] = None) -> Iterator[tuple]:
-        """Run once per (cells, head) of starts, lazily: from state row q,
-        the start state by default, on a fresh tape that holds the encoded
-        cells from cell first on, blank elsewhere, with the head on cell
-        head (at least first), until a halt or fuel total steps; a traced
-        run passes the list each step appends its key to (see trace).
-        Yields per start the Verdict, the total and counted steps, and
-        unless lean, the final state row, the tape, the head's index in it
-        and cell 0's.
+        """Run once per (label, cells, head) of starts, lazily: from state
+        row q, the start state by default, on a fresh tape that holds the
+        encoded cells from cell first on, blank elsewhere, with the head on
+        cell head (at least first), until a halt or fuel total steps; a
+        traced run passes the list each step appends its key to (see
+        trace). Yields per start its label, whatever the caller chose, the
+        Verdict, the total and counted steps, and unless lean, the final
+        state row, the tape, the head's index in it and cell 0's.
 
         The tape is the cells, blanks up to the head, and one blank more,
         between sentinels; most runs halt before it needs to grow. fuel
@@ -546,7 +549,7 @@ class _CompiledMachine:
         edge, fill = self.edge, self._fill
         verdicts, width, size = self.verdicts, self.width, len(table)
         q0 = self.start if q is None else q
-        for cells, head in starts:
+        for label, cells, head in starts:
             pad = head - first - len(cells)
             tape = sentinel + cells + (blank * pad + right_end if pad > 0 else right_end)
             i, origin = head - first + 1, 1 - first
@@ -596,7 +599,7 @@ class _CompiledMachine:
                 else:
                     total = fuel
                     break
-            end = verdicts[q // width], total, counted
+            end = label, verdicts[q // width], total, counted
             yield end if lean else end + (q, tape, i, origin)
 
     def trace(self, keys: list) -> tuple[StepRecord, ...]:

@@ -169,10 +169,6 @@ def bound_limit(bound: float) -> float:
     return bound if bound == math.inf else math.floor(bound + EPS)
 
 
-def bound_passes(counted: int, bound: float) -> bool:
-    return counted <= bound_limit(bound)
-
-
 def check_bound(
     m: Machine,
     cost: CostModel,
@@ -200,7 +196,7 @@ def check_bound(
     verdict, worst = True, -math.inf
     new, exhausted = object.__new__, Verdict.FUEL_EXHAUSTED
     set_input, set_length, set_counted, set_bound, set_passed = _ROW_SETTERS
-    for word, (end, _, counted) in compiled.on_words(inputs, fuel):
+    for word, end, _, counted in compiled.on_words(inputs, fuel):
         n = len(word)
         bound, limit = limits[n]
         # a run out of fuel fails with an unbounded margin

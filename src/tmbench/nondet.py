@@ -16,17 +16,19 @@ alphabet must hold '0', '1' and '#'; CheckingRelation refuses any other.
 The search encodes x once and runs the compiled checker through its lean
 batch driver, `outcomes`, which lays out each tape as the dict reference
 `deliver` does and yields only the run's Verdict and its total and counted
-steps, lazily, so a search stops at its first witness. The inline search
-runs every certificate. Neither search fills the checker's table first: a
-search that finds an early witness uses few of its entries. A positioned
-run depends only on its head cell, and y and 0y name the same cell, so
-the positioned search meets the cells in the numeric order in which the
-canonical walk first meets them; its report is that walk's. A run of
-k steps reads only cells within k - 1 of its start, so the search memoizes
-outcomes by that window while the radius stays, and ends at the first
-window wholly past x. A window equal to the last cell's lies with it in a
-run of one symbol of x, and so do the windows of the cells after it up to
-the first that leaves the run: the search goes there in one step.
+steps, lazily, so a search stops at its first witness. Each run comes back
+with the label its start carried: the inline search labels each start with
+its certificate, the positioned search with its head cell. The inline
+search runs every certificate. Neither search fills the checker's table
+first: a search that finds an early witness uses few of its entries. A
+positioned run depends only on its head cell, and y and 0y name the same
+cell, so the positioned search meets the cells in the numeric order in
+which the canonical walk first meets them; its report is that walk's. A
+run of k steps reads only cells within k - 1 of its start, so the search
+memoizes outcomes by that window while the radius stays, and ends at the
+first window wholly past x. A window equal to the last cell's lies with it
+in a run of one symbol of x, and so do the windows of the cells after it
+up to the first that leaves the run: the search goes there in one step.
 
 One rule bounds the certificate length: decide_nc is decide_nt with the
 identity transform. The admitted lengths are walked upward with a running
@@ -40,7 +42,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import repeat, tee
 from typing import Optional
 
 from tmbench.cost import CostModel, COUNT_ALL
@@ -148,10 +149,12 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
             lo = c - r
             return cells[lo:c + r + 1] if lo >= 0 else (lo, cells[:c + r + 1])
 
-        # the driver runs each missed cell as the loop appends it
+        # the driver runs each missed cell as the loop appends its start,
+        # labelled with the cell
         missed: list = []
-        runs = checker.outcomes(zip(repeat(cells), iter(missed.pop, None)), fuel)
-        # the memo holds outcomes of one radius, the latest run's; a run that
+        runs = checker.outcomes(iter(missed.pop, None), fuel)
+        # the memo holds outcomes of one radius, the latest run's, each
+        # labelled with the cell where its window first ran; a run that
         # changes it empties the memo and is not kept, so a cell met costs at
         # most one slice, and none while the radius changes on every run
         memo: dict = {}
@@ -161,10 +164,10 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
             key = window(c, radius) if memo else None
             outcome = memo.get(key)
             if outcome is None:
-                missed.append(c)
+                missed.append((c, cells, c))
                 outcome = next(runs)
-                most = max(most, outcome[2])
-                new = outcome[1] - 1  # a run of k steps reads within k - 1
+                most = max(most, outcome[3])
+                new = outcome[2] - 1  # a run of k steps reads within k - 1
                 if radius is None or new == radius:
                     memo[window(c, new) if key is None else key] = outcome
                 else:
@@ -176,7 +179,7 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
                 # cells up to the first whose window leaves it: go there
                 c = _run_of(key[0]).match(cells, c - radius).end() - radius
                 continue
-            if outcome[0] is accepted:
+            if outcome[1] is accepted:
                 # the canonical walk first meets cell c as c in binary, l digits
                 # long, after the 2^l + c - 1 certificates that name cells 0..c-1
                 return CertificateSearchReport(True, format(c, "b") if c else "",
@@ -189,11 +192,9 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
     # inline: each certificate gets a fresh tape x#y with the head on x
     symbols = rel.checker.tape_alphabet
     cells += checker.encode(SEPARATOR, symbols)
-    ys, again = tee(all_words("01", max_len))
-    starts = ((cells + checker.encode(y, symbols), 0) for y in again)
+    starts = ((y, cells + checker.encode(y, symbols), 0) for y in all_words("01", max_len))
     # the empty certificate comes first, so the loop runs at least once
-    for tried, (y, (verdict, _, counted)) in enumerate(
-            zip(ys, checker.outcomes(starts, fuel)), 1):
+    for tried, (y, verdict, _, counted) in enumerate(checker.outcomes(starts, fuel), 1):
         most = max(most, counted)
         if verdict is accepted:
             return CertificateSearchReport(True, y, tried, most)

@@ -43,24 +43,7 @@ from tmbench.machine import _compile, _CompiledMachine, _Sweep, all_words
 from tmbench.measures import IDENTITY
 from tmbench.nondet import _max_length, deliver
 
-from reference import step
-
-def reference(m, config, keys, fuel):
-    """The dict stepper from config: (verdict, total, counted, trace, final)."""
-    trace = []
-    while len(trace) < fuel:
-        applied = step(m, config)
-        if applied is None:
-            break
-        record = applied[1]
-        trace.append(dataclasses.replace(record, counted=(record.state, record.read) in keys))
-    if config.state == m.accept_state:
-        verdict = Verdict.ACCEPTED
-    elif config.state == m.reject_state:
-        verdict = Verdict.REJECTED
-    else:
-        verdict = Verdict.FUEL_EXHAUSTED
-    return verdict, len(trace), sum(r.counted for r in trace), tuple(trace), config
+from reference import cost_models, fuels, looping_machines, machines, reference, step
 
 
 def check_against_reference(m, word, cost, fuel, record_trace=False):
@@ -76,38 +59,6 @@ def check_against_reference(m, word, cost, fuel, record_trace=False):
     return result
 
 
-@st.composite
-def machines(draw, symbols=st.sampled_from(["0", "01", "01a", "01#"])):
-    """Random valid machines: 2-6 working states, 2-4 tape symbols with the blank."""
-    others = draw(symbols)
-    live = [f"q{i}" for i in range(draw(st.integers(2, 6)))]
-    states = live + ["acc", "rej"]
-    tape = others + BLANK
-    inputs = draw(st.sets(st.sampled_from(others.replace("#", "")), min_size=1))
-    transitions = {
-        (q, s): (draw(st.sampled_from(states)), draw(st.sampled_from(tape)),
-                 draw(st.sampled_from([LEFT, RIGHT])))
-        for q in live for s in tape
-    }
-    return Machine(frozenset(inputs), frozenset(tape), frozenset(states), live[0],
-                   "acc", "rej", transitions)
-
-
-@st.composite
-def cost_models(draw, m):
-    kind = draw(st.sampled_from(["all", "blind", "states", "custom"]))
-    if kind == "all":
-        return COUNT_ALL
-    if kind == "blind":
-        return FREE_BLIND
-    if kind == "states":
-        return CostModel(free_states=draw(st.sets(st.sampled_from(sorted(m.states)))))
-    return CostModel(predicate=lambda q, s, w, move, t: move == LEFT or w != s)
-
-
-fuels = st.one_of(st.integers(1, 12), st.integers(200, 3000))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_run_matches_dict_stepper(data):
@@ -119,10 +70,10 @@ def test_run_matches_dict_stepper(data):
 
 
 def driver_outcome(m, word, cost, fuel):
-    """The lean driver on word, as a batch of one start: (verdict, total,
-    counted)."""
+    """The lean driver on word, as a batch of one start labelled with word:
+    (word, verdict, total, counted)."""
     compiled = _compile(m, cost)
-    (outcome,) = compiled.outcomes([(compiled.encode(word, compiled.inputs), 0)], fuel)
+    (outcome,) = compiled.outcomes([(word, compiled.encode(word, compiled.inputs), 0)], fuel)
     return outcome
 
 
@@ -134,7 +85,7 @@ def check_driver_against_run(m, word, cost, fuel, driver_first=True):
     result = run(m, word, cost, fuel=fuel, record_trace=False)
     if not driver_first:
         outcome = driver_outcome(m, word, cost, fuel)
-    assert outcome == (result.verdict, result.total_steps, result.counted_steps)
+    assert outcome == (word, result.verdict, result.total_steps, result.counted_steps)
     return outcome
 
 
@@ -152,7 +103,7 @@ def test_driver_matches_run_at_fuel_cut_offs_inside_sweeps():
     m = sweeper()
     word = "0110" * 25 + "0" * 100
     for fuel in (1, 31, 33, 150, 199, 200, 201, 202, 300, 399, 400, 401, 402, 500):
-        verdict, total, _ = check_driver_against_run(m, word, COUNT_ALL, fuel, fuel % 2 == 0)
+        _, verdict, total, _ = check_driver_against_run(m, word, COUNT_ALL, fuel, fuel % 2 == 0)
         assert total == min(fuel, 402)
         assert verdict is (Verdict.ACCEPTED if fuel >= 402 else Verdict.FUEL_EXHAUSTED)
 
@@ -160,7 +111,7 @@ def test_driver_matches_run_at_fuel_cut_offs_inside_sweeps():
 def test_driver_matches_run_on_a_tape_that_grows_at_both_ends():
     cost = CostModel(free_states={"L"})
     for fuel in (7, 100, 5000):
-        verdict, total, counted = check_driver_against_run(bouncer(), "0110", cost, fuel)
+        _, verdict, total, counted = check_driver_against_run(bouncer(), "0110", cost, fuel)
         assert (verdict, total) == (Verdict.FUEL_EXHAUSTED, fuel) and 0 < counted < fuel
 
 
@@ -323,7 +274,7 @@ def record_runs(monkeypatch, most=math.inf):
 
     def recording(self, starts, *args):
         for result in execute(self, starts, *args):
-            totals.append(result[1])
+            totals.append(result[2])
             assert len(totals) <= most, f"more than {most} runs"
             yield result
     monkeypatch.setattr(_CompiledMachine, "execute", recording)
@@ -616,24 +567,6 @@ def test_a_tape_alphabet_of_255_symbols_matches_the_dict_stepper():
 
 def sweeps_of(m, cost=COUNT_ALL):
     return [entry for entry in _compile(m, cost).table if isinstance(entry, _Sweep)]
-
-
-@st.composite
-def looping_machines(draw):
-    """Random valid machines whose entries mostly loop on their own state,
-    so that runs take sweeps in both directions, with and without writes."""
-    others = draw(st.sampled_from(["01", "01a"]))
-    live = [f"q{i}" for i in range(draw(st.integers(1, 4)))]
-    states = live + ["acc", "rej"]
-    tape = others + BLANK
-    transitions = {}
-    for q in live:
-        for s in tape:
-            target = q if draw(st.integers(0, 3)) else draw(st.sampled_from(states))
-            write = s if draw(st.booleans()) else draw(st.sampled_from(tape))
-            transitions[(q, s)] = (target, write, draw(st.sampled_from([LEFT, RIGHT])))
-    return Machine(frozenset(others), frozenset(tape), frozenset(states), live[0],
-                   "acc", "rej", transitions)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1042,16 +975,18 @@ def reference_from(m, cost, word, head, fuel):
 
 
 def check_batch(m, cost, starts, fuel):
-    """One batch over the (word, head) starts agrees, start by start, with
-    the dict stepper and with launch; returns the batch's outcomes."""
+    """One batch over the (word, head) starts, each labelled with its
+    index, agrees, start by start, with the dict stepper and with launch;
+    returns the batch's outcomes."""
     compiled = _compile(m, cost)
-    encoded = [(compiled.encode(word, m.input_alphabet), head) for word, head in starts]
+    encoded = [(i, compiled.encode(word, m.input_alphabet), head)
+               for i, (word, head) in enumerate(starts)]
     outcomes = list(compiled.outcomes(encoded, fuel))
     assert len(outcomes) == len(starts)
-    for (word, head), (cells, _), outcome in zip(starts, encoded, outcomes):
-        assert outcome == reference_from(m, cost, word, head, fuel)
+    for i, ((word, head), (_, cells, _), outcome) in enumerate(zip(starts, encoded, outcomes)):
+        assert outcome == (i,) + reference_from(m, cost, word, head, fuel)
         result = compiled.launch(cells, head, fuel)
-        assert outcome == (result.verdict, result.total_steps, result.counted_steps)
+        assert outcome == (i, result.verdict, result.total_steps, result.counted_steps)
     return outcomes
 
 
@@ -1062,14 +997,14 @@ def test_a_batch_matches_its_starts_run_one_by_one():
     starts = [(long, 0), ("", 0), ("01", 0), (long, 150), ("0110", 9), (long, 250),
               ("1", 40), (long, 0)]
     for fuel in (150, 300, 500):
-        verdicts = [v for v, _, _ in check_batch(sweeper(), COUNT_ALL, starts, fuel)]
+        verdicts = [v for _, v, _, _ in check_batch(sweeper(), COUNT_ALL, starts, fuel)]
         assert Verdict.ACCEPTED in verdicts
         assert (Verdict.FUEL_EXHAUSTED in verdicts) == (fuel < 402)
     # a bouncer never halts, and its tape grows at both ends
     cost = CostModel(free_states={"L"})
     starts = [("0110", 0), ("", 0), ("01", 7), ("0110", 2)]
     outcomes = check_batch(bouncer(), cost, starts, 3000)
-    assert all(v is Verdict.FUEL_EXHAUSTED and 0 < c < t == 3000 for v, t, c in outcomes)
+    assert all(v is Verdict.FUEL_EXHAUSTED and 0 < c < t == 3000 for _, v, t, c in outcomes)
     tape = run(bouncer(), "0110", cost, fuel=3000, record_trace=False).final.tape
     assert min(tape) < -30 and max(tape) > 30
 
@@ -1084,12 +1019,57 @@ def test_batches_of_random_starts_match_the_dict_stepper(data):
     check_batch(m, cost, starts, data.draw(st.one_of(st.integers(1, 60), fuels)))
 
 
+def test_a_batch_hands_back_its_labels_in_start_order():
+    # a fresh machine: its entries are filled as the batch's runs reach them
+    m = sweeper()
+    compiled = _compile(m, COUNT_ALL)
+    unfilled = compiled.table.count(None)
+    assert unfilled == len(compiled.table)
+    long = "0110" * 25 + "0" * 100  # 402 steps from cell 0
+    # halts, and fuel cut-offs inside the right and the left sweep; labels
+    # of any kind, one of them twice
+    starts = [("halt", "1", 0), ((1, 2), long, 0), (None, "", 5), ("cut", long, 100),
+              (7, "01", 0), ("halt", "", 0)]
+    outcomes = list(compiled.outcomes(
+        [(label, compiled.encode(word, m.input_alphabet), head) for label, word, head in starts],
+        150))
+    assert compiled.table.count(None) < unfilled
+    assert [label for label, *_ in outcomes] == [label for label, _, _ in starts]
+    assert [outcome[1:] for outcome in outcomes] == [
+        reference_from(m, COUNT_ALL, word, head, 150) for _, word, head in starts]
+    assert [v for _, v, _, _ in outcomes] == [
+        Verdict.ACCEPTED, Verdict.FUEL_EXHAUSTED, Verdict.ACCEPTED, Verdict.FUEL_EXHAUSTED,
+        Verdict.ACCEPTED, Verdict.ACCEPTED]
+
+
+def test_on_words_reads_any_iterable_of_words_once_and_lazily():
+    m = sweeper()
+    compiled = _compile(m, COUNT_ALL)
+    long = "0110" * 25 + "0" * 100
+    words = ["01", long, "", "1", long]
+    read = []
+
+    def one_shot():
+        for word in words:
+            read.append(word)
+            yield word
+
+    outcomes = list(compiled.on_words(words, 300))
+    assert list(compiled.on_words(one_shot(), 300)) == outcomes
+    assert read == words
+    assert outcomes == [(word,) + reference_from(m, COUNT_ALL, word, 0, 300) for word in words]
+    # an early stop at the first run out of fuel reads no word past it
+    read.clear()
+    witness = next(word for word, v, _, _ in compiled.on_words(one_shot(), 300)
+                   if v is Verdict.FUEL_EXHAUSTED)
+    assert witness == long and read == ["01", long]
+
+
 def test_a_bad_symbol_raises_mid_batch():
     m = sweeper()
     compiled = _compile(m, COUNT_ALL)
     results = compiled.on_words(["01", "0x1", "10"], 50)
-    word, outcome = next(results)
-    assert (word, outcome) == ("01", reference_from(m, COUNT_ALL, "01", 0, 50))
+    assert next(results) == ("01",) + reference_from(m, COUNT_ALL, "01", 0, 50)
     with pytest.raises(InvalidInputError, match="symbol 'x' not in input alphabet"):
         next(results)
     # the machine still runs after the batch that raised
@@ -1105,21 +1085,21 @@ def test_a_batch_stopped_early_leaves_the_machine_reusable():
     def starts():
         for word in ("01", long, long, "1"):
             read.append(word)
-            yield compiled.encode(word, m.input_alphabet), 0
+            yield word, compiled.encode(word, m.input_alphabet), 0
 
     # any() stops at the first accepting run and reads no start past it
-    assert any(v is Verdict.ACCEPTED for v, _, _ in compiled.outcomes(starts(), 500))
+    assert any(v is Verdict.ACCEPTED for _, v, _, _ in compiled.outcomes(starts(), 500))
     assert read == ["01"]
     # a batch left mid-way, inside a fuel cut-off's sweep, leaves no trace
     batch = compiled.outcomes(starts(), 300)
     next(batch)
-    assert next(batch) == (Verdict.FUEL_EXHAUSTED, 300, 300)
+    assert next(batch) == (long, Verdict.FUEL_EXHAUSTED, 300, 300)
     del batch
     for fuel in (300, 500):
         check_against_reference(m, long, COUNT_ALL, fuel)
         check_traced(m, long, COUNT_ALL, fuel)
     assert list(compiled.outcomes(starts(), 500)) == [
-        reference_from(m, COUNT_ALL, word, 0, 500) for word in ("01", long, long, "1")]
+        (word,) + reference_from(m, COUNT_ALL, word, 0, 500) for word in ("01", long, long, "1")]
 
 
 @pytest.mark.parametrize("fuel", [100.0, math.inf, "5", 0, -3])
@@ -1129,7 +1109,7 @@ def test_a_bad_fuel_raises_when_a_batch_is_called(fuel):
 
     def starts():
         read.append(True)
-        yield compiled.encode("01", compiled.inputs), 0
+        yield "01", compiled.encode("01", compiled.inputs), 0
 
     with pytest.raises((TypeError, ValueError)) as raised:
         compiled.outcomes(starts(), fuel)

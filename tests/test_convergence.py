@@ -29,7 +29,7 @@ from tmbench.convergence import (
 )
 from tmbench.machine import _compile, all_words, initial_configuration
 
-from reference import step
+from reference import reference
 
 ALL_BUILTINS = sorted(BUILTIN_LANGUAGES)
 
@@ -486,17 +486,6 @@ def test_the_table_from_the_answers_runs_as_the_compiled_machine(name, oracle):
             assert list(table.on_words(words, fuel)) == list(compiled.on_words(words, fuel))
 
 
-def stepped(m, word, fuel):
-    """The dict stepper's run of m on word: its verdict, its step records
-    and its final configuration."""
-    config, records = initial_configuration(m, word), []
-    while len(records) < fuel and (applied := step(m, config)) is not None:
-        records.append(applied[1])
-    verdict = {m.accept_state: Verdict.ACCEPTED,
-               m.reject_state: Verdict.REJECTED}.get(config.state, Verdict.FUEL_EXHAUSTED)
-    return verdict, tuple(records), config
-
-
 @pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
 def test_runs_on_the_built_machine_match_the_dict_stepper(name, oracle):
     for n in range(9):
@@ -504,7 +493,8 @@ def test_runs_on_the_built_machine_match_the_dict_stepper(name, oracle):
         assert machine == reference_trie(oracle, n)[0]
         for word in all_words("01", min(n + 1, 6)):
             for fuel in (n + 4, 2):
-                verdict, records, final = stepped(machine, word, fuel)
+                verdict, _, _, records, final = reference(
+                    machine, initial_configuration(machine, word), machine.transitions, fuel)
                 for record_trace in (True, False):
                     result = run(machine, word, COUNT_ALL, fuel, record_trace)
                     assert (result.verdict, result.total_steps, result.counted_steps) == (

@@ -25,7 +25,7 @@ from tmbench import (
     Verdict,
 )
 from tmbench.machine import all_words
-from tmbench.measures import FAMILY_PARAMS, BoundRow, _log2_evaluate, bound_passes, compose
+from tmbench.measures import EPS, FAMILY_PARAMS, BoundRow, _log2_evaluate, bound_limit, compose
 
 IDENTITY = MeasureFunction("identity")
 
@@ -130,7 +130,7 @@ def test_log_of_overflowed_stage_is_finite():
 
 
 def test_infinite_bound_passes_any_count():
-    assert bound_passes(10 ** 400, math.inf)
+    assert 10 ** 400 <= bound_limit(math.inf)
     spec = BoundSpec(g=MeasureFunction("exp2", a=1), mode="outer",
                      transform=MeasureFunction("exp2", a=1))
     assert spec.bound(11) == math.inf
@@ -276,14 +276,16 @@ def test_check_bound_reads_an_iterator_once_and_refuses_it_exhausted():
 
 
 def reference_check_bound(m, cost, spec, words, fuel):
-    """check_bound word by word: run(), the bound at max(|w|, 1), bound_passes."""
+    """check_bound word by word: run(), the bound at max(|w|, 1), and the
+    pass rule stated here: an infinite bound admits any count, a finite one
+    at most floor(bound + EPS) counted steps."""
     rows, margins = [], []
     for word in words:
         result = run(m, word, cost, fuel)
         bound = spec.bound(max(len(word), 1))
         halted = result.verdict is not Verdict.FUEL_EXHAUSTED
-        rows.append(BoundRow(word, len(word), result.counted_steps, bound,
-                             halted and bound_passes(result.counted_steps, bound)))
+        passed = bound == math.inf or result.counted_steps <= math.floor(bound + EPS)
+        rows.append(BoundRow(word, len(word), result.counted_steps, bound, halted and passed))
         margins.append(result.counted_steps - bound if halted else math.inf)
     return BoundReport(tuple(rows), all(row.passed for row in rows), max(margins))
 
@@ -331,6 +333,10 @@ EXP2_OF_EXP2 = BoundSpec(g=MeasureFunction("exp2"), mode="outer",
 # bounds below 1, and runs out of fuel
 @example(machine="trie3", cost=COUNT_ALL, spec=BoundSpec(g=MeasureFunction("log", a=1e-3)),
          words=["", "0", "1", "01"], fuel=1)
+# a bound a hair below the count 11 of 0^10, which EPS admits
+@example(machine="scanner", cost=COUNT_ALL,
+         spec=BoundSpec(g=MeasureFunction("linear", a=1 - 1e-12, b=1)), words=["0" * 10, "1"],
+         fuel=16)
 def test_check_bound_matches_a_word_by_word_reference(machine, cost, spec, words, fuel):
     m = build_demo_machines()[0] if machine == "scanner" else trie3()
     words = words or [""]

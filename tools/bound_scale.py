@@ -9,8 +9,10 @@ are 0^n for n = 33..48 and, for n = 1..32, two words of length n with a
 single 1 at a seeded position p and at n-1-p.
 
 Next to it, it prints the best-of-five time of the same 720 runs alone,
-through the compiled machine's lean driver (on_words), and the difference
-per word: the work check_bound does beyond running the machine. The two
+through the compiled machine's lean driver (on_words, which reads the
+words once and yields each word with its verdict, total and counted
+steps, as check_bound reads them), and the difference per word: the work
+check_bound does beyond running the machine. The two
 are timed in turn, round by round, so that both see the same load.
 
     python3 tools/bound_scale.py        # seed 1
