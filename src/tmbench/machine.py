@@ -6,22 +6,23 @@ the head starts on cell 0, which holds the first input symbol. Moves are
 'L'/'R', i.e. head index -1/+1.
 
 Runs execute on a compiled form of the machine (_CompiledMachine), built
-once per (machine, cost model) and cached on the machine. An untraced run
-takes a self-loop over a run of cells (a sweep) as one exact macro-step,
-after Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990); a traced run
-steps one transition at a time. Every run, from a word, from a
-configuration or from an (input, certificate) pair, goes through
-`_CompiledMachine.execute`, the one place that lays out a tape and steps,
-and the one place that reads a run's final state as its Verdict. It runs a
-batch of starts lazily: a single run is a batch of one (`launch`), and the
-loops that run a machine on many inputs (trie verification and convergence,
-`check_bound`, the CLI's profile, the certificate searches) take the lean
-driver `outcomes`, which binds the loop's locals once per batch. Each start
-carries a label of the caller's, which the driver hands back with the run's
-end: (label, verdict, total, counted) per start, the last three as a
-RunResult holds them, so no caller pairs outcomes with its inputs. A single
-step is `run_configuration` with fuel 1; the tests keep a dict-based
-stepper as the reference the compiled loop is checked against.
+once per (machine, cost model) and cached on the machine. A run, traced or
+not, takes a self-loop over a run of cells (a sweep) as one exact
+macro-step, after Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990);
+a traced sweep records each cell it passes as a step of its own. Every run,
+from a word, from a configuration or from an (input, certificate) pair,
+goes through `_CompiledMachine.execute`, the one place that lays out a tape
+and steps, and the one place that reads a run's final state as its Verdict.
+It runs a batch of starts lazily: a single run is a batch of one
+(`launch`), and the loops that run a machine on many inputs (trie
+verification and convergence, `check_bound`, the CLI's profile, the
+certificate searches) take the lean driver `outcomes`, which binds the
+loop's locals once per batch. Each start carries a label of the caller's,
+which the driver hands back with the run's end: (label, verdict, total,
+counted) per start, the last three as a RunResult holds them, so no caller
+pairs outcomes with its inputs. A single step is `run_configuration` with
+fuel 1; the tests keep a dict-based stepper as the reference the compiled
+loop is checked against.
 
 The compiled table of a Machine is filled entry by entry as runs reach its
 entries, so a single run on a large machine costs only the entries it
@@ -42,7 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from itertools import product
-from operator import index
+from operator import add, index
 from typing import Iterable, Iterator, Mapping, Optional
 
 from tmbench.cost import COUNT_ALL, CostModel, counted_set
@@ -255,7 +256,8 @@ class _Sweep:
     the cells of the run whose symbol is in `counted` (None: all of them).
 
     Unpacking a sweep raises TypeError, like an unfilled entry, so the step
-    loop needs no test to notice one. `plain` is the entry as one step.
+    loop needs no test to notice one, traced or not. `plain` is the entry
+    as one step.
     """
 
     __slots__ = ("plain", "d", "inside", "writes", "counted", "runs", "cells", "last")
@@ -276,9 +278,15 @@ class _Sweep:
         self.writes, self.counted = writes, counted
         self.runs = self.cells = self.last = 0
 
-    def run(self, tape: bytearray, i: int, limit: int) -> tuple[int, int, int]:
+    def run(self, tape: bytearray, i: int, limit: int, keys: Optional[list], base: int,
+            size: int) -> tuple[int, int, int]:
         """Apply the run that starts at tape[i], at most limit cells long:
         returns the head index after it, its total and its counted steps.
+        A traced run passes its keys (see _CompiledMachine.trace), which
+        get one key per cell of the run, in step order, before any write:
+        the cell at tape index j gets its symbol + base + size * j, which
+        is the key of the step there when base is the state's row less
+        size times cell 0's index.
 
         The run ends at the first cell outside the set, looked for in
         windows that start a little past this sweep's last run and double
@@ -318,8 +326,11 @@ class _Sweep:
             head = start - 1
         n = end - start
         counted = n
-        if self.writes is not None or self.counted is not None:
+        if keys is not None or self.writes is not None or self.counted is not None:
             seg = tape[start:end]
+            if keys is not None:  # a left sweep steps from its end cell to its start
+                passed = map(add, seg, range(base + size * start, base + size * end, size))
+                keys.extend(passed if self.d > 0 else reversed(list(passed)))
             if self.counted is not None:  # deleting the counted cells leaves the rest
                 counted = n - len(seg.translate(None, self.counted))
             if self.writes is not None:
@@ -375,20 +386,17 @@ class _CompiledMachine:
     tape end or an entry to fill without testing for either on every step.
 
     An entry whose target is its own state holds a _Sweep instead, which
-    does not unpack either: the untraced loop then takes the whole run of
-    cells the state loops over in that direction as one macro-step, with
-    exact total and counted steps, clipped to the fuel left and ended at a
-    sentinel. A sweep that keeps covering few cells is put back as its
-    plain entry.
+    does not unpack either: the loop then takes the whole run of cells the
+    state loops over in that direction as one macro-step, with exact total
+    and counted steps, clipped to the fuel left and ended at a sentinel. A
+    sweep that keeps covering few cells is put back as its plain entry.
 
-    A traced run steps over `plain`, a second table that holds the same
-    entries but never a sweep, and records one integer per step, its key:
-    entry + size * head, with size the table's length and head the cell
-    number. After the loop, `trace` builds one StepRecord per distinct key
-    from `fields`, which maps each filled entry to the fields of its record
-    but the head, and shares it among the steps with that key. `plain` and
-    `fields` are allocated by the first traced run and filled with the
-    table from then on; untraced runs allocate nothing for traces.
+    A traced run steps the same table and records one integer per step,
+    its key: entry + size * head, with size the table's length and head
+    the cell number; a sweep records the keys of the cells it passes.
+    After the loop, `trace` builds one StepRecord per distinct key and
+    shares it among the steps with that key. Untraced runs allocate
+    nothing for traces, and traced runs nothing that outlives the call.
 
     A tape is a bytearray of symbol numbers framed by sentinels, so a valid
     machine has at most 255 tape symbols (see validate_machine). A word
@@ -448,30 +456,24 @@ class _CompiledMachine:
         self.blank = bytearray([0])
         self.sentinel = bytearray([self.edge])
         self.right_end = self.blank + self.sentinel
-        # for traced runs: per entry, the plain entry, never a sweep, and per
-        # filled entry, the fields of its StepRecord but the head; allocated
-        # by the first traced run and filled with the table from then on
-        self.plain: Optional[list] = None
-        self.fields: Optional[dict] = None
         return self
 
-    def _fill(self, entry: int) -> None:
-        """Fill the table entry if it is empty, and its plain entry and
-        record fields if traced runs keep them."""
+    def _fields(self, entry: int) -> tuple:
+        """The transition at entry by name: the fields of its StepRecord but
+        the head, (state, read, write, move, target, counted)."""
         q, symbol = divmod(entry, self.width)
         state, read = key = (self.states[q], self.symbols[symbol])
         target, write, move = self.transitions[key]
-        plain = self._plain(key, target, write, move)
-        if self.table[entry] is None:
-            self.table[entry] = self._sweep(state, move, plain) if target == state else plain
-        if self.plain is not None:
-            self.plain[entry] = plain
-            self.fields[entry] = (state, read, write, move, target, bool(plain[3]))
+        counted = self.counted_keys is None or key in self.counted_keys
+        return state, read, write, move, target, counted
 
-    def _plain(self, key: tuple[str, str], target: str, write: str, move: str) -> tuple:
-        """The plain entry (row, code, +-1, counted) of the transition at key."""
-        return (self.row[target], self.code[write], 1 if move == RIGHT else -1,
-                int(self.counted_keys is None or key in self.counted_keys))
+    def _fill(self, entry: int) -> None:
+        """Fill the table entry if it is empty: its plain entry (row, code,
+        +-1, counted), or a sweep if it loops on its state."""
+        if self.table[entry] is None:
+            state, _, write, move, target, counted = self._fields(entry)
+            plain = (self.row[target], self.code[write], 1 if move == RIGHT else -1, int(counted))
+            self.table[entry] = self._sweep(state, move, plain) if target == state else plain
 
     def _sweep(self, state: str, move: str, plain: tuple) -> "_Sweep":
         """The sweep over every symbol that state loops on, moving move."""
@@ -500,11 +502,7 @@ class _CompiledMachine:
         """execute's run of one start as a RunResult, with its trace if
         record_trace."""
         fuel = _positive(fuel)
-        keys = None
-        if record_trace:  # each step records its key: entry and head in one integer
-            if self.plain is None:
-                self.plain, self.fields = [None] * len(self.table), {}
-            keys = []
+        keys = [] if record_trace else None  # a step's key: its entry and head in one integer
         batch = self.execute([(None, cells, head)], fuel, False, first, q, keys)
         _, verdict, total, counted, q, tape, i, origin = next(batch)
         final = Configuration.__new__(Configuration)
@@ -534,17 +532,18 @@ class _CompiledMachine:
         row q, the start state by default, on a fresh tape that holds the
         encoded cells from cell first on, blank elsewhere, with the head on
         cell head (at least first), until a halt or fuel total steps; a
-        traced run passes the list each step appends its key to (see
-        trace). Yields per start its label, whatever the caller chose, the
-        Verdict, the total and counted steps, and unless lean, the final
-        state row, the tape, the head's index in it and cell 0's.
+        traced run passes the list that gets each step's key, the steps
+        of a sweep's too (see trace). Yields per start its label, whatever
+        the caller chose, the Verdict, the total and counted steps, and
+        unless lean, the final state row, the tape, the head's index in it
+        and cell 0's.
 
         The tape is the cells, blanks up to the head, and one blank more,
         between sentinels; most runs halt before it needs to grow. fuel
         must be a positive int (see _positive): the loop's TypeError
         handler would take a non-integer fuel's TypeError for a table
         event. The loop's locals are bound once per batch."""
-        table = self.table if keys is None else self.plain
+        table = self.table
         sentinel, blank, right_end = self.sentinel, self.blank, self.right_end
         edge, fill = self.edge, self._fill
         verdicts, width, size = self.verdicts, self.width, len(table)
@@ -583,7 +582,7 @@ class _CompiledMachine:
                         if sweep is None:
                             fill(entry)
                             continue
-                        i, n, c = sweep.run(tape, i, fuel - total)
+                        i, n, c = sweep.run(tape, i, fuel - total, keys, q - size * origin, size)
                         total += n
                         counted += c
                         if sweep.short():
@@ -611,11 +610,15 @@ class _CompiledMachine:
         entry. A record is built on a key's first step only: made by
         object.__new__, its fields set through the slots' descriptors (the
         frozen __init__ sets each field with object.__setattr__, and a
-        record built by it costs about twice as much). The memo of records
-        lives for this call only, so nothing grows across runs."""
-        size, fields, new = len(self.plain), self.fields, object.__new__
+        record built by it costs about twice as much), and its fields but
+        the head worked out from the names once per entry (_fields): a
+        sweep passes cells whose own entries the table may never fill, so
+        the table is no source for them. The memos of records and of
+        fields live for this call only, so nothing grows across runs."""
+        size, new = len(self.table), object.__new__
         set_state, set_head, set_read, set_write, set_move, set_target, set_counted = _SETTERS
         shared: dict = {}
+        named: dict = {}
         get = shared.get
         records = []
         append = records.append
@@ -623,7 +626,10 @@ class _CompiledMachine:
             r = get(key)
             if r is None:
                 head, entry = divmod(key, size)
-                state, read, write, move, target, counted = fields[entry]
+                fields = named.get(entry)
+                if fields is None:
+                    fields = named[entry] = self._fields(entry)
+                state, read, write, move, target, counted = fields
                 r = shared[key] = new(StepRecord)
                 set_state(r, state)
                 set_head(r, head)

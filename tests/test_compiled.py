@@ -687,16 +687,9 @@ def shares_equal_records(trace):
 
 def check_traced(m, word, cost, fuel):
     """A traced run agrees with the dict stepper and shares its equal
-    records, and the table traced runs step over holds plain entries only,
-    each the plain form of the main table's entry."""
+    records."""
     result = check_against_reference(m, word, cost, fuel, record_trace=True)
     assert shares_equal_records(result.trace)
-    compiled = _compile(m, cost)
-    for entry, plain in enumerate(compiled.plain):
-        if plain is not None:
-            assert type(plain) is tuple and len(compiled.fields[entry]) == 6
-            main = compiled.table[entry]
-            assert plain == (main.plain if isinstance(main, _Sweep) else main)
     return result
 
 
@@ -705,8 +698,10 @@ def check_traced(m, word, cost, fuel):
 def test_traced_runs_fill_entries_and_exhaust_their_fuel_mid_trace(data):
     """The first runs of a fresh machine are traced: each unfilled entry is
     filled where the trace first reaches it, and a fuel of 1 to 40 mostly
-    runs out inside the trace."""
-    m = data.draw(machines())
+    runs out inside the trace. A looping machine's traced runs take sweeps
+    left and right, with writes and counted subsets, from their first run
+    on, and their fuel runs out inside a sweep too."""
+    m = data.draw(st.one_of(machines(), looping_machines()))
     cost = data.draw(cost_models(m))
     for _ in range(data.draw(st.integers(1, 3))):
         word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
@@ -727,6 +722,16 @@ def test_traced_runs_after_untraced_runs_put_sweeps(data):
     check_traced(m, word, cost, fuel)
     # and an untraced run after the traced one still agrees
     check_against_reference(m, word, cost, fuel)
+
+
+def test_a_fresh_scanners_first_run_is_traced_through_one_sweep():
+    """The traced run takes the whole run of 0s in one sweep, whose keys
+    give back every step the dict stepper takes."""
+    scanner = build_demo_machines()[0]
+    result = check_traced(scanner, "0" * 5000, COUNT_ALL, 5002)
+    assert len(result.trace) == result.total_steps == 5001
+    (sweep,) = sweeps_of(scanner)
+    assert sweep.runs == 1
 
 
 # --- traced runs share one record per distinct (entry, head) key ---------------

@@ -1,0 +1,87 @@
+"""CPU time of traced runs against untraced ones.
+
+Prints, for three runs, the best-of-five CPU time (process time, which
+other processes on a shared machine disturb less than wall time) of run()
+untraced and with record_trace=True, the traced run's cost per step, and
+the number of distinct StepRecord objects its trace holds:
+
+- Marxen & Buntrock's 5-state busy beaver champion on the blank tape, to
+  100,000 steps: few self-loops, so nearly every step goes through the
+  step loop one at a time;
+- a bouncer on 0110, to 20,000 steps: it sweeps right past the word's
+  end, writes a mark, sweeps left past its start, and so on, so nearly
+  every step lies inside a sweep and the tape grows at both ends;
+- the demo scanner on 0^25000: one sweep over the whole word.
+
+The untraced and traced runs are timed in turn, round by round, so that
+both see the same load.
+
+    python3 tools/trace_scale.py
+
+Everything runs in this one process.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+REPEATS = 5
+
+
+def best_of(*jobs) -> list[float]:
+    """The least CPU time of each job over REPEATS rounds, after one untimed
+    call of each; a round times every job in turn, so that the jobs share
+    whatever load the machine has."""
+    best = [float("inf")] * len(jobs)
+    for i in range(REPEATS + 1):
+        for j, job in enumerate(jobs):
+            start = time.process_time()
+            job()
+            if i:
+                best[j] = min(best[j], time.process_time() - start)
+    return best
+
+
+def machines():
+    """(name, machine, word, fuel) of the three runs."""
+    from tmbench import BLANK, LEFT, RIGHT, Machine, build_demo_machines
+
+    items = "A0 1RB A1 1LC B0 1RC B1 1RB C0 1RD C1 0LE D0 1LA D1 1LD E0 1RH E1 0LA".split()
+    symbol = {"0": BLANK, "1": "1"}
+    t = {(key[0], symbol[key[1]]): (action[2], symbol[action[0]], action[1])
+         for key, action in zip(items[::2], items[1::2])}
+    bb5 = Machine(frozenset("1"), frozenset("1" + BLANK), frozenset("ABCDEHZ"), "A", "H", "Z", t)
+    t = {}
+    for s in "01a":
+        t[("R", s)] = ("R", s, RIGHT)
+        t[("L", s)] = ("L", s, LEFT)
+    t[("R", BLANK)] = ("L", "a", LEFT)
+    t[("L", BLANK)] = ("R", "a", RIGHT)
+    bouncer = Machine(frozenset("01"), frozenset("01a" + BLANK), frozenset("RLYN"), "R", "Y",
+                      "N", t)
+    scanner = build_demo_machines()[0]
+    return [("bb5", bb5, "", 100_000), ("bouncer", bouncer, "0110", 20_000),
+            ("scanner", scanner, "0" * 25_000, 25_002)]
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(SRC))
+    from tmbench import COUNT_ALL, run
+
+    print(f"{'run':8} {'steps':>7} {'untraced ms':>12} {'traced ms':>10} "
+          f"{'traced ns/step':>15} {'records':>8}")
+    for name, m, word, fuel in machines():
+        untraced, traced = best_of(lambda: run(m, word, COUNT_ALL, fuel),
+                                   lambda: run(m, word, COUNT_ALL, fuel, record_trace=True))
+        trace = run(m, word, COUNT_ALL, fuel, record_trace=True).trace
+        records = len({id(r) for r in trace})
+        print(f"{name:8} {len(trace):7} {untraced * 1e3:12.3f} {traced * 1e3:10.3f} "
+              f"{traced * 1e9 / len(trace):15.0f} {records:8}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
