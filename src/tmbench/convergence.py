@@ -8,17 +8,21 @@ the words of L with length <= n, in |w| + 1 steps; longer words are rejected
 on the (n+1)-th symbol.
 
 A built trie is its oracle's answers, one byte per prefix in heap order
-(all_words order: prefix h's children are 2h+1 and 2h+2). Each view of it
-is computed from them when it is needed, and only then: the integer table
-that verification and convergence run (_trie_table), the listing that
-gen-trie writes in sorted order, which is the trie's preorder
-(TrieMachineReport.listing), and the Machine with its transitions dict,
-for a caller that reads `machine`.
+(all_words order: prefix h's children are 2h+1 and 2h+2). The answer of
+prefix p sits at heap index int("1" + p, 2) - 1, and the depth-n trie's
+answers are the first 2^(n+1) - 1 of any deeper trie's. Every reader
+indexes the answers so, and none copies them into a dict keyed by word.
+Each view of a trie is computed from them when it is needed, and only
+then: the integer table that verification and convergence run
+(_trie_table), the listing that gen-trie writes in sorted order, which
+is the trie's preorder (TrieMachineReport.listing), and the Machine with
+its transitions dict, for a caller that reads `machine`.
 
 The trie sequence converges to L on the words of length <= k from some
-index n_k on. find_convergence_index finds it by running the tries from
-depth k downward and stopping at the first that disagrees, so a language
-that only the depth-k trie decides costs two tries, not k + 1.
+index n_k on. find_convergence_index finds it from one build, the
+depth-k trie, by running the tables of its heap prefixes from depth k
+downward and stopping at the first that disagrees, so a language that
+only the depth-k trie decides costs two tables, not k + 1.
 """
 
 from __future__ import annotations
@@ -107,9 +111,12 @@ class TrieMachineReport:
     answers bytes, each 0 or 1. Two reports are equal, and hash alike, when
     their depths and answers are.
 
-    Every view is computed from the answers: verification runs the table
-    they give (_trie_table), gen-trie writes their listing, and `machine`,
-    with its transitions dict, is built only when it is first read."""
+    Every view is computed from the answers, read by heap index (prefix
+    p's answer is answers[int("1" + p, 2) - 1]): verification runs the
+    table they give (_trie_table), gen-trie writes their listing, and
+    `machine`, with its transitions dict, is built from that listing only
+    when it is first read. The answers[:2^(m+1) - 1] of a depth-n report
+    are the depth-m trie's, for m <= n."""
 
     n: int
     answers: bytes = field(repr=False)
@@ -146,25 +153,27 @@ class TrieMachineReport:
         transitions dict. The state for a prefix is named after it ("q_"
         is the empty prefix and the start state), which keeps words with
         leading zeros distinct, so sorted names list the prefixes in
-        preorder, then the halting states. Each state's transitions on 0, 1
-        and blank follow in that order, generated once, as they are read.
+        preorder, then the halting states. The names are the one list
+        kept; each state's transitions on 0, 1 and blank follow in that
+        order, generated once, as they are read, and its blank goes to
+        accept or reject by the answer at its prefix's heap index.
         Consumed symbols are overwritten with blank, and the bits of the
         depth-n prefixes go to reject."""
-        n, accept, reject = self.n, "q_accept", "q_reject"
-        # the preorder of depth n: the empty prefix, then the preorder of
-        # depth n - 1 under 0, then under 1
-        preorder = [""]
+        answers, n, accept, reject = self.answers, self.n, "q_accept", "q_reject"
+        # the names in preorder at depth n: the empty prefix, then the
+        # preorder of depth n - 1 under 0, then under 1
+        names = ["q_"]
         for _ in range(n):
-            preorder = [""] + ["0" + p for p in preorder] + ["1" + p for p in preorder]
-        member = dict(zip(all_words("01", n), self.answers))
-        names = ["q_" + p for p in preorder]
+            names = ["q_"] + ["q_0" + q[2:] for q in names] + ["q_1" + q[2:] for q in names]
 
         def rows():
-            for p, q in zip(preorder, names):
-                zero, one = (q + "0", q + "1") if len(p) < n else (reject, reject)
+            for q in names:
+                zero, one = (q + "0", q + "1") if len(q) < n + 2 else (reject, reject)
                 yield (q, "0"), (zero, BLANK, RIGHT)
                 yield (q, "1"), (one, BLANK, RIGHT)
-                yield (q, BLANK), (accept if member[p] else reject, BLANK, RIGHT)
+                # the answer of prefix p sits at heap index int("1" + p, 2) - 1
+                member = answers[int("1" + q[2:], 2) - 1]
+                yield (q, BLANK), (accept if member else reject, BLANK, RIGHT)
         return Listing(names + [accept, reject], "q_", accept, reject, "01", "01" + BLANK, rows())
 
 
@@ -256,24 +265,23 @@ def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> Convergenc
     depth-k trie already disagrees. Beyond k no run is needed: the depth-n
     trie decides words of length <= k exactly as L whenever n >= k.
 
-    L is asked once per word of length <= k, in all_words order, before the
-    walk, and each answer is read by its truth, as the trie build reads it.
-    Every trie of the walk is built from those answers, since each prefix
-    of a depth-n <= k trie is one of those words, so L is never asked
-    again. The depth-k trie thus holds the very answers it is checked
-    against, and None means a defect: a trie that disagrees with the
-    answers it was built from.
+    L is asked once, through build_trie_machine(L, k): once per word of
+    length <= k, in all_words order, each answer read by its truth. Each
+    trie of the walk is the depth-n heap prefix of those answers, run as
+    its table, and its verdicts are checked against the same answers, so
+    L is never asked again. The depth-k trie thus holds the very answers
+    it is checked against, and None means a defect: a trie that disagrees
+    with the answers it was cut from.
     """
     if k < 0 or k > MAX_CONVERGENCE_K:
         raise ValueError(f"k must be in 0..{MAX_CONVERGENCE_K}")
     if budget < k:
         raise ValueError("budget must be at least k")
+    answers = build_trie_machine(L, k).answers
     words = list(all_words("01", k))
-    answers = [bool(L(w)) for w in words]  # each word's answer once, read as the trie reads it
-    known = LanguageOracle(dict(zip(words, answers)).__getitem__)
     n_k: Optional[int] = None
     for n in range(k, -1, -1):
-        trie = _trie_table(build_trie_machine(known, n))
+        trie = _trie_table(TrieMachineReport(n, answers[:2 ** (n + 1) - 1]))
         if any((verdict is Verdict.ACCEPTED) != member
                for (_, verdict, _, _), member in zip(trie.on_words(words, n + 4), answers)):
             break

@@ -299,18 +299,22 @@ def test_convergence_minimality(lang):
 
 
 def test_convergence_walk_stops_at_the_first_disagreeing_trie(monkeypatch):
-    import tmbench.convergence as convergence
+    built, walked = [], []
 
-    built = []
-
-    def counting(L, n):
+    def building(L, n):
         built.append(n)
         return build_trie_machine(L, n)
 
-    monkeypatch.setattr(convergence, "build_trie_machine", counting)
+    def walking(report):
+        walked.append(report.n)
+        return _trie_table(report)
+
+    monkeypatch.setattr(convergence, "build_trie_machine", building)
+    monkeypatch.setattr(convergence, "_trie_table", walking)
     report = find_convergence_index(LanguageOracle.builtin("palindrome"), 8, 8)
     assert (report.n_k, report.verified_words) == (8, 511)
-    assert built == [8, 7]
+    assert walked == [8, 7]
+    assert built == [8]
 
 
 @pytest.mark.parametrize("oracle", [LanguageOracle.builtin(name) for name in ALL_BUILTINS]
@@ -399,26 +403,10 @@ def test_convergence_reads_an_answer_by_its_truth_as_the_trie_does(member):
         assert find_convergence_index(oracle, k, k).n_k is not None
 
 
-def test_convergence_asks_each_word_once_past_the_builds(monkeypatch):
-    import tmbench.convergence as convergence
-
-    asked = []
-
-    def recording(word):
-        asked.append(word)
-        return word == word[::-1]
-
-    monkeypatch.setattr(convergence, "build_trie_machine",
-                        lambda L, n: build_trie_machine(LanguageOracle.builtin("palindrome"), n))
-    report = find_convergence_index(LanguageOracle(recording), 6, 6)
-    assert report.n_k == 6
-    assert asked == list(all_words("01", 6))
-
-
 @pytest.mark.parametrize("k", [0, 1, 4, 10])
 def test_convergence_asks_the_oracle_once_per_word_in_all(k):
-    """The tries of the walk are built from the walk's own answers, so the
-    oracle, with the build left as it is, is asked each word once."""
+    """The walk asks the oracle only through its one build, so each word
+    is asked once, in all_words order."""
     asked = []
 
     def recording(word):
@@ -446,6 +434,24 @@ def language_spec(name, tmp_path):
     path = tmp_path / "lang.txt"
     path.write_text("".join(f"{word or 'eps'}\n" for word in name))
     return f"@{path}"
+
+
+@pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
+def test_each_trie_the_walk_runs_is_the_built_trie_of_its_depth(name, oracle, monkeypatch):
+    walked = []
+
+    def walking(report):
+        walked.append(report)
+        return _trie_table(report)
+
+    monkeypatch.setattr(convergence, "_trie_table", walking)
+    for k in range(7):
+        walked.clear()
+        report = find_convergence_index(oracle, k, k)
+        assert [trie.n for trie in walked] == list(range(k, k - len(walked), -1))
+        assert walked[-1].n == max(report.n_k - 1, 0)
+        for trie in walked:
+            assert trie == build_trie_machine(oracle, trie.n)
 
 
 @pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)

@@ -1,6 +1,6 @@
 """CPU time of traced runs against untraced ones.
 
-Prints, for three runs, the best-of-five CPU time (process time, which
+Prints, for four runs, the best-of-five CPU time (process time, which
 other processes on a shared machine disturb less than wall time) of run()
 untraced and with record_trace=True, the traced run's cost per step, and
 the number of distinct StepRecord objects its trace holds:
@@ -11,7 +11,15 @@ the number of distinct StepRecord objects its trace holds:
 - a bouncer on 0110, to 20,000 steps: it sweeps right past the word's
   end, writes a mark, sweeps left past its start, and so on, so nearly
   every step lies inside a sweep and the tape grows at both ends;
-- the demo scanner on 0^25000: one sweep over the whole word.
+- the demo scanner on 0^25000: one sweep over the whole word;
+- a shuffler on the blank tape, to 100,000 steps: state A sweeps left
+  over the 1s, and at a blank it and B write two more 1s and turn back,
+  so it marches left and each of A's sweeps covers two cells. A sweep
+  whose runs stay that short is demoted to a plain entry after its trial
+  (_Sweep.short). This run guards that demotion: without it, each of A's
+  two-cell runs goes through the step loop's exception and a sweep, and
+  the untraced run took about 44 ms against 10 ms with it (Python 3.11
+  on a shared 2-vCPU VM).
 
 The untraced and traced runs are timed in turn, round by round, so that
 both see the same load.
@@ -46,7 +54,7 @@ def best_of(*jobs) -> list[float]:
 
 
 def machines():
-    """(name, machine, word, fuel) of the three runs."""
+    """(name, machine, word, fuel) of the four runs."""
     from tmbench import BLANK, LEFT, RIGHT, Machine, build_demo_machines
 
     items = "A0 1RB A1 1LC B0 1RC B1 1RB C0 1RD C1 0LE D0 1LA D1 1LD E0 1RH E1 0LA".split()
@@ -63,8 +71,12 @@ def machines():
     bouncer = Machine(frozenset("01"), frozenset("01a" + BLANK), frozenset("RLYN"), "R", "Y",
                       "N", t)
     scanner = build_demo_machines()[0]
+    t = {("A", "1"): ("A", "1", LEFT), ("A", BLANK): ("B", "1", LEFT),
+         ("B", "1"): ("A", "1", LEFT), ("B", BLANK): ("A", "1", RIGHT)}
+    shuffler = Machine(frozenset("1"), frozenset("1" + BLANK), frozenset("ABHZ"), "A", "H", "Z",
+                       t)
     return [("bb5", bb5, "", 100_000), ("bouncer", bouncer, "0110", 20_000),
-            ("scanner", scanner, "0" * 25_000, 25_002)]
+            ("scanner", scanner, "0" * 25_000, 25_002), ("shuffler", shuffler, "", 100_000)]
 
 
 def main(argv: list[str]) -> int:

@@ -1,13 +1,16 @@
 """Time and peak memory of the trie layers at large depths.
 
-For the div3 language at each depth, prints one line per layer: build
-(build_trie_machine), verify (verify_trie against the oracle), emit
-(the text gen-trie writes) and machine (the first read of
+For the div3 language at each depth n, prints one line per layer:
+converge (find_convergence_index at k = min(n, MAX_CONVERGENCE_K)),
+build (build_trie_machine), verify (verify_trie against the oracle),
+emit (the text gen-trie writes) and machine (the first read of
 report.machine, which builds the transitions dict), with the layer's CPU
 time (process time, which other processes on a shared machine disturb
 less than wall time) and the process's peak resident set size
 (ru_maxrss) once the layer is done. The layers run in that order, so
-the peak after verify is that of build and verify together.
+the peak after converge is its own, and the peak after verify is that of
+converge, build and verify together. converge keeps nothing once it
+returns, so the later layers reuse its memory.
 
     python3 tools/trie_scale.py              # depths 14 and 16
     python3 tools/trie_scale.py 12 14 16     # the depths given
@@ -37,15 +40,21 @@ def peak_mb() -> float:
 
 
 def measure(n: int) -> None:
-    """Run and print the four layers at depth n in this process."""
+    """Run and print the five layers at depth n in this process."""
     sys.path.insert(0, str(SRC))
-    from tmbench.convergence import LanguageOracle, build_trie_machine, verify_trie
+    from tmbench.convergence import (MAX_CONVERGENCE_K, LanguageOracle, build_trie_machine,
+                                     find_convergence_index, verify_trie)
     from tmbench.textfmt import emit_machine
 
     oracle = LanguageOracle.builtin("div3")
+    k = min(n, MAX_CONVERGENCE_K)
+    start = time.process_time()
+    if find_convergence_index(oracle, k, k).n_k is None:
+        raise SystemExit(f"depth {n}: no convergence index at k = {k}")
+    layers = [("converge", time.process_time() - start, peak_mb())]
     start = time.process_time()
     report = build_trie_machine(oracle, n)
-    layers = [("build", time.process_time() - start, peak_mb())]
+    layers.append(("build", time.process_time() - start, peak_mb()))
     start = time.process_time()
     counterexamples, steps_ok = verify_trie(report, oracle)
     layers.append(("verify", time.process_time() - start, peak_mb()))
@@ -58,8 +67,8 @@ def measure(n: int) -> None:
     report.machine
     layers.append(("machine", time.process_time() - start, peak_mb()))
     for layer, seconds, peak in layers:
-        print(f"div3 n={n:<2}  {layer:<7}  {seconds:7.3f} s  peak_rss {peak:7.1f} MB", flush=True)
-    print(f"div3 n={n:<2}  states={report.state_count} file={len(text)} B", flush=True)
+        print(f"div3 n={n:<2}  {layer:<8}  {seconds:7.3f} s  peak_rss {peak:7.1f} MB", flush=True)
+    print(f"div3 n={n:<2}  k={k} states={report.state_count} file={len(text)} B", flush=True)
 
 
 def main(argv: list[str]) -> int:
