@@ -45,9 +45,10 @@ def _render_word(word: str) -> str:
 
 def _read_words(path: str) -> list[str]:
     """One word per line and 'eps' is the empty word; as in a machine file, a
-    '#' that no backslash precedes starts a comment and '\\#' is the symbol '#'."""
+    '#' that no backslash precedes starts a comment and '\\#' is the symbol '#'.
+    A UTF-8 byte order mark at the start is skipped, as for a machine file."""
     words = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for raw in fh:
             line = strip_comment(raw).strip()
             if line:
@@ -63,7 +64,7 @@ def load_language(spec: str) -> LanguageOracle:
 
 
 def _load_machine(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_machine_file(fh.read())
 
 
@@ -216,6 +217,8 @@ def cmd_nsearch(args) -> int:
 
 
 def cmd_demo_nlogtime(args) -> int:
+    if args.max_n < 1:
+        raise ValueError("max-n must be at least 1")
     scanner, checker = build_demo_machines()
     g = parse_measure("log:a=1,b=1")
     print("n,scanner_counted,checker_max_counted,witness_len")

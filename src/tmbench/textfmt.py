@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import chain
 
 from tmbench.machine import BLANK, LEFT, RIGHT, Machine, require_valid
 
@@ -31,6 +32,8 @@ class MachineParseError(ValueError):
 
 HEADER_KEYS = ("states", "start", "accept", "reject", "input_alphabet", "tape_alphabet")
 COMMENT = re.compile(r"(?<!\\)#")
+# characters per block of the parser's line walk
+_BLOCK = 1 << 16
 
 
 def strip_comment(line: str) -> str:
@@ -39,18 +42,36 @@ def strip_comment(line: str) -> str:
     return COMMENT.split(line, 1)[0].replace("\\#", "#")
 
 
+def _pieces(text: str):
+    """text in pieces, each cut right after the last '\\n' at or before
+    _BLOCK characters past its start (or, for a longer line, after that
+    line): every line break lies within one piece, so the pieces' lines are
+    text.splitlines()."""
+    start, end = 0, len(text)
+    while end - start > _BLOCK:
+        cut = (text.rfind("\n", start, start + _BLOCK) + 1
+               or text.find("\n", start + _BLOCK) + 1 or end)
+        yield text[start:cut]
+        start = cut
+    yield text[start:]
+
+
 def parse_machine_file(text: str) -> Machine:
     """Parse the text format into a validated Machine, marked valid so that
     running it does not validate it again.
 
-    A line whose first token is 'trans:', the bulk of a large file, goes
-    straight to the trans checks; any other spelling of the key is split at
-    its ':' first. Each header is checked on its own line, so the first
-    error in file order is the one reported.
+    The lines are split a block at a time, so the text's whole line list is
+    never held. A line whose first token is 'trans:', the bulk of a large
+    file, goes straight to the trans checks; any other spelling of the key
+    is split at its ':' first. Consecutive trans lines of one state share
+    one name object in their keys. Each header is checked on its own line,
+    so the first error in file order is the one reported.
     """
     headers: dict[str, list[str]] = {}
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    last = None
+    lines = chain.from_iterable(map(str.splitlines, _pieces(text)))
+    for line_no, raw in enumerate(lines, start=1):
         line = strip_comment(raw) if "#" in raw else raw
         tokens = line.split()
         if not tokens:
@@ -87,9 +108,12 @@ def parse_machine_file(text: str) -> Machine:
             raise MachineParseError(line_no, "symbols must be single characters")
         if move not in (LEFT, RIGHT):
             raise MachineParseError(line_no, f"move must be L or R, got {move!r}")
-        if (src, read) in transitions:
+        # a state's consecutive lines share the first one's name object
+        last = src = last if src == last else src
+        # each line's action is a new tuple, so an earlier one is never it
+        action = (target, write, move)
+        if transitions.setdefault((src, read), action) is not action:
             raise MachineParseError(line_no, f"duplicate transition for ({src}, {read})")
-        transitions[(src, read)] = (target, write, move)
 
     for required in HEADER_KEYS:
         if required not in headers:

@@ -347,6 +347,12 @@ def test_demo_nlogtime_csv(capsys):
     ]
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_demo_nlogtime_refuses_a_max_n_below_1(capsys, max_n):
+    assert invoke(capsys, "demo-nlogtime", "--max-n", max_n) == (
+        2, "", "error: max-n must be at least 1\n")
+
+
 def test_demo_nlogtime_deterministic(capsys):
     _, first, _ = invoke(capsys, "demo-nlogtime", "--max-n", "12")
     _, second, _ = invoke(capsys, "demo-nlogtime", "--max-n", "12")
@@ -418,6 +424,23 @@ def test_word_files_read_alike(capsys, tmp_path):
                           ("00", "rejected")):
         _, out, _ = invoke(capsys, "run", "--machine", str(trie_path), "--input", word)
         assert f"verdict: {verdict}" in out
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["run", "--machine", "FILE", "--input", "001"], emit_machine(build_demo_machines()[0])),
+    (["check-bound", "--machine", "SCANNER", "--g", "linear:a=1,b=1", "--inputs-file", "FILE"],
+     "0\neps\n01\n"),
+    (["gen-trie", "--lang", "@FILE", "--n", "2", "--out", "-"], "0\neps\n01\n"),
+], ids=["machine", "inputs-file", "language"])
+def test_a_byte_order_mark_is_skipped(capsys, tmp_path, scanner_file, argv, text):
+    path = tmp_path / "file.txt"
+    results = []
+    for bom in ("", "\ufeff"):
+        path.write_text(bom + text, encoding="utf-8")
+        results.append(invoke(capsys, *[arg.replace("SCANNER", scanner_file)
+                                        .replace("FILE", str(path)) for arg in argv]))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
 
 
 HASH_SCANNER = r"""states: s acc rej

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -182,6 +184,54 @@ def test_duplicate_trans_line_reports_the_second(first, second):
         parse_machine_file("\n".join(lines) + "\n")
     assert str(excinfo.value) == "line 11: duplicate transition for (q_scan, 0)"
     assert excinfo.value.line_no == 11
+
+
+def test_the_keys_of_one_state_share_its_name():
+    machine = parse_machine_file(
+        emit_machine(build_trie_machine(LanguageOracle.builtin("div3"), 4).machine))
+    names = {}
+    for src, _ in machine.transitions:
+        assert names.setdefault(src, src) is src
+    assert len(machine.transitions) == 3 * len(names)
+
+
+# every line break that str.splitlines knows
+BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+          "\u2029"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(BREAKS) | st.text(alphabet="ab \r\n", max_size=12))
+       .map("".join), st.integers(1, 9))
+def test_the_block_walk_splits_lines_as_splitlines(text, block):
+    # blocks of a few characters put '\r\n' across a cut and a line across
+    # several blocks
+    with mock.patch.object(textfmt, "_BLOCK", block):
+        pieces = list(textfmt._pieces(text))
+    assert "".join(pieces) == text
+    assert [line for piece in pieces for line in piece.splitlines()] == text.splitlines()
+
+
+@pytest.mark.parametrize("block", range(1, 10))
+def test_a_file_parses_alike_in_blocks_of_any_size(monkeypatch, block):
+    monkeypatch.setattr(textfmt, "_BLOCK", block)
+    text = SCANNER_TEXT.replace("\n", "\r\n")
+    assert parse_machine_file(text) == build_demo_machines()[0]
+    with pytest.raises(MachineParseError) as excinfo:
+        parse_machine_file(text.replace(SCANNER_LINE, SCANNER_LINE[:-1] + "X"))
+    assert str(excinfo.value) == "line 8: move must be L or R, got 'X'"
+
+
+def test_a_duplicate_past_the_first_block_reports_its_line():
+    text = emit_machine(build_trie_machine(LanguageOracle.builtin("div3"), 14).listing())
+    lines = text.splitlines(keepends=True)
+    at = len(lines) // 2
+    assert len("".join(lines[:at])) > textfmt._BLOCK
+    lines.insert(at, lines[10])
+    with pytest.raises(MachineParseError) as excinfo:
+        parse_machine_file("".join(lines))
+    assert excinfo.value.line_no == at + 1
+    assert "duplicate transition" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("line, replacement, message", [

@@ -3,14 +3,18 @@
 For the div3 language at each depth n, prints one line per layer:
 converge (find_convergence_index at k = min(n, MAX_CONVERGENCE_K)),
 build (build_trie_machine), verify (verify_trie against the oracle),
-emit (the text gen-trie writes) and machine (the first read of
-report.machine, which builds the transitions dict), with the layer's CPU
-time (process time, which other processes on a shared machine disturb
-less than wall time) and the process's peak resident set size
-(ru_maxrss) once the layer is done. The layers run in that order, so
-the peak after converge is its own, and the peak after verify is that of
-converge, build and verify together. converge keeps nothing once it
-returns, so the later layers reuse its memory.
+emit (the text gen-trie writes), machine (the first read of
+report.machine, which builds the transitions dict) and parse
+(parse_machine_file on the emitted text, as run and check-bound read a
+written file), with the layer's CPU time (process time, which other
+processes on a shared machine disturb less than wall time) and the
+process's peak resident set size (ru_maxrss) once the layer is done. The
+layers run in that order, so the peak after converge is its own, and the
+peak after verify is that of converge, build and verify together.
+converge keeps nothing once it returns, so the later layers reuse its
+memory. parse runs in a child process that reads the written file (this
+script with --parse and the file), so its peak is its own: the
+interpreter, the text and the parse.
 
     python3 tools/trie_scale.py              # depths 14 and 16
     python3 tools/trie_scale.py 12 14 16     # the depths given
@@ -25,6 +29,7 @@ from __future__ import annotations
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,8 +44,21 @@ def peak_mb() -> float:
     return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024
 
 
+def parse(path: str) -> None:
+    """Read the machine file at path and parse it in this process; print
+    the parse's CPU time and this process's peak RSS."""
+    sys.path.insert(0, str(SRC))
+    from tmbench.textfmt import parse_machine_file
+
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    start = time.process_time()
+    parse_machine_file(text)
+    print(time.process_time() - start, peak_mb())
+
+
 def measure(n: int) -> None:
-    """Run and print the five layers at depth n in this process."""
+    """Run and print the six layers at depth n, the last in a child process."""
     sys.path.insert(0, str(SRC))
     from tmbench.convergence import (MAX_CONVERGENCE_K, LanguageOracle, build_trie_machine,
                                      find_convergence_index, verify_trie)
@@ -66,6 +84,13 @@ def measure(n: int) -> None:
     start = time.process_time()
     report.machine
     layers.append(("machine", time.process_time() - start, peak_mb()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, f"div3-{n}.tm")
+        path.write_text(text, encoding="utf-8")
+        done = subprocess.run([sys.executable, __file__, "--parse", str(path)],
+                              stdout=subprocess.PIPE, text=True, check=True)
+    seconds, peak = map(float, done.stdout.split())
+    layers.append(("parse", seconds, peak))
     for layer, seconds, peak in layers:
         print(f"div3 n={n:<2}  {layer:<8}  {seconds:7.3f} s  peak_rss {peak:7.1f} MB", flush=True)
     print(f"div3 n={n:<2}  k={k} states={report.state_count} file={len(text)} B", flush=True)
@@ -74,6 +99,9 @@ def measure(n: int) -> None:
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--in-process"]:
         measure(int(argv[1]))
+        return 0
+    if argv[:1] == ["--parse"]:
+        parse(argv[1])
         return 0
     for n in map(int, argv or DEFAULT_DEPTHS):
         done = subprocess.run([sys.executable, __file__, "--in-process", str(n)])
