@@ -49,11 +49,11 @@ from tmbench.nondet import (
 from tmbench.convergence import (
     BUILTIN_LANGUAGES,
     ConvergenceReport,
-    LanguageOracle,
     TrieMachineReport,
     TrieSizeError,
     build_trie_machine,
     find_convergence_index,
+    finite_language,
     verify_restriction,
     verify_step_count,
     verify_trie,

@@ -13,9 +13,10 @@ import sys
 from functools import cache
 
 from tmbench.convergence import (
-    LanguageOracle,
+    BUILTIN_LANGUAGES,
     build_trie_machine,
     find_convergence_index,
+    finite_language,
     verify_trie,
 )
 from tmbench.cost import COUNT_ALL, parse_cost_model
@@ -44,23 +45,28 @@ def _render_word(word: str) -> str:
 
 
 def _read_words(path: str) -> list[str]:
-    """One word per line and 'eps' is the empty word; as in a machine file, a
-    '#' that no backslash precedes starts a comment and '\\#' is the symbol '#'.
-    A UTF-8 byte order mark at the start is skipped, as for a machine file."""
+    """One word per line and 'eps' is the empty word; as in a machine file,
+    lines break at every str.splitlines break, a '#' that no backslash
+    precedes starts a comment and '\\#' is the symbol '#'. A UTF-8 byte
+    order mark at the start is skipped, as for a machine file."""
     words = []
     with open(path, encoding="utf-8-sig") as fh:
-        for raw in fh:
+        for raw in fh.read().splitlines():
             line = strip_comment(raw).strip()
             if line:
                 words.append(_word(line))
     return words
 
 
-def load_language(spec: str) -> LanguageOracle:
-    """A built-in name, or @file with one word per line ('eps' = empty word)."""
-    if not spec.startswith("@"):
-        return LanguageOracle.builtin(spec)
-    return LanguageOracle.finite(_read_words(spec[1:]))
+def load_language(spec: str):
+    """The membership predicate of a built-in name, or of @file with one
+    word per line ('eps' = empty word)."""
+    if spec.startswith("@"):
+        return finite_language(_read_words(spec[1:]))
+    if spec not in BUILTIN_LANGUAGES:
+        raise ValueError(f"unknown built-in language {spec!r}; "
+                         f"choose from {sorted(BUILTIN_LANGUAGES)}")
+    return BUILTIN_LANGUAGES[spec]
 
 
 def _load_machine(path: str):

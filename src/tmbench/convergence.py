@@ -1,13 +1,17 @@
 """Lookup-trie machine synthesis and language-sequence convergence.
 
-For a language L over {0,1} and a depth bound n, the trie machine has one
+A language L over {0,1} is its membership predicate, a callable that
+takes a word and answers by its truth: a built-in is its entry in
+BUILTIN_LANGUAGES, and finite_language gives a finite one.
+
+For a language L and a depth bound n, the trie machine has one
 state per bit-string prefix of length <= n. It consumes the input left to
 right, descending the trie one state per symbol; reading blank triggers a
 membership lookup baked in at construction time. The machine accepts exactly
 the words of L with length <= n, in |w| + 1 steps; longer words are rejected
 on the (n+1)-th symbol.
 
-A built trie is its oracle's answers, one byte per prefix in heap order
+A built trie is L's answers, one byte per prefix in heap order
 (all_words order: prefix h's children are 2h+1 and 2h+2). The answer of
 prefix p sits at heap index int("1" + p, 2) - 1, and the depth-n trie's
 answers are the first 2^(n+1) - 1 of any deeper trie's. Every reader
@@ -75,38 +79,22 @@ BUILTIN_LANGUAGES: dict[str, Callable[[str], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class LanguageOracle:
-    """Membership predicate over {0,1}*: a named built-in (`builtin`) or a
-    finite word set (`finite`). Two built-ins of one name are equal."""
-
-    member: Callable[[str], bool]
-
-    @staticmethod
-    def builtin(name: str) -> "LanguageOracle":
-        if name not in BUILTIN_LANGUAGES:
-            raise ValueError(f"unknown built-in language {name!r}; "
-                             f"choose from {sorted(BUILTIN_LANGUAGES)}")
-        return LanguageOracle(BUILTIN_LANGUAGES[name])
-
-    @staticmethod
-    def finite(words) -> "LanguageOracle":
-        # a string would be read as the set of its letters
-        if isinstance(words, str):
-            raise TypeError("words must be a collection of words, not a string")
-        ws = frozenset(words)
-        for w in ws:
-            if any(ch not in "01" for ch in w):
-                raise ValueError(f"word {w!r} is not over {{0,1}}")
-        return LanguageOracle(ws.__contains__)
-
-    def __call__(self, word: str) -> bool:
-        return self.member(word)
+def finite_language(words) -> Callable[[str], bool]:
+    """The finite language of words, as its membership predicate. words is
+    any collection of words over {0,1}, but not a string, which would be
+    read as the set of its letters."""
+    if isinstance(words, str):
+        raise TypeError("words must be a collection of words, not a string")
+    ws = frozenset(words)
+    for w in ws:
+        if any(ch not in "01" for ch in w):
+            raise ValueError(f"word {w!r} is not over {{0,1}}")
+    return ws.__contains__
 
 
 @dataclass(frozen=True)
 class TrieMachineReport:
-    """A depth-n trie machine as its oracle's answers, one byte per prefix
+    """A depth-n trie machine as its language's answers, one byte per prefix
     in heap order (see build_trie_machine): the depth an integer, and the
     answers bytes, each 0 or 1. Two reports are equal, and hash alike, when
     their depths and answers are.
@@ -184,8 +172,8 @@ class ConvergenceReport:
     verified_words: int
 
 
-def build_trie_machine(L: LanguageOracle, n: int) -> TrieMachineReport:
-    """The depth-n trie machine of the oracle, as a report that holds L's
+def build_trie_machine(L: Callable[[str], bool], n: int) -> TrieMachineReport:
+    """The depth-n trie machine of the language L, as a report that holds L's
     answers and builds the machine from them on first read (see
     TrieMachineReport). L is asked once per prefix, in all_words order, and
     its answer read by its truth. A negative n asks L nothing and is
@@ -241,9 +229,9 @@ def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = 
     return counterexamples, steps_ok
 
 
-def verify_restriction(report: TrieMachineReport, L: LanguageOracle
+def verify_restriction(report: TrieMachineReport, L: Callable[[str], bool]
                        ) -> tuple[bool, list[str]]:
-    """Exhaustively check that the machine accepts exactly the oracle's words
+    """Exhaustively check that the machine accepts exactly the words of L
     up to length n, and rejects the sampled words of length n+1."""
     counterexamples = verify_trie(report, L)[0]
     return not counterexamples, counterexamples
@@ -256,7 +244,7 @@ def verify_step_count(report: TrieMachineReport) -> bool:
     return verify_trie(report)[1]
 
 
-def find_convergence_index(L: LanguageOracle, k: int, budget: int) -> ConvergenceReport:
+def find_convergence_index(L: Callable[[str], bool], k: int, budget: int) -> ConvergenceReport:
     """Least sequence index n_k from which every trie machine agrees with L
     on all words of length <= k.
 

@@ -11,7 +11,7 @@ from tmbench import (
     BoundSpec,
     COUNT_ALL,
     CostModel,
-    LanguageOracle,
+    BUILTIN_LANGUAGES,
     MeasureFunction,
     Verdict,
     build_demo_machines,
@@ -42,7 +42,7 @@ def report(num, description, ok):
 @pytest.fixture(scope="module")
 def tries():
     return {
-        (name, n): build_trie_machine(LanguageOracle.builtin(name), n)
+        (name, n): build_trie_machine(BUILTIN_LANGUAGES[name], n)
         for name in ORACLE_NAMES
         for n in range(9)
     }
@@ -51,7 +51,7 @@ def tries():
 def test_criterion_1_restriction_exactness(tries):
     ok = True
     for name in ORACLE_NAMES:
-        oracle = LanguageOracle.builtin(name)
+        oracle = BUILTIN_LANGUAGES[name]
         for n in range(9):
             passed, counterexamples = verify_restriction(tries[(name, n)], oracle)
             ok = ok and passed and not counterexamples
@@ -77,7 +77,7 @@ def test_criterion_3_state_and_query_accounting(tries):
     for name in ORACLE_NAMES:
         for n in range(13):
             trie = tries[(name, n)] if n <= 8 else build_trie_machine(
-                LanguageOracle.builtin(name), n)
+                BUILTIN_LANGUAGES[name], n)
             ok = ok and trie.state_count == 2 ** (n + 1) + 1
             ok = ok and trie.oracle_queries == 2 ** (n + 1) - 1
     report(3, "state_count = 2^(n+1)+1 and oracle_queries = 2^(n+1)-1 for n in 0..12", ok)
@@ -86,7 +86,7 @@ def test_criterion_3_state_and_query_accounting(tries):
 def test_criterion_4_convergence():
     ok = True
     for name in ORACLE_NAMES:
-        oracle = LanguageOracle.builtin(name)
+        oracle = BUILTIN_LANGUAGES[name]
         for k in range(9):
             result = find_convergence_index(oracle, k, budget=12)
             ok = ok and result.n_k is not None and result.n_k <= k
@@ -132,8 +132,8 @@ def battery():
     scanner, _ = build_demo_machines()
     return [
         scanner,
-        build_trie_machine(LanguageOracle.builtin("contains-1"), 4).machine,
-        build_trie_machine(LanguageOracle.builtin("div3"), 3).machine,
+        build_trie_machine(BUILTIN_LANGUAGES["contains-1"], 4).machine,
+        build_trie_machine(BUILTIN_LANGUAGES["div3"], 3).machine,
     ]
 
 

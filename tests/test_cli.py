@@ -14,7 +14,6 @@ from tmbench import (
     BLANK,
     BUILTIN_LANGUAGES,
     RIGHT,
-    LanguageOracle,
     Machine,
     build_demo_machines,
     build_trie_machine,
@@ -124,7 +123,7 @@ def test_verify_trie_prints_each_counterexample_of_a_wrong_build(capsys, monkeyp
     # the trie is built from 'empty' and checked against parity-even-ones,
     # so each of its words up to length 2 is a counterexample; the longer
     # sampled words are rejected by both, and the step counts still hold
-    empty = LanguageOracle.builtin("empty")
+    empty = BUILTIN_LANGUAGES["empty"]
     monkeypatch.setattr(tmbench.cli, "build_trie_machine",
                         lambda oracle, n: build_trie_machine(empty, n))
     code, out, err = invoke(capsys, "verify-trie", "--lang", "parity-even-ones", "--n", "2")
@@ -468,6 +467,45 @@ def test_word_files_follow_the_machine_file_comment_rule(capsys, tmp_path):
     assert rows == [["0#0", "3", "4"], ["0#0", "3", "4"], ["#", "1", "2"]]
 
 
+# every str.splitlines break that is not \n or \r; each is isspace(), so no
+# word holds one
+LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"U+{ord(b):04X}" for b in LINE_BREAKS])
+def test_word_files_break_lines_as_a_machine_file_does(capsys, tmp_path, brk):
+    words = tmp_path / "words.txt"
+    words.write_bytes(f"0{brk}1\n10\n".encode("utf-8"))
+    trie_path = tmp_path / "trie.tm"
+    code, _, err = invoke(capsys, "gen-trie", "--lang", f"@{words}", "--n", "2",
+                          "--out", str(trie_path))
+    assert (code, err) == (0, "# states=9 oracle_queries=7\n")
+    for word, verdict in (("0", "accepted"), ("1", "accepted"), ("10", "accepted"),
+                          ("01", "rejected")):
+        _, out, _ = invoke(capsys, "run", "--machine", str(trie_path), "--input", word)
+        assert f"verdict: {verdict}" in out
+    code, out, _ = invoke(capsys, "check-bound", "--machine", str(trie_path),
+                          "--g", "linear:a=1,b=1", "--inputs-file", str(words))
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:-1]] == ["0", "1", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-trie", "--n", "2", "--out", "-"],
+    ["verify-trie", "--n", "2"],
+    ["converge", "--k", "2", "--budget", "2"],
+], ids=["gen-trie", "verify-trie", "converge"])
+def test_a_language_the_cli_cannot_read_is_one_error_line_and_exit_2(capsys, tmp_path, argv):
+    code, out, err = invoke(capsys, *argv, "--lang", "no-such")
+    assert (code, out) == (2, "")
+    assert err == (f"error: unknown built-in language 'no-such'; "
+                   f"choose from {sorted(BUILTIN_LANGUAGES)}\n")
+    words = tmp_path / "words.txt"
+    words.write_text("012\n")
+    assert invoke(capsys, *argv, "--lang", f"@{words}") == (
+        2, "", "error: word '012' is not over {0,1}\n")
+
+
 def test_converge_always_finds_n_k(capsys, tmp_path):
     # every language the command line can name is a fixed set, so the depth-k
     # trie agrees with it and the walk ends at some n_k <= k
@@ -520,7 +558,7 @@ def test_successive_main_calls_share_no_state(capsys, scanner_file):
 EXIT_CODES = {0, 1, 2, 3, 4}
 SCANNER, POSITIONED = build_demo_machines()
 MACHINE_FILES = [emit_machine(SCANNER), emit_machine(POSITIONED.checker), INLINE_CHECKER,
-                 emit_machine(build_trie_machine(LanguageOracle.builtin("div3"), 2).machine)]
+                 emit_machine(build_trie_machine(BUILTIN_LANGUAGES["div3"], 2).machine)]
 WORD_FILES = ["0\n1\n", "eps\n01  # a comment\n\n110\n", "0\n0\n"]
 
 

@@ -17,7 +17,7 @@ from tmbench import (
     COUNT_ALL,
     FREE_BLIND,
     LEFT,
-    LanguageOracle,
+    BUILTIN_LANGUAGES,
     RIGHT,
     CertificateBudgetError,
     CertificateSearchReport,
@@ -877,7 +877,7 @@ def test_file_round_trip_of_random_machines(m):
 
 
 def test_a_run_fills_only_the_entries_it_uses():
-    trie = build_trie_machine(LanguageOracle.builtin("palindrome"), 12).machine
+    trie = build_trie_machine(BUILTIN_LANGUAGES["palindrome"], 12).machine
     assert run(trie, "0110", fuel=100, record_trace=False).verdict is Verdict.ACCEPTED
     table = _compile(trie, COUNT_ALL).table
     assert sum(entry is not None for entry in table) == 5

@@ -2,24 +2,25 @@ import hashlib
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmbench.convergence as convergence
 from tmbench import (
     BLANK,
     COUNT_ALL,
-    LanguageOracle,
     Machine,
     TrieSizeError,
     Verdict,
     build_trie_machine,
     emit_machine,
     find_convergence_index,
+    finite_language,
     run,
     verify_restriction,
     verify_step_count,
     verify_trie,
 )
-from tmbench.cli import main
+from tmbench.cli import load_language, main
 from tmbench.convergence import (
     BUILTIN_LANGUAGES,
     LONG_WORD_SAMPLE,
@@ -39,52 +40,52 @@ def brute_contains_1(w):
 
 
 def test_builtin_oracles():
-    assert LanguageOracle.builtin("contains-1")("010")
-    assert not LanguageOracle.builtin("contains-1")("000")
-    assert LanguageOracle.builtin("parity-even-ones")("")
-    assert LanguageOracle.builtin("parity-even-ones")("11")
-    assert not LanguageOracle.builtin("parity-even-ones")("10")
-    assert LanguageOracle.builtin("palindrome")("010")
-    assert not LanguageOracle.builtin("palindrome")("01")
-    assert LanguageOracle.builtin("all")("")
-    assert not LanguageOracle.builtin("empty")("")
-    assert LanguageOracle.builtin("div3")("")  # numeral 0
-    assert LanguageOracle.builtin("div3")("11")  # 3
-    assert not LanguageOracle.builtin("div3")("10")  # 2
+    assert BUILTIN_LANGUAGES["contains-1"]("010")
+    assert not BUILTIN_LANGUAGES["contains-1"]("000")
+    assert BUILTIN_LANGUAGES["parity-even-ones"]("")
+    assert BUILTIN_LANGUAGES["parity-even-ones"]("11")
+    assert not BUILTIN_LANGUAGES["parity-even-ones"]("10")
+    assert BUILTIN_LANGUAGES["palindrome"]("010")
+    assert not BUILTIN_LANGUAGES["palindrome"]("01")
+    assert BUILTIN_LANGUAGES["all"]("")
+    assert not BUILTIN_LANGUAGES["empty"]("")
+    assert BUILTIN_LANGUAGES["div3"]("")  # numeral 0
+    assert BUILTIN_LANGUAGES["div3"]("11")  # 3
+    assert not BUILTIN_LANGUAGES["div3"]("10")  # 2
     with pytest.raises(ValueError):
-        LanguageOracle.builtin("no-such-language")
+        load_language("no-such-language")
 
 
 def test_finite_oracle():
-    oracle = LanguageOracle.finite({"", "01"})
+    oracle = finite_language({"", "01"})
     assert oracle("") and oracle("01") and not oracle("1")
     with pytest.raises(ValueError):
-        LanguageOracle.finite({"012"})
+        finite_language({"012"})
 
 
 def test_finite_oracle_refuses_a_bare_string():
     # "0101" would otherwise be read as the language {"0", "1"}
     with pytest.raises(TypeError):
-        LanguageOracle.finite("0101")
-    assert LanguageOracle.finite(["0101"])("0101")
+        finite_language("0101")
+    assert finite_language(["0101"])("0101")
 
 
 def test_empty_language_trie_rejects_everything():
-    report = build_trie_machine(LanguageOracle.builtin("empty"), 2)
+    report = build_trie_machine(BUILTIN_LANGUAGES["empty"], 2)
     assert report.state_count == 9
     for word in all_words("01", 2):
         assert run(report.machine, word, COUNT_ALL, fuel=20).verdict is Verdict.REJECTED
 
 
 def test_contains_1_trie_matches_brute_force():
-    report = build_trie_machine(LanguageOracle.builtin("contains-1"), 3)
+    report = build_trie_machine(BUILTIN_LANGUAGES["contains-1"], 3)
     for word in all_words("01", 3):
         verdict = run(report.machine, word, COUNT_ALL, fuel=20).verdict
         assert (verdict is Verdict.ACCEPTED) == brute_contains_1(word)
 
 
 def test_all_language_depth_zero():
-    report = build_trie_machine(LanguageOracle.builtin("all"), 0)
+    report = build_trie_machine(BUILTIN_LANGUAGES["all"], 0)
     assert run(report.machine, "", COUNT_ALL, fuel=10).verdict is Verdict.ACCEPTED
     assert run(report.machine, "0", COUNT_ALL, fuel=10).verdict is Verdict.REJECTED
     assert run(report.machine, "1", COUNT_ALL, fuel=10).verdict is Verdict.REJECTED
@@ -92,20 +93,20 @@ def test_all_language_depth_zero():
 
 @pytest.mark.parametrize("n", [0, 1, 4, 12])
 def test_state_and_query_accounting(n):
-    report = build_trie_machine(LanguageOracle.builtin("div3"), n)
+    report = build_trie_machine(BUILTIN_LANGUAGES["div3"], n)
     assert report.state_count == 2 ** (n + 1) + 1
     assert report.oracle_queries == 2 ** (n + 1) - 1
 
 
 def test_depth_budget():
     with pytest.raises(TrieSizeError):
-        build_trie_machine(LanguageOracle.builtin("all"), 21)
+        build_trie_machine(BUILTIN_LANGUAGES["all"], 21)
     with pytest.raises(ValueError):
-        build_trie_machine(LanguageOracle.builtin("all"), -1)
+        build_trie_machine(BUILTIN_LANGUAGES["all"], -1)
 
 
 def test_size_limits_name_themselves():
-    oracle = LanguageOracle.builtin("all")
+    oracle = BUILTIN_LANGUAGES["all"]
     with pytest.raises(TrieSizeError, match=r"depth 21 needs 2\^22\+1 states, "
                                             r"over the budget \(max depth 20\)"):
         build_trie_machine(oracle, 21)
@@ -114,11 +115,8 @@ def test_size_limits_name_themselves():
 
 
 def test_an_oracle_is_its_membership_callable():
-    assert LanguageOracle.builtin("div3") == LanguageOracle.builtin("div3")
-    assert hash(LanguageOracle.builtin("div3")) == hash(LanguageOracle.builtin("div3"))
-    assert LanguageOracle.builtin("div3") != LanguageOracle.builtin("palindrome")
-    assert LanguageOracle.builtin("div3").member is BUILTIN_LANGUAGES["div3"]
-    pairs = LanguageOracle(lambda w: len(w) == 2)
+    assert load_language("div3") is BUILTIN_LANGUAGES["div3"]
+    pairs = lambda w: len(w) == 2
     assert pairs("01") and not pairs("0")
     report = build_trie_machine(pairs, 3)
     assert verify_restriction(report, pairs) == (True, [])
@@ -126,7 +124,7 @@ def test_an_oracle_is_its_membership_callable():
 
 @pytest.mark.parametrize("lang", ["contains-1", "parity-even-ones"])
 def test_verify_restriction(lang):
-    oracle = LanguageOracle.builtin(lang)
+    oracle = BUILTIN_LANGUAGES[lang]
     report = build_trie_machine(oracle, 4)
     ok, counterexamples = verify_restriction(report, oracle)
     assert ok
@@ -144,7 +142,7 @@ def running(machine):
 
 
 def test_verify_restriction_catches_corruption():
-    oracle = LanguageOracle.builtin("contains-1")
+    oracle = BUILTIN_LANGUAGES["contains-1"]
     report = build_trie_machine(oracle, 2)
     m = report.machine
     trans = dict(m.transitions)
@@ -159,7 +157,7 @@ def test_verify_restriction_catches_corruption():
 
 
 def test_verify_step_count_catches_corruption():
-    oracle = LanguageOracle.builtin("contains-1")
+    oracle = BUILTIN_LANGUAGES["contains-1"]
     report = build_trie_machine(oracle, 2)
     m = report.machine
     trans = dict(m.transitions)
@@ -175,7 +173,7 @@ def test_verify_step_count_catches_corruption():
 
 
 def test_verify_trie_reports_verdicts_and_step_counts_together():
-    oracle = LanguageOracle.builtin("contains-1")
+    oracle = BUILTIN_LANGUAGES["contains-1"]
     report = build_trie_machine(oracle, 2)
     m = report.machine
     trans = dict(m.transitions)
@@ -202,12 +200,12 @@ def test_long_word_sample_past_depth_10(n):
 
 
 def test_verify_trie_passes_on_the_sample_past_depth_10():
-    oracle = LanguageOracle.builtin("div3")
+    oracle = BUILTIN_LANGUAGES["div3"]
     assert verify_trie(build_trie_machine(oracle, 11), oracle) == ([], True)
 
 
 def test_verify_trie_counts_a_run_that_does_not_halt_as_a_counterexample():
-    oracle = LanguageOracle.builtin("empty")
+    oracle = BUILTIN_LANGUAGES["empty"]
     report = build_trie_machine(oracle, 1)
     m = report.machine
     trans = dict(m.transitions)
@@ -221,12 +219,12 @@ def test_verify_trie_counts_a_run_that_does_not_halt_as_a_counterexample():
 
 @pytest.mark.parametrize("lang", ALL_BUILTINS)
 def test_verify_step_count(lang):
-    report = build_trie_machine(LanguageOracle.builtin(lang), 4)
+    report = build_trie_machine(BUILTIN_LANGUAGES[lang], 4)
     assert verify_step_count(report)
 
 
 def test_step_counts_by_hand():
-    machine = build_trie_machine(LanguageOracle.builtin("contains-1"), 3).machine
+    machine = build_trie_machine(BUILTIN_LANGUAGES["contains-1"], 3).machine
     assert run(machine, "", COUNT_ALL, fuel=10).total_steps == 1
     assert run(machine, "010", COUNT_ALL, fuel=10).total_steps == 4
     # length-capped rejection: three consumptions, then the cap rule fires
@@ -237,7 +235,7 @@ def test_step_counts_by_hand():
 
 def test_halting_bound_any_length():
     n = 3
-    machine = build_trie_machine(LanguageOracle.builtin("palindrome"), n).machine
+    machine = build_trie_machine(BUILTIN_LANGUAGES["palindrome"], n).machine
     for word in all_words("01", 6):
         result = run(machine, word, COUNT_ALL, fuel=50)
         assert result.total_steps <= min(len(word), n) + 2
@@ -247,7 +245,7 @@ def test_halting_bound_any_length():
 
 @pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 4), (3, 4)])
 def test_monotone_refinement(m, n):
-    oracle = LanguageOracle.builtin("div3")
+    oracle = BUILTIN_LANGUAGES["div3"]
     small = build_trie_machine(oracle, m).machine
     big = build_trie_machine(oracle, n).machine
     for word in all_words("01", n):
@@ -257,24 +255,24 @@ def test_monotone_refinement(m, n):
 
 
 def test_convergence_contains_1():
-    report = find_convergence_index(LanguageOracle.builtin("contains-1"), 3, 10)
+    report = find_convergence_index(BUILTIN_LANGUAGES["contains-1"], 3, 10)
     assert report.n_k is not None and report.n_k <= 3
     assert report.verified_words == 15
 
 
 def test_convergence_empty_language():
-    report = find_convergence_index(LanguageOracle.builtin("empty"), 5, 10)
+    report = find_convergence_index(BUILTIN_LANGUAGES["empty"], 5, 10)
     assert report.n_k == 0
     assert report.verified_words == 63
 
 
 def test_convergence_all_language():
-    report = find_convergence_index(LanguageOracle.builtin("all"), 2, 10)
+    report = find_convergence_index(BUILTIN_LANGUAGES["all"], 2, 10)
     assert report.n_k == 2
 
 
 def test_convergence_preconditions():
-    oracle = LanguageOracle.builtin("all")
+    oracle = BUILTIN_LANGUAGES["all"]
     with pytest.raises(ValueError):
         find_convergence_index(oracle, 13, 20)
     with pytest.raises(ValueError):
@@ -283,7 +281,7 @@ def test_convergence_preconditions():
 
 @pytest.mark.parametrize("lang", ALL_BUILTINS)
 def test_convergence_minimality(lang):
-    oracle = LanguageOracle.builtin(lang)
+    oracle = BUILTIN_LANGUAGES[lang]
     for k in range(5):
         report = find_convergence_index(oracle, k, 12)
         assert report.n_k is not None
@@ -311,14 +309,14 @@ def test_convergence_walk_stops_at_the_first_disagreeing_trie(monkeypatch):
 
     monkeypatch.setattr(convergence, "build_trie_machine", building)
     monkeypatch.setattr(convergence, "_trie_table", walking)
-    report = find_convergence_index(LanguageOracle.builtin("palindrome"), 8, 8)
+    report = find_convergence_index(BUILTIN_LANGUAGES["palindrome"], 8, 8)
     assert (report.n_k, report.verified_words) == (8, 511)
     assert walked == [8, 7]
     assert built == [8]
 
 
-@pytest.mark.parametrize("oracle", [LanguageOracle.builtin(name) for name in ALL_BUILTINS]
-                         + [LanguageOracle.finite(words) for words in
+@pytest.mark.parametrize("oracle", [BUILTIN_LANGUAGES[name] for name in ALL_BUILTINS]
+                         + [finite_language(words) for words in
                             ({"", "01"}, {"1"}, {"0110"}, {"000", "1"})])
 def test_convergence_walk_matches_the_agreement_table(oracle):
     for k in range(5):
@@ -329,6 +327,29 @@ def test_convergence_walk_matches_the_agreement_table(oracle):
         ]
         least = next((n for n in range(k + 1) if all(agreement[n:])), None)
         assert find_convergence_index(oracle, k, k).n_k == least
+
+
+# --- the convergence walk's closed form -------------------------------------
+
+def assert_closed_form(L, k, longest):
+    """n_k is the greatest length <= k of a word of L (0 when L has none),
+    and the walk checks every word of length <= k."""
+    report = find_convergence_index(L, k, k)
+    assert (report.n_k, report.verified_words) == (longest, 2 ** (k + 1) - 1)
+
+
+@pytest.mark.parametrize("lang", ALL_BUILTINS)
+def test_a_builtin_converges_at_its_longest_word_within_k(lang):
+    L = BUILTIN_LANGUAGES[lang]
+    for k in range(11):
+        assert_closed_form(L, k, max((len(w) for w in all_words("01", k) if L(w)), default=0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.frozensets(st.text("01", max_size=10), max_size=6), st.integers(0, 10))
+def test_a_finite_language_converges_at_its_longest_word_within_k(words, k):
+    assert_closed_form(finite_language(words), k,
+                       max((len(w) for w in words if len(w) <= k), default=0))
 
 
 # --- the trie build in heap order against a per-prefix construction ---------
@@ -352,7 +373,7 @@ def reference_trie(L, n):
 
 @pytest.mark.parametrize("lang", ALL_BUILTINS)
 def test_heap_order_build_matches_the_per_prefix_construction(lang):
-    oracle = LanguageOracle.builtin(lang)
+    oracle = BUILTIN_LANGUAGES[lang]
     for n in range(9):
         report = build_trie_machine(oracle, n)
         machine, queries, state_count = reference_trie(oracle, n)
@@ -369,13 +390,13 @@ def test_trie_build_asks_the_oracle_once_per_prefix_in_order(n):
         asked.append(word)
         return len(word) % 2 == 0
 
-    report = build_trie_machine(LanguageOracle(recording), n)
+    report = build_trie_machine(recording, n)
     assert asked == list(all_words("01", n))
     assert report.oracle_queries == len(asked) == 2 ** (n + 1) - 1
 
 
 def test_depth_zero_trie_is_one_lookup_and_two_rejections():
-    report = build_trie_machine(LanguageOracle.builtin("empty"), 0)
+    report = build_trie_machine(BUILTIN_LANGUAGES["empty"], 0)
     assert report.machine.transitions == {
         ("q_", "0"): ("q_reject", BLANK, "R"),
         ("q_", "1"): ("q_reject", BLANK, "R"),
@@ -383,7 +404,7 @@ def test_depth_zero_trie_is_one_lookup_and_two_rejections():
     }
     assert report.machine.states == {"q_", "q_accept", "q_reject"}
     assert (report.oracle_queries, report.state_count) == (1, 3)
-    assert verify_trie(report, LanguageOracle.builtin("empty")) == ([], True)
+    assert verify_trie(report, BUILTIN_LANGUAGES["empty"]) == ([], True)
 
 
 # --- oracles whose answers are truthy values, not bools -----------------------
@@ -393,8 +414,8 @@ def test_depth_zero_trie_is_one_lookup_and_two_rejections():
     lambda w: "yes" if "1" in w else "",
 ])
 def test_convergence_reads_an_answer_by_its_truth_as_the_trie_does(member):
-    oracle = LanguageOracle(member)
-    as_bool = LanguageOracle(lambda w: bool(member(w)))
+    oracle = member
+    as_bool = lambda w: bool(member(w))
     for k in range(6):
         report = build_trie_machine(oracle, k)
         assert verify_trie(report, oracle) == ([], True)
@@ -413,17 +434,17 @@ def test_convergence_asks_the_oracle_once_per_word_in_all(k):
         asked.append(word)
         return word.count("1") % 2 == 0
 
-    report = find_convergence_index(LanguageOracle(recording), k, k)
+    report = find_convergence_index(recording, k, k)
     assert asked == list(all_words("01", k))
     assert (report.n_k, report.verified_words) == (k, 2 ** (k + 1) - 1)
-    assert report == find_convergence_index(LanguageOracle.builtin("parity-even-ones"), k, k)
+    assert report == find_convergence_index(BUILTIN_LANGUAGES["parity-even-ones"], k, k)
 
 
 # --- the trie from its answers against the per-prefix construction ----------
 
 FINITE_LANGUAGES = [{"", "01"}, {"1"}, {"0110"}, {"000", "1"}]
-LANGUAGES = ([(name, LanguageOracle.builtin(name)) for name in ALL_BUILTINS]
-             + [(sorted(words), LanguageOracle.finite(words)) for words in FINITE_LANGUAGES])
+LANGUAGES = ([(name, BUILTIN_LANGUAGES[name]) for name in ALL_BUILTINS]
+             + [(sorted(words), finite_language(words)) for words in FINITE_LANGUAGES])
 LANGUAGE_IDS = [str(name) for name, _ in LANGUAGES]
 
 
@@ -467,7 +488,7 @@ def test_gen_trie_writes_the_per_prefix_construction(name, oracle, tmp_path, cap
 
 @pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
 def test_verify_trie_from_the_answers_matches_running_the_per_prefix_machine(name, oracle):
-    other = LanguageOracle.builtin("parity-even-ones")
+    other = BUILTIN_LANGUAGES["parity-even-ones"]
     for n in range(9):
         built = build_trie_machine(oracle, n)
         for L in (oracle, None, other):
@@ -516,7 +537,7 @@ def test_build_and_verify_at_depth_12_build_no_transitions_dict(monkeypatch):
     def refuse(*args):
         raise AssertionError("the transitions dict was built")
 
-    oracle = LanguageOracle.builtin("div3")
+    oracle = BUILTIN_LANGUAGES["div3"]
     monkeypatch.setattr(convergence, "Machine", refuse)
     monkeypatch.setattr(tmbench.machine, "_compile", refuse)
     report = build_trie_machine(oracle, 12)
@@ -528,7 +549,7 @@ def test_build_and_verify_at_depth_12_build_no_transitions_dict(monkeypatch):
 
 
 def test_a_built_report_builds_its_machine_once_and_equals_a_hand_built_one():
-    report = build_trie_machine(LanguageOracle.builtin("palindrome"), 3)
+    report = build_trie_machine(BUILTIN_LANGUAGES["palindrome"], 3)
     machine = report.machine
     assert report.machine is machine
     by_hand = TrieMachineReport(3, report.answers)
@@ -540,11 +561,11 @@ def test_a_built_report_builds_its_machine_once_and_equals_a_hand_built_one():
 
 
 def test_a_report_is_a_value_of_its_depth_and_its_answers():
-    report = build_trie_machine(LanguageOracle.builtin("all"), 3)
-    same = build_trie_machine(LanguageOracle(lambda w: True), 3)
+    report = build_trie_machine(BUILTIN_LANGUAGES["all"], 3)
+    same = build_trie_machine(lambda w: True, 3)
     assert report == same and hash(report) == hash(same)
-    assert report != build_trie_machine(LanguageOracle.builtin("all"), 2)
-    assert report != build_trie_machine(LanguageOracle.builtin("empty"), 3)
+    assert report != build_trie_machine(BUILTIN_LANGUAGES["all"], 2)
+    assert report != build_trie_machine(BUILTIN_LANGUAGES["empty"], 3)
     assert (report.n, report.answers) == (3, b"\x01" * 15)
     assert repr(report) == "TrieMachineReport(n=3)"
     assert "machine" not in vars(report)
@@ -574,7 +595,7 @@ def test_a_report_refuses_a_non_integer_depth_or_answers_that_are_not_bytes_0_an
 def test_a_report_built_by_hand_lists_and_builds_its_machine(n):
     answers = bytes(w.count("1") % 2 for w in all_words("01", n))
     report = TrieMachineReport(n, answers)
-    assert report == build_trie_machine(LanguageOracle(lambda w: w.count("1") % 2 == 1), n)
+    assert report == build_trie_machine(lambda w: w.count("1") % 2 == 1, n)
     assert (report.oracle_queries, report.state_count) == (2 ** (n + 1) - 1, 2 ** (n + 1) + 1)
     assert emit_machine(report.listing()) == emit_machine(report.machine)
     assert verify_trie(report, lambda w: w.count("1") % 2 == 1) == ([], True)

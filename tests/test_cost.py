@@ -5,7 +5,7 @@ from tmbench import (
     COUNT_ALL,
     FREE_BLIND,
     CostModel,
-    LanguageOracle,
+    BUILTIN_LANGUAGES,
     Machine,
     RIGHT,
     build_demo_machines,
@@ -90,7 +90,7 @@ def test_counted_set_free_blind_excludes_blind_entries():
 
 
 def test_counted_set_free_states():
-    report = build_trie_machine(LanguageOracle.builtin("contains-1"), 2)
+    report = build_trie_machine(BUILTIN_LANGUAGES["contains-1"], 2)
     m = report.machine
     prefix_states = {q for q in m.states if q not in (m.accept_state, m.reject_state)}
     inner = prefix_states - {m.start_state}
@@ -145,13 +145,13 @@ def test_custom_predicate():
 
 
 def test_counted_length_trie():
-    result = run(build_trie_machine(LanguageOracle.builtin("contains-1"), 3).machine,
+    result = run(build_trie_machine(BUILTIN_LANGUAGES["contains-1"], 3).machine,
                  "010", COUNT_ALL, fuel=100)
     assert result.counted_steps == 4
 
 
 def test_counted_length_empty_word():
-    result = run(build_trie_machine(LanguageOracle.builtin("contains-1"), 3).machine,
+    result = run(build_trie_machine(BUILTIN_LANGUAGES["contains-1"], 3).machine,
                  "", COUNT_ALL, fuel=100)
     assert result.counted_steps == 1
 

@@ -14,7 +14,7 @@ from tmbench import (
     BoundSpec,
     Configuration,
     InvalidInputError,
-    LanguageOracle,
+    BUILTIN_LANGUAGES,
     Machine,
     RIGHT,
     StepRecord,
@@ -38,7 +38,7 @@ def scanner():
 
 
 def trie(n=3, lang="contains-1"):
-    return build_trie_machine(LanguageOracle.builtin(lang), n).machine
+    return build_trie_machine(BUILTIN_LANGUAGES[lang], n).machine
 
 
 def test_generated_trie_validates():

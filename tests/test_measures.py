@@ -13,7 +13,7 @@ from tmbench import (
     BoundSpec,
     COUNT_ALL,
     FREE_BLIND,
-    LanguageOracle,
+    BUILTIN_LANGUAGES,
     MeasureFunction,
     build_demo_machines,
     build_trie_machine,
@@ -200,7 +200,7 @@ def test_composition_order():
 
 
 def trie3():
-    return build_trie_machine(LanguageOracle.builtin("contains-1"), 3).machine
+    return build_trie_machine(BUILTIN_LANGUAGES["contains-1"], 3).machine
 
 
 def test_check_bound_trie_linear_pass():

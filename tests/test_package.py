@@ -19,7 +19,7 @@ PUBLIC_API = (
     "check_bound", "parse_measure",
     "CheckingRelation", "CertificateSearchReport", "CertificateBudgetError", "decide_nc",
     "decide_nt", "build_demo_machines",
-    "LanguageOracle", "BUILTIN_LANGUAGES", "TrieMachineReport", "TrieSizeError",
+    "finite_language", "BUILTIN_LANGUAGES", "TrieMachineReport", "TrieSizeError",
     "ConvergenceReport", "build_trie_machine", "verify_restriction", "verify_step_count",
     "verify_trie", "find_convergence_index",
     "MachineParseError", "parse_machine_file", "emit_machine",

@@ -7,7 +7,7 @@ from tmbench import (
     BLANK,
     COUNT_ALL,
     RIGHT,
-    LanguageOracle,
+    BUILTIN_LANGUAGES,
     Machine,
     MachineParseError,
     build_demo_machines,
@@ -43,7 +43,7 @@ def test_parse_scanner():
 def test_round_trip_is_identity():
     scanner, rel = build_demo_machines()
     for machine in (scanner, rel.checker,
-                    build_trie_machine(LanguageOracle.builtin("div3"), 3).machine):
+                    build_trie_machine(BUILTIN_LANGUAGES["div3"], 3).machine):
         assert parse_machine_file(emit_machine(machine)) == machine
 
 
@@ -82,7 +82,7 @@ def test_emit_is_canonical():
 
 
 def test_round_trip_runs_identically():
-    machine = build_trie_machine(LanguageOracle.builtin("palindrome"), 3).machine
+    machine = build_trie_machine(BUILTIN_LANGUAGES["palindrome"], 3).machine
     reparsed = parse_machine_file(emit_machine(machine))
     for word in all_words("01", 4):
         assert (run(reparsed, word, COUNT_ALL, fuel=20, record_trace=True)
@@ -188,7 +188,7 @@ def test_duplicate_trans_line_reports_the_second(first, second):
 
 def test_the_keys_of_one_state_share_its_name():
     machine = parse_machine_file(
-        emit_machine(build_trie_machine(LanguageOracle.builtin("div3"), 4).machine))
+        emit_machine(build_trie_machine(BUILTIN_LANGUAGES["div3"], 4).machine))
     names = {}
     for src, _ in machine.transitions:
         assert names.setdefault(src, src) is src
@@ -223,7 +223,7 @@ def test_a_file_parses_alike_in_blocks_of_any_size(monkeypatch, block):
 
 
 def test_a_duplicate_past_the_first_block_reports_its_line():
-    text = emit_machine(build_trie_machine(LanguageOracle.builtin("div3"), 14).listing())
+    text = emit_machine(build_trie_machine(BUILTIN_LANGUAGES["div3"], 14).listing())
     lines = text.splitlines(keepends=True)
     at = len(lines) // 2
     assert len("".join(lines[:at])) > textfmt._BLOCK

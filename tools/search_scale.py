@@ -1,9 +1,9 @@
 """CPU time of positioned certificate search on long inputs.
 
 For each input length n, prints the best-of-five CPU time (process time,
-which other processes on a shared machine disturb less than wall time) of
-decide_nc with positioned delivery, under the bound log2(n+1) + 1, on
-three inputs:
+which other processes on a shared machine disturb less than wall time,
+after one untimed call) of decide_nc with positioned delivery, under the
+bound log2(n+1) + 1, on three inputs:
 
     runs   x = 0^(n/2) 1^(n/2), the demo checker: mostly runs of one
            symbol, witness at cell n/2
@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-import time
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from measure import SRC, best_of
+
 DEFAULT_LENGTHS = (4096, 65536)
-REPEATS = 5
 
 
 def main(argv: list[str]) -> int:
@@ -47,11 +45,8 @@ def main(argv: list[str]) -> int:
         cases = [("runs", demo, "0" * half + "1" * half), ("early", demo, "01" * half),
                  ("walk", on_blank, "01" * half)]
         for name, rel, x in cases:
-            best = float("inf")
-            for _ in range(REPEATS):
-                start = time.process_time()
-                report = decide_nc(rel, g, x)
-                best = min(best, time.process_time() - start)
+            [best] = best_of(lambda: decide_nc(rel, g, x))
+            report = decide_nc(rel, g, x)
             print(f"{name:<5}  n={n:<6}  {best * 1e3:9.3f} ms  accepted={report.accepted} "
                   f"witness={report.witness!r} tried={report.certificates_tried}", flush=True)
     return 0

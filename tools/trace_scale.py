@@ -32,25 +32,8 @@ Everything runs in this one process.
 from __future__ import annotations
 
 import sys
-import time
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-REPEATS = 5
-
-
-def best_of(*jobs) -> list[float]:
-    """The least CPU time of each job over REPEATS rounds, after one untimed
-    call of each; a round times every job in turn, so that the jobs share
-    whatever load the machine has."""
-    best = [float("inf")] * len(jobs)
-    for i in range(REPEATS + 1):
-        for j, job in enumerate(jobs):
-            start = time.process_time()
-            job()
-            if i:
-                best[j] = min(best[j], time.process_time() - start)
-    return best
+from measure import SRC, best_of
 
 
 def machines():

@@ -26,22 +26,15 @@ not carry into the next.
 
 from __future__ import annotations
 
-import resource
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from measure import SRC, peak_mb
+
 DEFAULT_DEPTHS = (14, 16)
-
-
-def peak_mb() -> float:
-    """This process's peak resident set size in MB (ru_maxrss is in KB on
-    Linux and in bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024
 
 
 def parse(path: str) -> None:
@@ -60,11 +53,11 @@ def parse(path: str) -> None:
 def measure(n: int) -> None:
     """Run and print the six layers at depth n, the last in a child process."""
     sys.path.insert(0, str(SRC))
-    from tmbench.convergence import (MAX_CONVERGENCE_K, LanguageOracle, build_trie_machine,
+    from tmbench.convergence import (BUILTIN_LANGUAGES, MAX_CONVERGENCE_K, build_trie_machine,
                                      find_convergence_index, verify_trie)
     from tmbench.textfmt import emit_machine
 
-    oracle = LanguageOracle.builtin("div3")
+    oracle = BUILTIN_LANGUAGES["div3"]
     k = min(n, MAX_CONVERGENCE_K)
     start = time.process_time()
     if find_convergence_index(oracle, k, k).n_k is None:
