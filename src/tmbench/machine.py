@@ -7,9 +7,10 @@ the head starts on cell 0, which holds the first input symbol. Moves are
 
 Runs execute on a compiled form of the machine (_CompiledMachine), built
 once per (machine, cost model) and cached on the machine. A run, traced or
-not, takes a self-loop over a run of cells (a sweep) as one exact
-macro-step, after Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990);
-a traced sweep records each cell it passes as a step of its own. Every run,
+not, takes a self-loop over a run of cells (a sweep) as one plain step and
+one exact macro-step over the rest, after Marxen & Buntrock, "Attacking the
+Busy Beaver 5" (1990); a traced sweep records each cell it passes as a step
+of its own. Every run,
 from a word, from a configuration or from an (input, certificate) pair,
 goes through `_CompiledMachine.execute`, the one place that lays out a tape
 and steps, and the one place that reads a run's final state as its Verdict.
@@ -248,29 +249,35 @@ def initial_configuration(m: Machine, input_word: str) -> Configuration:
 
 
 class _Sweep:
-    """A compiled self-loop: a state that stays put on every symbol of a
-    set, writing it through `writes` (a bytes.translate table, None when
-    each symbol is written back) and moving d. It runs the maximal run of
-    those symbols from the head in one macro-step. `inside` maps each
-    symbol of the set to 1 and every other byte to 0. The cost model counts
-    the cells of the run whose symbol is in `counted` (None: all of them).
+    """A compiled self-loop: a state, whose row is `row`, that stays put on
+    every symbol of a set, writing it through `writes` (a bytes.translate
+    table, None when each symbol is written back) and moving d. It runs the
+    maximal run of those symbols from the head in one macro-step. `inside`
+    maps each symbol of the set to 1 and every other byte to 0. The cost
+    model counts the cells of the run whose symbol is in `counted` (None:
+    all of them).
 
-    Unpacking a sweep raises TypeError, like an unfilled entry, so the step
-    loop needs no test to notice one, traced or not. `plain` is the entry
-    as one step.
+    The table's `entry` holds the self-loop as one step into this sweep's
+    marker row, which lies past the halting rows (see _CompiledMachine), so
+    the step loop needs no test to notice a sweep, traced or not: the step
+    after the marker raises IndexError, like a halt. `plain` is the entry
+    as one step into its own row, which the loop puts back once the sweep
+    has had TRIAL `runs` or more and they average fewer than SHORT `cells`,
+    each run's first step counted.
     """
 
-    __slots__ = ("plain", "d", "inside", "writes", "counted", "runs", "cells", "last")
+    __slots__ = ("entry", "plain", "row", "d", "inside", "writes", "counted", "runs", "cells",
+                 "last")
 
     # after this many runs, a sweep whose runs average fewer cells than
     # SHORT costs more in the loop's exceptions than it saves
     TRIAL = 16
     SHORT = 4
 
-    def __init__(self, plain: tuple[int, int, int, int], loop: bytes,
+    def __init__(self, entry: int, plain: tuple[int, int, int, int], loop: bytes,
                  writes: Optional[bytes], counted: Optional[bytes]):
-        self.plain = plain
-        self.d = plain[2]
+        self.entry, self.plain = entry, plain
+        self.row, self.d = plain[0], plain[2]
         inside = bytearray(256)
         for code in loop:
             inside[code] = 1
@@ -336,13 +343,9 @@ class _Sweep:
             if self.writes is not None:
                 tape[start:end] = seg.translate(self.writes)
         self.runs += 1
-        self.cells += n
+        self.cells += n + 1  # and the run's first, plain step
         self.last = n
         return head, n, counted
-
-    def short(self) -> bool:
-        """Whether this sweep has had its trial and covers too few cells."""
-        return self.runs >= self.TRIAL and self.cells < self.SHORT * self.runs
 
 
 def _positive(fuel) -> int:
@@ -385,11 +388,14 @@ class _CompiledMachine:
     unpacking it raises TypeError, which is how the step loop notices a
     tape end or an entry to fill without testing for either on every step.
 
-    An entry whose target is its own state holds a _Sweep instead, which
-    does not unpack either: the loop then takes the whole run of cells the
-    state loops over in that direction as one macro-step, with exact total
-    and counted steps, clipped to the fuel left and ended at a sentinel. A
-    sweep that keeps covering few cells is put back as its plain entry.
+    An entry whose target is its own state is a plain step too, but into
+    the marker row `marks` + j, past the halting rows, with j its _Sweep's
+    index in `sweeps`: indexing a marker row raises IndexError as a halt
+    does, and the loop then takes the rest of the run of cells the state
+    loops over in that direction as one macro-step, with exact total and
+    counted steps, clipped to the fuel left and ended at a sentinel, and
+    goes on in the state's own row. A sweep that keeps covering few cells
+    is put back as its plain entry.
 
     A traced run steps the same table and records one integer per step,
     its key: entry + size * head, with size the table's length and head
@@ -447,6 +453,7 @@ class _CompiledMachine:
         returns self."""
         self.symbols, self.inputs, self.table, self.start = symbols, inputs, table, start
         self.edge, self.width = len(symbols), len(symbols) + 1
+        self.marks, self.sweeps = len(table) + 2 * self.width, []
         self.code = {s: i for i, s in enumerate(symbols)}
         self.verdicts = [Verdict.FUEL_EXHAUSTED] * (len(table) // self.width) + [
             Verdict.ACCEPTED, Verdict.REJECTED]
@@ -469,14 +476,17 @@ class _CompiledMachine:
 
     def _fill(self, entry: int) -> None:
         """Fill the table entry if it is empty: its plain entry (row, code,
-        +-1, counted), or a sweep if it loops on its state."""
+        +-1, counted), or if it loops on its state, the same step into a
+        new sweep's marker row."""
         if self.table[entry] is None:
             state, _, write, move, target, counted = self._fields(entry)
             plain = (self.row[target], self.code[write], 1 if move == RIGHT else -1, int(counted))
-            self.table[entry] = self._sweep(state, move, plain) if target == state else plain
+            self.table[entry] = self._sweep(entry, state, move, plain) if target == state else plain
 
-    def _sweep(self, state: str, move: str, plain: tuple) -> "_Sweep":
-        """The sweep over every symbol that state loops on, moving move."""
+    def _sweep(self, entry: int, state: str, move: str, plain: tuple) -> tuple:
+        """A new sweep over every symbol that state loops on, moving move,
+        at entry, whose plain entry is plain; returns entry's step into the
+        sweep's marker row."""
         loop, counted = bytearray(), bytearray()
         writes = bytearray(range(256))
         for code, symbol in enumerate(self.symbols):
@@ -487,9 +497,10 @@ class _CompiledMachine:
                 writes[code] = self.code[write]
                 if self.counted_keys is None or key in self.counted_keys:
                     counted.append(code)
-        return _Sweep(plain, bytes(loop),
-                      None if writes == bytes(range(256)) else bytes(writes),
-                      None if counted == loop else bytes(counted))
+        self.sweeps.append(_Sweep(entry, plain, bytes(loop),
+                                  None if writes == bytes(range(256)) else bytes(writes),
+                                  None if counted == loop else bytes(counted)))
+        return (self.marks + len(self.sweeps) - 1,) + plain[1:]
 
     def encode(self, word: str, alphabet: frozenset[str]) -> bytes:
         """word's cells as symbol numbers; alphabet is the machine's input or
@@ -542,11 +553,17 @@ class _CompiledMachine:
         between sentinels; most runs halt before it needs to grow. fuel
         must be a positive int (see _positive): the loop's TypeError
         handler would take a non-integer fuel's TypeError for a table
-        event. The loop's locals are bound once per batch."""
-        table = self.table
+        event. The loop's locals are bound once per batch.
+
+        One IndexError handler takes both rows past the table's end: a
+        halting row ends the run, and a marker row (at least marks) runs its
+        sweep and goes on in the sweep's own row. A run whose fuel ends on a
+        sweep's first step maps the marker back to that row too."""
+        table, sweeps, marks = self.table, self.sweeps, self.marks
         sentinel, blank, right_end = self.sentinel, self.blank, self.right_end
         edge, fill = self.edge, self._fill
         verdicts, width, size = self.verdicts, self.width, len(table)
+        trial, short = _Sweep.TRIAL, _Sweep.SHORT
         q0 = self.start if q is None else q
         for label, cells, head in starts:
             pad = head - first - len(cells)
@@ -571,22 +588,21 @@ class _CompiledMachine:
                             keys.append(e + size * (i - origin))
                             i += d
                             counted += c
-                except IndexError:  # a halting state: its row lies past the table's end
+                except IndexError:  # a halting row or a sweep's marker row
                     total += k
-                    break
-                except TypeError:  # a sentinel, an unfilled entry or a sweep
+                    if q < marks:
+                        break
+                    sweep = sweeps[q - marks]
+                    q = sweep.row
+                    i, n, c = sweep.run(tape, i, fuel - total, keys, q - size * origin, size)
+                    total += n
+                    counted += c
+                    if sweep.runs >= trial and sweep.cells < short * sweep.runs:
+                        table[sweep.entry] = sweep.plain
+                except TypeError:  # a sentinel or an unfilled entry
                     total += k
                     if tape[i] != edge:
-                        entry = q + tape[i]
-                        sweep = table[entry]
-                        if sweep is None:
-                            fill(entry)
-                            continue
-                        i, n, c = sweep.run(tape, i, fuel - total, keys, q - size * origin, size)
-                        total += n
-                        counted += c
-                        if sweep.short():
-                            table[entry] = sweep.plain
+                        fill(q + tape[i])
                         continue
                     grow = len(tape)
                     if i == 0:
@@ -597,6 +613,8 @@ class _CompiledMachine:
                         tape[i:] = blank * grow + sentinel
                 else:
                     total = fuel
+                    if q >= marks:  # the last step was a sweep's first
+                        q = sweeps[q - marks].row
                     break
             end = label, verdicts[q // width], total, counted
             yield end if lean else end + (q, tape, i, origin)

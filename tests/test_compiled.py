@@ -39,7 +39,7 @@ from tmbench import (
     run,
     run_configuration,
 )
-from tmbench.machine import _compile, _CompiledMachine, _Sweep, all_words
+from tmbench.machine import _compile, _CompiledMachine, all_words
 from tmbench.measures import IDENTITY
 from tmbench.nondet import _max_length, deliver
 
@@ -566,7 +566,11 @@ def test_a_tape_alphabet_of_255_symbols_matches_the_dict_stepper():
 # --- sweeps: a self-loop over a run of cells as one macro-step --------------
 
 def sweeps_of(m, cost=COUNT_ALL):
-    return [entry for entry in _compile(m, cost).table if isinstance(entry, _Sweep)]
+    """The sweeps of m's compiled table under cost whose entry still steps
+    into their marker row, i.e. those not put back as plain entries."""
+    compiled = _compile(m, cost)
+    return [sweep for j, sweep in enumerate(compiled.sweeps)
+            if compiled.table[sweep.entry][0] == compiled.marks + j]
 
 
 @settings(max_examples=200, deadline=None)
@@ -607,14 +611,18 @@ def test_fuel_runs_out_inside_a_sweep_in_both_directions():
 
 
 def test_sweeps_reach_the_sentinel_at_both_ends_and_grow_the_tape():
-    # right: writes 'a' over the blanks forever; left: walks over blanks forever
+    # right: writes 'a' over the blanks forever; left: walks over blanks
+    # forever. On the empty word the tape is one blank between sentinels,
+    # so the first sweep's first, plain step lands on the sentinel.
     for move in (RIGHT, LEFT):
         t = {("q", s): ("q", "a" if move == RIGHT else s, move) for s in "0a" + BLANK}
         m = Machine(frozenset("0"), frozenset("0a" + BLANK), frozenset({"q", "acc", "rej"}),
                     "q", "acc", "rej", t)
-        for fuel in (1, 3, 4, 5, 17, 100, 1000, 5000):
-            result = check_against_reference(m, "000", COUNT_ALL, fuel)
-            assert result.final.head == (fuel if move == RIGHT else -fuel)
+        for word, record_trace in (("000", False), ("", False), ("", True), ("000", True)):
+            for fuel in (1, 2, 3, 4, 5, 17, 100, 1000, 5000):
+                result = check_against_reference(m, word, COUNT_ALL, fuel, record_trace)
+                assert result.final.head == (fuel if move == RIGHT else -fuel)
+                assert result.final.state == "q"
         assert sweeps_of(m)
 
 
@@ -664,7 +672,9 @@ def test_ping_pong_entries_go_back_to_plain_steps():
     check_against_reference(m, "01", COUNT_ALL, 1001)
     compiled = _compile(m, COUNT_ALL)
     entries = [compiled.table[compiled.row["q"] + compiled.code[s]] for s in "01"]
-    assert all(type(entry) is tuple for entry in entries)
+    # a marker entry is a tuple too: a put-back entry targets q's own row
+    assert all(type(entry) is tuple and entry[0] == compiled.row["q"] for entry in entries)
+    assert len(compiled.sweeps) == 2 and not sweeps_of(m)
     check_against_reference(m, "01", COUNT_ALL, 999)
 
 
@@ -675,6 +685,63 @@ def test_long_sweeps_keep_their_sweep():
         run(scanner, "0" * n + "1", fuel=100, record_trace=False)
     (sweep,) = sweeps_of(scanner)
     assert sweep.runs == 20
+
+
+# a sweep's first cell is a plain step into its marker row, and the next
+# lookup raises the halt's IndexError: these runs end or turn right there
+
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_fuel_that_ends_on_a_sweeps_first_step_names_the_sweeping_state(record_trace):
+    m = sweeper()
+    word = "0110" * 25 + "0" * 100
+    # the right sweep's first step, then the left sweep's: the turn at the
+    # blank past the word takes one step
+    for fuel, state in ((1, "r"), (len(word) + 2, "l")):
+        for _ in range(2):  # on a fresh table, then on the filled one
+            result = check_against_reference(m, word, COUNT_ALL, fuel, record_trace)
+            assert (result.verdict, result.total_steps) == (Verdict.FUEL_EXHAUSTED, fuel)
+            assert result.final.state == state
+        _, verdict, total, _ = check_driver_against_run(m, word, COUNT_ALL, fuel)
+        assert (verdict, total) == (Verdict.FUEL_EXHAUSTED, fuel)
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_run_configuration_takes_one_step_from_a_sweeping_state(record_trace):
+    m = sweeper()
+    tape = {-2: "1", -1: "0", 0: "1", 1: "0", 2: "0"}
+    for _ in range(2):  # on a fresh table, then on the filled one
+        for state in ("r", "l"):
+            config, twin = Configuration(state, dict(tape), 0), Configuration(state, dict(tape), 0)
+            verdict, total, counted, trace, final = reference(m, twin, m.transitions, 1)
+            result = run_configuration(m, config, COUNT_ALL, 1, record_trace)
+            assert (result.verdict, result.total_steps, result.counted_steps) == (
+                verdict, total, counted) == (Verdict.FUEL_EXHAUSTED, 1, 1)
+            assert result.trace == (trace if record_trace else None)
+            assert (config.state, config.head, config.tape) == (
+                final.state, final.head, final.tape)
+            assert config.state == state
+
+
+def zigzag():
+    """One state sweeping both ways: q sweeps right over 0s, turning them
+    into 1s, and left over 1s, turning them into 0s; at a blank it turns
+    right through p. Each round on 0^n 1^k reaches one cell further."""
+    t = {("q", "0"): ("q", "1", RIGHT), ("q", "1"): ("q", "0", LEFT),
+         ("q", BLANK): ("p", BLANK, RIGHT)}
+    t.update({("p", s): ("q", s, RIGHT) for s in "01" + BLANK})
+    return Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"q", "p", "acc", "rej"}),
+                   "q", "acc", "rej", t)
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_one_state_sweeps_both_ways(record_trace):
+    m = zigzag()
+    word = "0" * 30 + "1" * 10
+    for fuel in [*range(1, 130), 500, 2000]:
+        check_against_reference(m, word, COUNT_ALL, fuel, record_trace)
+    row = _compile(m, COUNT_ALL).row["q"]
+    assert sorted(sweep.d for sweep in sweeps_of(m) if sweep.row == row) == [-1, 1]
+    assert all(sweep.runs > 16 for sweep in sweeps_of(m))
 
 
 # --- traced runs: (entry, head) pairs, records built after the loop -----------
@@ -947,7 +1014,7 @@ def test_fill_counts_free_entries_as_free():
     flags = set()
     for key in m.transitions:
         entry = compiled.table[compiled.row[key[0]] + compiled.code[key[1]]]
-        flag = (entry.plain if isinstance(entry, _Sweep) else entry)[3]
+        flag = entry[3]  # a marker entry holds the counted flag as a plain one does
         assert flag == (key in counted)
         flags.add(flag)
     assert flags == {0, 1}
@@ -966,7 +1033,7 @@ def test_fill_builds_sweeps_for_self_loops_and_keeps_a_put_back_one():
     check_against_reference(ping, "01", COUNT_ALL, 1001)
     compiled = filled_one_by_one(ping, COUNT_ALL)
     entries = [compiled.table[compiled.row["q"] + compiled.code[s]] for s in "01"]
-    assert all(type(entry) is tuple for entry in entries)
+    assert all(type(entry) is tuple and entry[0] == compiled.row["q"] for entry in entries)
     check_against_reference(ping, "01", COUNT_ALL, 999)
 
 

@@ -1,9 +1,15 @@
-"""CPU time of traced runs against untraced ones.
+"""CPU time of traced runs against untraced ones, and the untraced run's
+work per sweep.
 
 Prints, for four runs, the best-of-five CPU time (process time, which
 other processes on a shared machine disturb less than wall time) of run()
-untraced and with record_trace=True, the traced run's cost per step, and
-the number of distinct StepRecord objects its trace holds:
+untraced and with record_trace=True, the traced run's cost per step, the
+number of distinct StepRecord objects its trace holds, the sweeps the
+untraced run takes, and the untraced run's opcodes and Python calls per
+sweep (measure.work; '-' for a run that takes no sweep). The work is the
+whole run's, its plain steps' included, over its sweeps. Work done in C,
+such as a sweep's bytes.translate, counts zero opcodes, so a long sweep
+costs no more opcodes than a short one. The runs are:
 
 - Marxen & Buntrock's 5-state busy beaver champion on the blank tape, to
   100,000 steps: few self-loops, so nearly every step goes through the
@@ -16,10 +22,11 @@ the number of distinct StepRecord objects its trace holds:
   over the 1s, and at a blank it and B write two more 1s and turn back,
   so it marches left and each of A's sweeps covers two cells. A sweep
   whose runs stay that short is demoted to a plain entry after its trial
-  (_Sweep.short). This run guards that demotion: without it, each of A's
-  two-cell runs goes through the step loop's exception and a sweep, and
-  the untraced run took about 44 ms against 10 ms with it (Python 3.11
-  on a shared 2-vCPU VM).
+  (_Sweep.TRIAL and _Sweep.SHORT), so its timed runs take no sweep. This
+  run guards that demotion: without it, each of A's two-cell runs goes
+  through the step loop's exception and a sweep, and the untraced run
+  took about 44 ms against 10 ms with it (Python 3.11 on a shared 2-vCPU
+  VM).
 
 The untraced and traced runs are timed in turn, round by round, so that
 both see the same load.
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import sys
 
-from measure import SRC, best_of
+from measure import SRC, best_of, work
 
 
 def machines():
@@ -65,16 +72,25 @@ def machines():
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(SRC))
     from tmbench import COUNT_ALL, run
+    from tmbench.machine import _compile
 
     print(f"{'run':8} {'steps':>7} {'untraced ms':>12} {'traced ms':>10} "
-          f"{'traced ns/step':>15} {'records':>8}")
+          f"{'traced ns/step':>15} {'records':>8} {'sweeps':>7} {'opcodes/sweep':>14} "
+          f"{'calls/sweep':>12}")
     for name, m, word, fuel in machines():
         untraced, traced = best_of(lambda: run(m, word, COUNT_ALL, fuel),
                                    lambda: run(m, word, COUNT_ALL, fuel, record_trace=True))
         trace = run(m, word, COUNT_ALL, fuel, record_trace=True).trace
         records = len({id(r) for r in trace})
+        compiled = _compile(m, COUNT_ALL)
+        before = sum(sweep.runs for sweep in compiled.sweeps)
+        opcodes, calls = work(lambda: run(m, word, COUNT_ALL, fuel))
+        sweeps = sum(sweep.runs for sweep in compiled.sweeps) - before
+        per_sweep = (f"{opcodes / sweeps:14.1f} {calls / sweeps:12.2f}" if sweeps
+                     else f"{'-':>14} {'-':>12}")
         print(f"{name:8} {len(trace):7} {untraced * 1e3:12.3f} {traced * 1e3:10.3f} "
-              f"{traced * 1e9 / len(trace):15.0f} {records:8}", flush=True)
+              f"{traced * 1e9 / len(trace):15.0f} {records:8} {sweeps:7} {per_sweep}",
+              flush=True)
     return 0
 
 
