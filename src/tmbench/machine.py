@@ -10,10 +10,12 @@ once per (machine, cost model) and cached on the machine. A run, traced or
 not, takes a self-loop over a run of cells (a sweep) as one plain step and
 one exact macro-step over the rest, after Marxen & Buntrock, "Attacking the
 Busy Beaver 5" (1990); a traced sweep records each cell it passes as a step
-of its own. Every run,
-from a word, from a configuration or from an (input, certificate) pair,
-goes through `_CompiledMachine.execute`, the one place that lays out a tape
-and steps, and the one place that reads a run's final state as its Verdict.
+of its own. The step loop finds a sweep's end in C, with one bytearray.find
+of the one symbol that ends it, or with a translate mask when several do,
+and makes no Python call for it (see _Sweep). Every run, from a word, from
+a configuration or from an (input, certificate) pair, goes through
+`_CompiledMachine.execute`, the one place that lays out a tape and steps,
+and the one place that reads a run's final state as its Verdict.
 It runs a batch of starts lazily: a single run is a batch of one
 (`launch`), and the loops that run a machine on many inputs (trie
 verification and convergence, `check_bound`, the CLI's profile, the
@@ -251,11 +253,22 @@ def initial_configuration(m: Machine, input_word: str) -> Configuration:
 class _Sweep:
     """A compiled self-loop: a state, whose row is `row`, that stays put on
     every symbol of a set, writing it through `writes` (a bytes.translate
-    table, None when each symbol is written back) and moving d. It runs the
-    maximal run of those symbols from the head in one macro-step. `inside`
-    maps each symbol of the set to 1 and every other byte to 0. The cost
-    model counts the cells of the run whose symbol is in `counted` (None:
-    all of them).
+    table, None when each symbol is written back) and moving d. The step
+    loop (_CompiledMachine.execute) runs the maximal run of those symbols
+    from the head in one macro-step, with no Python call. The cost model
+    counts the cells of the run whose symbol is in `counted` (None: all of
+    them; empty: none, and the loop adds 0 without reading the cells).
+
+    The run ends at the first cell whose symbol is a stop code, one of the
+    tape codes outside the set; the sentinel ends every run. With exactly
+    one stop code, `stop`, bytearray.find looks for it in place, copying
+    nothing, and `scan` is 'find'. Otherwise `inside`, which maps each
+    symbol of the set to 1 and every other byte to 0, translates a copy of
+    a window and finds its first 0, and `scan` is 'mask'. The mask stays
+    for several stop codes because one find per code is not bounded by
+    the run: each scans to its own code or to the bound, so a stop code
+    that is rare on the tape would make every run cost the tape's length,
+    which the mask's doubling windows exist to prevent.
 
     The table's `entry` holds the self-loop as one step into this sweep's
     marker row, which lies past the halting rows (see _CompiledMachine), so
@@ -263,11 +276,12 @@ class _Sweep:
     after the marker raises IndexError, like a halt. `plain` is the entry
     as one step into its own row, which the loop puts back once the sweep
     has had TRIAL `runs` or more and they average fewer than SHORT `cells`,
-    each run's first step counted.
+    each run's first step counted. `last` is the length of the last run,
+    a little past which the mask's first window ends.
     """
 
-    __slots__ = ("entry", "plain", "row", "d", "inside", "writes", "counted", "runs", "cells",
-                 "last")
+    __slots__ = ("entry", "plain", "row", "d", "stop", "inside", "writes", "counted", "runs",
+                 "cells", "last")
 
     # after this many runs, a sweep whose runs average fewer cells than
     # SHORT costs more in the loop's exceptions than it saves
@@ -275,77 +289,23 @@ class _Sweep:
     SHORT = 4
 
     def __init__(self, entry: int, plain: tuple[int, int, int, int], loop: bytes,
-                 writes: Optional[bytes], counted: Optional[bytes]):
+                 stops: bytes, writes: Optional[bytes], counted: Optional[bytes]):
         self.entry, self.plain = entry, plain
         self.row, self.d = plain[0], plain[2]
-        inside = bytearray(256)
-        for code in loop:
-            inside[code] = 1
-        self.inside = bytes(inside)
+        self.stop = stops[0] if len(stops) == 1 else None
+        self.inside = None
+        if self.stop is None:
+            inside = bytearray(256)
+            for code in loop:
+                inside[code] = 1
+            self.inside = bytes(inside)
         self.writes, self.counted = writes, counted
         self.runs = self.cells = self.last = 0
 
-    def run(self, tape: bytearray, i: int, limit: int, keys: Optional[list], base: int,
-            size: int) -> tuple[int, int, int]:
-        """Apply the run that starts at tape[i], at most limit cells long:
-        returns the head index after it, its total and its counted steps.
-        A traced run passes its keys (see _CompiledMachine.trace), which
-        get one key per cell of the run, in step order, before any write:
-        the cell at tape index j gets its symbol + base + size * j, which
-        is the key of the step there when base is the state's row less
-        size times cell 0's index.
-
-        The run ends at the first cell outside the set, looked for in
-        windows that start a little past this sweep's last run and double
-        in size, so a run costs time in its own length and its
-        predecessor's, never the tape's. A sentinel is never in the set,
-        so every run stops at one.
-        """
-        inside = self.inside
-        window = self.last + 32
-        if self.d > 0:
-            start = end = i
-            stop = i + limit
-            while True:
-                hi = end + window if end + window < stop else stop  # min() costs more
-                j = tape[end:hi].translate(inside).find(0)
-                if j >= 0:
-                    end += j
-                    break
-                end = hi
-                if end == stop:
-                    break
-                window *= 2
-            head = end
-        else:
-            start = end = i + 1
-            stop = end - limit if end > limit else 0
-            while True:
-                lo = start - window if start - window > stop else stop
-                j = tape[lo:start].translate(inside).rfind(0)
-                if j >= 0:
-                    start = lo + j + 1
-                    break
-                start = lo
-                if start == stop:
-                    break
-                window *= 2
-            head = start - 1
-        n = end - start
-        counted = n
-        if keys is not None or self.writes is not None or self.counted is not None:
-            seg = tape[start:end]
-            if keys is not None:  # a left sweep steps from its end cell to its start
-                passed = map(add, seg, range(base + size * start, base + size * end, size))
-                keys.extend(passed if self.d > 0 else reversed(list(passed)))
-            if self.counted is not None:  # deleting the counted cells leaves the rest
-                counted = n - len(seg.translate(None, self.counted))
-            if self.writes is not None:
-                tape[start:end] = seg.translate(self.writes)
-        self.runs += 1
-        self.cells += n + 1  # and the run's first, plain step
-        self.last = n
-        return head, n, counted
+    @property
+    def scan(self) -> str:
+        """How the step loop finds the end of this sweep's runs."""
+        return "mask" if self.stop is None else "find"
 
 
 def _positive(fuel) -> int:
@@ -393,9 +353,11 @@ class _CompiledMachine:
     index in `sweeps`: indexing a marker row raises IndexError as a halt
     does, and the loop then takes the rest of the run of cells the state
     loops over in that direction as one macro-step, with exact total and
-    counted steps, clipped to the fuel left and ended at a sentinel, and
-    goes on in the state's own row. A sweep that keeps covering few cells
-    is put back as its plain entry.
+    counted steps, and goes on in the state's own row. The run's end is
+    the first stop code found by find, or the first cell the mask maps to
+    0 (see _Sweep), within the fuel left and clipped at the sentinels,
+    tape indices 0 and len(tape) - 1. A sweep that keeps covering few
+    cells is put back as its plain entry.
 
     A traced run steps the same table and records one integer per step,
     its key: entry + size * head, with size the table's length and head
@@ -486,8 +448,10 @@ class _CompiledMachine:
     def _sweep(self, entry: int, state: str, move: str, plain: tuple) -> tuple:
         """A new sweep over every symbol that state loops on, moving move,
         at entry, whose plain entry is plain; returns entry's step into the
-        sweep's marker row."""
-        loop, counted = bytearray(), bytearray()
+        sweep's marker row. Its stop codes are the other tape codes, so the
+        machine alone decides whether its runs end by find or by the mask
+        (see _Sweep)."""
+        loop, stops, counted = bytearray(), bytearray(), bytearray()
         writes = bytearray(range(256))
         for code, symbol in enumerate(self.symbols):
             key = (state, symbol)
@@ -497,7 +461,9 @@ class _CompiledMachine:
                 writes[code] = self.code[write]
                 if self.counted_keys is None or key in self.counted_keys:
                     counted.append(code)
-        self.sweeps.append(_Sweep(entry, plain, bytes(loop),
+            else:
+                stops.append(code)
+        self.sweeps.append(_Sweep(entry, plain, bytes(loop), bytes(stops),
                                   None if writes == bytes(range(256)) else bytes(writes),
                                   None if counted == loop else bytes(counted)))
         return (self.marks + len(self.sweeps) - 1,) + plain[1:]
@@ -557,8 +523,15 @@ class _CompiledMachine:
 
         One IndexError handler takes both rows past the table's end: a
         halting row ends the run, and a marker row (at least marks) runs its
-        sweep and goes on in the sweep's own row. A run whose fuel ends on a
-        sweep's first step maps the marker back to that row too."""
+        sweep in place and goes on in the sweep's own row. The sweep's run
+        ends at its stop code, found by tape.find or tape.rfind, which copy
+        nothing, or with the mask over doubling windows that start a little
+        past its last run, so a run costs time in its own length and its
+        predecessor's, never the tape's; either scan is clipped at the
+        sentinels, tape indices 0 and len(tape) - 1, and at the fuel left.
+        A traced run's keys get one key per cell of the run, in step order,
+        before any write. A run whose fuel ends on a sweep's first step maps
+        the marker back to the sweep's row too."""
         table, sweeps, marks = self.table, self.sweeps, self.marks
         sentinel, blank, right_end = self.sentinel, self.blank, self.right_end
         edge, fill = self.edge, self._fill
@@ -593,10 +566,65 @@ class _CompiledMachine:
                     if q < marks:
                         break
                     sweep = sweeps[q - marks]
-                    q = sweep.row
-                    i, n, c = sweep.run(tape, i, fuel - total, keys, q - size * origin, size)
+                    q, d, stop, inside = sweep.row, sweep.d, sweep.stop, sweep.inside
+                    # the run is tape[start:end], within bound: the fuel left,
+                    # clipped to the cells between the sentinels
+                    if d > 0:
+                        start = end = i
+                        bound = i + fuel - total
+                        if bound >= len(tape):
+                            bound = len(tape) - 1
+                        if stop is not None:
+                            end = tape.find(stop, i, bound)
+                            if end < 0:
+                                end = bound
+                        else:
+                            window = sweep.last + 32
+                            while end < bound:
+                                hi = end + window if end + window < bound else bound
+                                j = tape[end:hi].translate(inside).find(0)
+                                if j >= 0:
+                                    end += j
+                                    break
+                                end = hi
+                                window *= 2
+                        i = end
+                    else:
+                        start = end = i + 1
+                        bound = end - fuel + total
+                        if bound < 1:
+                            bound = 1
+                        if stop is not None:
+                            start = tape.rfind(stop, bound, end) + 1 or bound
+                        else:
+                            window = sweep.last + 32
+                            while start > bound:
+                                lo = start - window if start - window > bound else bound
+                                j = tape[lo:start].translate(inside).rfind(0)
+                                if j >= 0:
+                                    start = lo + j + 1
+                                    break
+                                start = lo
+                                window *= 2
+                        i = start - 1
+                    n = end - start
                     total += n
-                    counted += c
+                    c, writes = sweep.counted, sweep.writes
+                    if c is None:
+                        counted += n
+                    if keys is not None or writes is not None or c:
+                        seg = tape[start:end]
+                        if keys is not None:  # a left sweep steps from its end cell to its start
+                            base = q + size * (start - origin)
+                            passed = map(add, seg, range(base, base + size * n, size))
+                            keys.extend(passed if d > 0 else reversed(list(passed)))
+                        if c:  # deleting the counted cells leaves the rest
+                            counted += n - len(seg.translate(None, c))
+                        if writes is not None:
+                            tape[start:end] = seg.translate(writes)
+                    sweep.runs += 1
+                    sweep.cells += n + 1  # and the run's first, plain step
+                    sweep.last = n
                     if sweep.runs >= trial and sweep.cells < short * sweep.runs:
                         table[sweep.entry] = sweep.plain
                 except TypeError:  # a sentinel or an unfilled entry

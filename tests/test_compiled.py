@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
 import time
 
 import pytest
@@ -583,18 +584,23 @@ def test_sweeps_match_dict_stepper(data):
                                           st.integers(1, 150)), max_size=5))
     word = "".join(symbol * length for symbol, length in blocks)
     fuel = data.draw(st.one_of(st.integers(1, 400), st.integers(400, 4000)))
-    check_against_reference(m, word, cost, fuel)
+    check_against_reference(m, word, cost, fuel, data.draw(st.booleans()))
 
 
-def sweeper():
+def sweeper(extra=""):
     """Sweeps right over 0s and 1s, turning 0 into 1, to the blank past the
-    word, then left over them back to the blank before it, and accepts."""
+    word, then left over them back to the blank before it, and accepts.
+    Each symbol of extra ends a sweep as the blank does: with none, each
+    sweep's one stop code is the blank; with one, each sweep has two."""
     t = {("r", "0"): ("r", "1", RIGHT), ("r", "1"): ("r", "1", RIGHT),
          ("r", BLANK): ("l", BLANK, LEFT),
          ("l", "0"): ("l", "0", LEFT), ("l", "1"): ("l", "1", LEFT),
          ("l", BLANK): ("acc", BLANK, RIGHT)}
-    return Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"r", "l", "acc", "rej"}),
-                   "r", "acc", "rej", t)
+    for s in extra:
+        t[("r", s)] = ("l", s, LEFT)
+        t[("l", s)] = ("acc", s, RIGHT)
+    return Machine(frozenset("01" + extra), frozenset("01" + extra + BLANK),
+                   frozenset({"r", "l", "acc", "rej"}), "r", "acc", "rej", t)
 
 
 def test_fuel_runs_out_inside_a_sweep_in_both_directions():
@@ -610,20 +616,76 @@ def test_fuel_runs_out_inside_a_sweep_in_both_directions():
     assert len(sweeps_of(m)) == 2
 
 
-def test_sweeps_reach_the_sentinel_at_both_ends_and_grow_the_tape():
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("extra, scans", [("", ["find", "find"]), ("x", ["mask", "mask"])])
+def test_both_scans_end_runs_as_the_dict_stepper_does(extra, scans, record_trace):
+    """The sweeper's sweeps find their runs' ends with find, and with one
+    more stop code, x, with the mask, whose windows on a fresh sweep span
+    32, 64 and 128 cells. Fuel ends inside each of the first three windows
+    in each direction; full runs take the left sweep to the sentinel and
+    grow the tape, and stop the right sweep at an x inside the third
+    window."""
+    word = "0110" * 75
+    n = len(word)
+    inside = (20, 60, 150)  # cells into the first, second and third window
+    fuels = [*inside, *(n + 2 + f for f in inside), 2 * n + 1, 2 * n + 2, 5000]
+    runs = {word: 2 * n + 2}
+    if extra:
+        runs[word[:100] + "x" + word[100:]] = 2 * 100 + 2
+    for w, steps in runs.items():
+        for fuel in fuels:
+            m = sweeper(extra)  # fresh sweeps: their windows start at 32 cells
+            result = check_against_reference(m, w, COUNT_ALL, fuel, record_trace)
+        assert (result.verdict, result.total_steps) == (Verdict.ACCEPTED, steps)
+        assert min(result.final.tape) == 0
+        assert [sweep.scan for sweep in _compile(m, COUNT_ALL).sweeps] == scans
+
+
+@pytest.mark.parametrize("stops, kind", [("", "mask"), ("x", "find"), ("xy", "mask")])
+def test_sweeps_reach_the_sentinel_at_both_ends_and_grow_the_tape(stops, kind):
     # right: writes 'a' over the blanks forever; left: walks over blanks
-    # forever. On the empty word the tape is one blank between sentinels,
-    # so the first sweep's first, plain step lands on the sentinel.
+    # forever; the stop symbols, never on the tape, halt. On the empty word
+    # the tape is one blank between sentinels, so the first sweep's first,
+    # plain step lands on the sentinel.
     for move in (RIGHT, LEFT):
         t = {("q", s): ("q", "a" if move == RIGHT else s, move) for s in "0a" + BLANK}
-        m = Machine(frozenset("0"), frozenset("0a" + BLANK), frozenset({"q", "acc", "rej"}),
-                    "q", "acc", "rej", t)
+        t.update({("q", s): ("acc", s, move) for s in stops})
+        m = Machine(frozenset("0"), frozenset("0a" + stops + BLANK),
+                    frozenset({"q", "acc", "rej"}), "q", "acc", "rej", t)
         for word, record_trace in (("000", False), ("", False), ("", True), ("000", True)):
             for fuel in (1, 2, 3, 4, 5, 17, 100, 1000, 5000):
                 result = check_against_reference(m, word, COUNT_ALL, fuel, record_trace)
                 assert result.final.head == (fuel if move == RIGHT else -fuel)
                 assert result.final.state == "q"
-        assert sweeps_of(m)
+        assert [sweep.scan for sweep in sweeps_of(m)] == [kind]
+
+
+def test_a_sweep_makes_no_python_call():
+    """The Python calls of an untraced run, counted with sys.settrace, do
+    not grow with its sweeps: the step loop runs each sweep in place."""
+    m = bouncer()
+    run(m, "0110", fuel=20_000)  # fills every entry the runs below use
+    compiled = _compile(m, COUNT_ALL)
+
+    def calls_and_sweeps(fuel):
+        calls = 0
+
+        def on_call(frame, event, arg):
+            nonlocal calls
+            calls += 1
+
+        before = sum(sweep.runs for sweep in compiled.sweeps)
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            run(m, "0110", fuel=fuel)
+        finally:
+            sys.settrace(previous)
+        return calls, sum(sweep.runs for sweep in compiled.sweeps) - before
+
+    (few, short), (many, long) = calls_and_sweeps(300), calls_and_sweeps(20_000)
+    assert short < 30 and long > 150
+    assert few == many
 
 
 def test_sweep_writes_changed_symbols():

@@ -13,7 +13,10 @@ through the compiled machine's lean driver (on_words, which reads the
 words once and yields each word with its verdict, total and counted
 steps, as check_bound reads them), and the difference per word: the work
 check_bound does beyond running the machine. The two
-are timed in turn, round by round, so that both see the same load.
+are timed in turn, round by round, so that both see the same load. Beside
+each time it prints the job's Python work per word, in opcodes and calls
+(measure.work): counts that repeat exactly whatever the load, though work
+done in C counts no opcodes.
 
     python3 tools/bound_scale.py        # seed 1
     python3 tools/bound_scale.py 7      # the seed given
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 import sys
 
-from measure import SRC, best_of
+from measure import SRC, best_of, work
 
 LOG = "log:a=1,b=1"
 
@@ -60,8 +63,14 @@ def main(argv: list[str]) -> int:
 
     checked, ran = best_of(checks, runs)
     count = len(specs) * len(words)
-    print(f"check_bound  {len(specs)} specs x {len(words)} words  {checked * 1e3:8.3f} ms")
-    print(f"runs alone   {count} runs through on_words  {ran * 1e3:8.3f} ms")
+
+    def per_word(job) -> str:
+        opcodes, calls = work(job)
+        return f"{opcodes / count:8.1f} opcodes {calls / count:6.2f} calls per word"
+
+    print(f"check_bound  {len(specs)} specs x {len(words)} words  {checked * 1e3:8.3f} ms  "
+          f"{per_word(checks)}")
+    print(f"runs alone   {count} runs through on_words  {ran * 1e3:8.3f} ms  {per_word(runs)}")
     print(f"beyond runs  {(checked - ran) * 1e9 / count:8.0f} ns per word", flush=True)
     return 0
 

@@ -12,7 +12,10 @@ bound log2(n+1) + 1, on three inputs:
            runs, every cell of x is walked before the witness at cell n
 
 A run of one symbol is taken in one step, so `runs` costs about as much
-at any n; `early` and `walk` show the cost on input without runs.
+at any n; `early` and `walk` show the cost on input without runs. Beside
+each time it prints the search's Python work, in opcodes and calls
+(measure.work): counts that repeat exactly whatever the load, though work
+done in C counts no opcodes.
 
     python3 tools/search_scale.py              # n = 4096 and 65536
     python3 tools/search_scale.py 1024 4096    # the lengths given
@@ -25,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 
-from measure import SRC, best_of
+from measure import SRC, best_of, work
 
 DEFAULT_LENGTHS = (4096, 65536)
 
@@ -46,8 +49,10 @@ def main(argv: list[str]) -> int:
                  ("walk", on_blank, "01" * half)]
         for name, rel, x in cases:
             [best] = best_of(lambda: decide_nc(rel, g, x))
+            opcodes, calls = work(lambda: decide_nc(rel, g, x))
             report = decide_nc(rel, g, x)
-            print(f"{name:<5}  n={n:<6}  {best * 1e3:9.3f} ms  accepted={report.accepted} "
+            print(f"{name:<5}  n={n:<6}  {best * 1e3:9.3f} ms  {opcodes:9} opcodes "
+                  f"{calls:6} calls  accepted={report.accepted} "
                   f"witness={report.witness!r} tried={report.certificates_tried}", flush=True)
     return 0
 

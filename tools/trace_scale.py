@@ -5,11 +5,13 @@ Prints, for four runs, the best-of-five CPU time (process time, which
 other processes on a shared machine disturb less than wall time) of run()
 untraced and with record_trace=True, the traced run's cost per step, the
 number of distinct StepRecord objects its trace holds, the sweeps the
-untraced run takes, and the untraced run's opcodes and Python calls per
-sweep (measure.work; '-' for a run that takes no sweep). The work is the
-whole run's, its plain steps' included, over its sweeps. Work done in C,
-such as a sweep's bytes.translate, counts zero opcodes, so a long sweep
-costs no more opcodes than a short one. The runs are:
+untraced run takes and how they find their runs' ends ('find' for one
+stop code, 'mask' otherwise; see _Sweep.scan), and the
+untraced run's opcodes and Python calls per sweep (measure.work; '-' for
+a run that takes no sweep). The work is the whole run's, its plain steps'
+included, over its sweeps. Work done in C, such as a sweep's find,
+counts zero opcodes, so a long sweep costs no more opcodes than a short
+one. The runs are:
 
 - Marxen & Buntrock's 5-state busy beaver champion on the blank tape, to
   100,000 steps: few self-loops, so nearly every step goes through the
@@ -75,22 +77,25 @@ def main(argv: list[str]) -> int:
     from tmbench.machine import _compile
 
     print(f"{'run':8} {'steps':>7} {'untraced ms':>12} {'traced ms':>10} "
-          f"{'traced ns/step':>15} {'records':>8} {'sweeps':>7} {'opcodes/sweep':>14} "
-          f"{'calls/sweep':>12}")
+          f"{'traced ns/step':>15} {'records':>8} {'sweeps':>7} {'scan':>5} "
+          f"{'opcodes/sweep':>14} {'calls/sweep':>12}")
     for name, m, word, fuel in machines():
         untraced, traced = best_of(lambda: run(m, word, COUNT_ALL, fuel),
                                    lambda: run(m, word, COUNT_ALL, fuel, record_trace=True))
         trace = run(m, word, COUNT_ALL, fuel, record_trace=True).trace
         records = len({id(r) for r in trace})
         compiled = _compile(m, COUNT_ALL)
-        before = sum(sweep.runs for sweep in compiled.sweeps)
+        before = [sweep.runs for sweep in compiled.sweeps]  # the timed runs filled the table
         opcodes, calls = work(lambda: run(m, word, COUNT_ALL, fuel))
-        sweeps = sum(sweep.runs for sweep in compiled.sweeps) - before
+        taken = {sweep: sweep.runs - runs for sweep, runs in zip(compiled.sweeps, before)
+                 if sweep.runs > runs}
+        sweeps = sum(taken.values())
+        scans = "+".join(sorted({sweep.scan for sweep in taken})) or "-"
         per_sweep = (f"{opcodes / sweeps:14.1f} {calls / sweeps:12.2f}" if sweeps
                      else f"{'-':>14} {'-':>12}")
         print(f"{name:8} {len(trace):7} {untraced * 1e3:12.3f} {traced * 1e3:10.3f} "
-              f"{traced * 1e9 / len(trace):15.0f} {records:8} {sweeps:7} {per_sweep}",
-              flush=True)
+              f"{traced * 1e9 / len(trace):15.0f} {records:8} {sweeps:7} {scans:>5} "
+              f"{per_sweep}", flush=True)
     return 0
 
 
