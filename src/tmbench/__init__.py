@@ -16,9 +16,7 @@ from tmbench.machine import (
     StepRecord,
     Verdict,
     InvalidInputError,
-    initial_configuration,
     run,
-    run_configuration,
     validate_machine,
 )
 from tmbench.cost import (
@@ -54,8 +52,6 @@ from tmbench.convergence import (
     build_trie_machine,
     find_convergence_index,
     finite_language,
-    verify_restriction,
-    verify_step_count,
     verify_trie,
 )
 from tmbench.textfmt import MachineParseError, emit_machine, parse_machine_file

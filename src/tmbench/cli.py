@@ -236,8 +236,23 @@ def cmd_demo_nlogtime(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, reading '--option=--' as Python 3.13's does: the
+    option's value is '--'. Before 3.13 argparse dropped that '--' and left
+    an unconverted [] as the value. Only a positional may follow a '--'
+    separator, and the one positional here, the subcommand, never sees a
+    lone '--' as its arguments."""
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings != ["--"]:
+            return super()._get_values(action, arg_strings)
+        value = self._get_value(action, "--")
+        self._check_value(action, value)
+        return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tmbench",
         description="Turing-machine workbench: simulation, cost models, "
                     "bound checking, certificate search, trie synthesis.",

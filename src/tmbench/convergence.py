@@ -27,6 +27,12 @@ index n_k on. find_convergence_index finds it from one build, the
 depth-k trie, by running the tables of its heap prefixes from depth k
 downward and stopping at the first that disagrees, so a language that
 only the depth-k trie decides costs two tables, not k + 1.
+
+verify_trie is the one verification entry point: one pass gives both the
+words on which the trie misses L and whether every run took its step
+count. verify_restriction and verify_step_count, which read one half each,
+are not exported: the benchmark's tracer wraps them by name, and they stay
+here, called only by it and the tests, until it wraps verify_trie instead.
 """
 
 from __future__ import annotations
@@ -229,6 +235,7 @@ def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = 
     return counterexamples, steps_ok
 
 
+# bench/tracer.py wraps this by name; it goes with ROADMAP item 1(a)
 def verify_restriction(report: TrieMachineReport, L: Callable[[str], bool]
                        ) -> tuple[bool, list[str]]:
     """Exhaustively check that the machine accepts exactly the words of L
@@ -237,6 +244,7 @@ def verify_restriction(report: TrieMachineReport, L: Callable[[str], bool]
     return not counterexamples, counterexamples
 
 
+# bench/tracer.py wraps this by name; it goes with ROADMAP item 1(a)
 def verify_step_count(report: TrieMachineReport) -> bool:
     """Check |w| + 1 total steps for words within the depth bound, and n + 1
     for the sampled longer words (n consumptions to full depth, then the

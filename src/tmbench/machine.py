@@ -10,22 +10,25 @@ once per (machine, cost model) and cached on the machine. A run, traced or
 not, takes a self-loop over a run of cells (a sweep) as one plain step and
 one exact macro-step over the rest, after Marxen & Buntrock, "Attacking the
 Busy Beaver 5" (1990); a traced sweep records each cell it passes as a step
-of its own. The step loop finds a sweep's end in C, with one bytearray.find
-of the one symbol that ends it, or with a translate mask when several do,
-and makes no Python call for it (see _Sweep). Every run, from a word, from
-a configuration or from an (input, certificate) pair, goes through
-`_CompiledMachine.execute`, the one place that lays out a tape and steps,
-and the one place that reads a run's final state as its Verdict.
-It runs a batch of starts lazily: a single run is a batch of one
-(`launch`), and the loops that run a machine on many inputs (trie
-verification and convergence, `check_bound`, the CLI's profile, the
-certificate searches) take the lean driver `outcomes`, which binds the
-loop's locals once per batch. Each start carries a label of the caller's,
-which the driver hands back with the run's end: (label, verdict, total,
-counted) per start, the last three as a RunResult holds them, so no caller
-pairs outcomes with its inputs. A single step is `run_configuration` with
-fuel 1; the tests keep a dict-based stepper as the reference the compiled
-loop is checked against.
+of its own (see _Sweep). Every run, from a word, from a configuration or
+from an (input, certificate) pair, goes through `_CompiledMachine.execute`,
+the one place that lays out a tape and steps, and the one place that reads
+a run's final state as its Verdict. It runs a batch of starts lazily: a
+single run is a batch of one (`launch`), and the loops that run a machine
+on many inputs (trie verification and convergence, `check_bound`, the
+CLI's profile, the certificate searches) take the lean driver `outcomes`,
+which binds the loop's locals once per batch. Each start carries a label
+of the caller's, which the driver hands back with the run's end: (label,
+verdict, total, counted) per start, the last three as a RunResult holds
+them, so no caller pairs outcomes with its inputs. The tests keep a
+dict-based stepper as the reference the compiled loop is checked against.
+
+`run` is the one runner the package exports. `initial_configuration` and
+`run_configuration`, a start configuration and a run from any
+configuration, are not exported: the benchmark's tracer wraps them by name,
+and they stay here, called only by it and the tests, until it wraps the
+live paths instead. Trie verification is likewise one entry point,
+`verify_trie` (see tmbench.convergence).
 
 The compiled table of a Machine is filled entry by entry as runs reach its
 entries, so a single run on a large machine costs only the entries it
@@ -237,6 +240,7 @@ def _mark_valid(m: Machine) -> dict:
     return cache
 
 
+# bench/tracer.py wraps this by name; it goes with ROADMAP item 1(a)
 def initial_configuration(m: Machine, input_word: str) -> Configuration:
     """Start configuration: input in cells 0..len-1, head at cell 0.
 
@@ -260,24 +264,25 @@ class _Sweep:
     them; empty: none, and the loop adds 0 without reading the cells).
 
     The run ends at the first cell whose symbol is a stop code, one of the
-    tape codes outside the set; the sentinel ends every run. With exactly
-    one stop code, `stop`, bytearray.find looks for it in place, copying
+    tape codes outside the set; the sentinel ends every run. The machine
+    alone picks the scan that finds it. With exactly one stop code, `stop`,
+    bytearray.find (rfind moving left) looks for it in place, copying
     nothing, and `scan` is 'find'. Otherwise `inside`, which maps each
     symbol of the set to 1 and every other byte to 0, translates a copy of
-    a window and finds its first 0, and `scan` is 'mask'. The mask stays
-    for several stop codes because one find per code is not bounded by
-    the run: each scans to its own code or to the bound, so a stop code
-    that is rare on the tape would make every run cost the tape's length,
-    which the mask's doubling windows exist to prevent.
+    each of a series of doubling windows and finds its first 0, and `scan`
+    is 'mask'; the first window ends a little past the last run's length,
+    `last`, so a run costs time in its own length and its predecessor's,
+    never the tape's. The mask stays for several stop codes because one
+    find per code is not bounded by the run: each scans to its own code or
+    to the bound, so a stop code that is rare on the tape would make every
+    run cost the tape's length. Either scan is clipped at the fuel left and
+    at the sentinels, tape indices 0 and len(tape) - 1.
 
-    The table's `entry` holds the self-loop as one step into this sweep's
-    marker row, which lies past the halting rows (see _CompiledMachine), so
-    the step loop needs no test to notice a sweep, traced or not: the step
-    after the marker raises IndexError, like a halt. `plain` is the entry
-    as one step into its own row, which the loop puts back once the sweep
-    has had TRIAL `runs` or more and they average fewer than SHORT `cells`,
-    each run's first step counted. `last` is the length of the last run,
-    a little past which the mask's first window ends.
+    `entry` is the table index of the self-loop, whose step goes into this
+    sweep's marker row (see _CompiledMachine). `plain` is the entry as one
+    step into its own row, which the loop puts back once the sweep has had
+    TRIAL `runs` or more and they average fewer than SHORT `cells`, each
+    run's first step counted.
     """
 
     __slots__ = ("entry", "plain", "row", "d", "stop", "inside", "writes", "counted", "runs",
@@ -351,13 +356,9 @@ class _CompiledMachine:
     An entry whose target is its own state is a plain step too, but into
     the marker row `marks` + j, past the halting rows, with j its _Sweep's
     index in `sweeps`: indexing a marker row raises IndexError as a halt
-    does, and the loop then takes the rest of the run of cells the state
-    loops over in that direction as one macro-step, with exact total and
-    counted steps, and goes on in the state's own row. The run's end is
-    the first stop code found by find, or the first cell the mask maps to
-    0 (see _Sweep), within the fuel left and clipped at the sentinels,
-    tape indices 0 and len(tape) - 1. A sweep that keeps covering few
-    cells is put back as its plain entry.
+    does, so the step loop needs no test to notice a sweep, traced or not,
+    and it then takes the rest of the run of cells the state loops over in
+    that direction as one macro-step (see _Sweep and execute).
 
     A traced run steps the same table and records one integer per step,
     its key: entry + size * head, with size the table's length and head
@@ -448,9 +449,7 @@ class _CompiledMachine:
     def _sweep(self, entry: int, state: str, move: str, plain: tuple) -> tuple:
         """A new sweep over every symbol that state loops on, moving move,
         at entry, whose plain entry is plain; returns entry's step into the
-        sweep's marker row. Its stop codes are the other tape codes, so the
-        machine alone decides whether its runs end by find or by the mask
-        (see _Sweep)."""
+        sweep's marker row. Its stop codes are the other tape codes."""
         loop, stops, counted = bytearray(), bytearray(), bytearray()
         writes = bytearray(range(256))
         for code, symbol in enumerate(self.symbols):
@@ -523,15 +522,11 @@ class _CompiledMachine:
 
         One IndexError handler takes both rows past the table's end: a
         halting row ends the run, and a marker row (at least marks) runs its
-        sweep in place and goes on in the sweep's own row. The sweep's run
-        ends at its stop code, found by tape.find or tape.rfind, which copy
-        nothing, or with the mask over doubling windows that start a little
-        past its last run, so a run costs time in its own length and its
-        predecessor's, never the tape's; either scan is clipped at the
-        sentinels, tape indices 0 and len(tape) - 1, and at the fuel left.
-        A traced run's keys get one key per cell of the run, in step order,
-        before any write. A run whose fuel ends on a sweep's first step maps
-        the marker back to the sweep's row too."""
+        sweep in place, with exact total and counted steps, and goes on in
+        the sweep's own row; the sweep's scan finds where its run ends (see
+        _Sweep). A traced run's keys get one key per cell of the run, in
+        step order, before any write. A run whose fuel ends on a sweep's
+        first step maps the marker back to the sweep's row too."""
         table, sweeps, marks = self.table, self.sweeps, self.marks
         sentinel, blank, right_end = self.sentinel, self.blank, self.right_end
         edge, fill = self.edge, self._fill
@@ -699,6 +694,7 @@ def _compile(m: Machine, cost: CostModel) -> _CompiledMachine:
     return compiled
 
 
+# bench/tracer.py wraps this by name; it goes with ROADMAP item 1(a)
 def run_configuration(
     m: Machine,
     config: Configuration,

@@ -25,8 +25,9 @@ positioned run depends only on its head cell, and y and 0y name the same
 cell, so the positioned search meets the cells in the numeric order in
 which the canonical walk first meets them; its report is that walk's. A
 run of k steps reads only cells within k - 1 of its start, so the search
-memoizes outcomes by that window while the radius stays, and ends at the
-first window wholly past x. A window equal to the last cell's lies with it
+memoizes outcomes by that window while the radius stays, for the cells
+whose window starts at cell 0 or right of it, and ends at the first window
+wholly past x. A window equal to the last cell's lies with it
 in a run of one symbol of x, and so do the windows of the cells after it
 up to the first that leaves the run: the search goes there in one step.
 
@@ -143,12 +144,6 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
     accepted = Verdict.ACCEPTED
     most = 0
     if rel.delivery == DELIVERY_POSITIONED:
-        # the cells within r of c as bytes, blanks past x; paired with the
-        # first cell when that lies left of cell 0
-        def window(c: int, r: int):
-            lo = c - r
-            return cells[lo:c + r + 1] if lo >= 0 else (lo, cells[:c + r + 1])
-
         # the driver runs each missed cell as the loop appends its start,
         # labelled with the cell
         missed: list = []
@@ -156,22 +151,25 @@ def _search(rel: CheckingRelation, max_len: int, x: str, cost: CostModel, fuel: 
         # the memo holds outcomes of one radius, the latest run's, each
         # labelled with the cell where its window first ran; a run that
         # changes it empties the memo and is not kept, so a cell met costs at
-        # most one slice, and none while the radius changes on every run
+        # most one slice, and none while the radius changes on every run.
+        # A key is the cells within the radius of c, blanks past x left out.
+        # A cell nearer cell 0 than the radius has none: its window would
+        # start left of cell 0, at a point its own, so no other cell shares it
         memo: dict = {}
         radius = None  # until the first run
         c, stop, last = 0, 2 ** max_len, None
         while c < stop:
-            key = window(c, radius) if memo else None
+            key = cells[c - radius:c + radius + 1] if memo and c >= radius else None
             outcome = memo.get(key)
             if outcome is None:
                 missed.append((c, cells, c))
                 outcome = next(runs)
                 most = max(most, outcome[3])
                 new = outcome[2] - 1  # a run of k steps reads within k - 1
-                if radius is None or new == radius:
-                    memo[window(c, new) if key is None else key] = outcome
-                else:
+                if radius is not None and new != radius:
                     memo.clear()
+                elif c >= new:
+                    memo[cells[c - new:c + new + 1] if key is None else key] = outcome
                 radius = new
             elif key == last:
                 # the last cell's window moved one cell right reads the same,

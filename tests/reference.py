@@ -2,7 +2,8 @@
 compiled step loop against. It applies one transition at a time to a
 Configuration whose tape is a dict of its non-blank cells, as the
 definition of a run reads, with no table, sweep or packed tape. The
-library's own single step is `run_configuration` with fuel 1.
+library's own single step is `tmbench.machine.run_configuration` with
+fuel 1, which the package does not export.
 
 Next to it, the Hypothesis strategies of random valid machines, of cost
 models and of fuels that the differential tests draw from."""

@@ -88,6 +88,29 @@ def test_unknown_flag_is_exit_2(scanner_file):
     assert excinfo.value.code == 2
 
 
+def test_an_option_given_as_dashes_has_the_value_dashes(capsys, tmp_path, scanner_file):
+    """'--option=--' gives the option the value '--' on every Python, as
+    argparse does from 3.13 on; before, the value came through as []."""
+    dashes = Machine(frozenset("-"), frozenset({"-", BLANK}), frozenset({"q", "acc", "rej"}),
+                     "q", "acc", "rej",
+                     {("q", "-"): ("q", "-", RIGHT), ("q", BLANK): ("acc", BLANK, RIGHT)})
+    path = tmp_path / "dashes.tm"
+    path.write_text(emit_machine(dashes))
+    code, out, err = invoke(capsys, "run", f"--machine={path}", "--input=--")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["verdict: accepted", "total_steps: 3"]
+    code, out, err = invoke(capsys, "check-bound", f"--machine={path}", "--g=linear:a=1,b=1",
+                            "--input=--", "--input=eps")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()[1:3]] == ["--", "eps"]
+    code, out, err = invoke(capsys, "profile", f"--machine={scanner_file}", "--lengths=--")
+    assert (code, out, err) == (2, "", "error: lengths must be '<lo>..<hi>', got '--'\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", f"--machine={scanner_file}", "--input=0", "--fuel=--"])
+    assert excinfo.value.code == 2
+    assert "argument --fuel: invalid int value: '--'" in capsys.readouterr().err
+
+
 def test_gen_trie_round_trip(capsys, tmp_path, scanner_file):
     out_path = tmp_path / "trie.tm"
     code, _, err = invoke(capsys, "gen-trie", "--lang", "contains-1",

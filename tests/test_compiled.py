@@ -35,12 +35,11 @@ from tmbench import (
     decide_nc,
     decide_nt,
     emit_machine,
-    initial_configuration,
     parse_machine_file,
     run,
-    run_configuration,
 )
-from tmbench.machine import _compile, _CompiledMachine, all_words
+from tmbench.machine import (_compile, _CompiledMachine, all_words, initial_configuration,
+                             run_configuration)
 from tmbench.measures import IDENTITY
 from tmbench.nondet import _max_length, deliver
 

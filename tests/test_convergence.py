@@ -16,8 +16,6 @@ from tmbench import (
     find_convergence_index,
     finite_language,
     run,
-    verify_restriction,
-    verify_step_count,
     verify_trie,
 )
 from tmbench.cli import load_language, main
@@ -27,6 +25,8 @@ from tmbench.convergence import (
     TrieMachineReport,
     _long_word_sample,
     _trie_table,
+    verify_restriction,
+    verify_step_count,
 )
 from tmbench.machine import _compile, all_words, initial_configuration
 

@@ -23,12 +23,11 @@ from tmbench import (
     build_trie_machine,
     check_bound,
     decide_nc,
-    initial_configuration,
     parse_measure,
     run,
-    run_configuration,
     validate_machine,
 )
+from tmbench.machine import initial_configuration, run_configuration
 
 from reference import scanned, step
 

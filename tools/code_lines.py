@@ -7,7 +7,9 @@ reformatting text moves no count that reformatting code would not.
 
     python3 tools/code_lines.py [path ...]     # default: src/tmbench
 
-prints the count of each file and the total.
+prints the count of each file and the total, and then for each package
+`__init__.py` among the files the number of names its imports bind, which
+for tmbench is the size of its public API.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ def code_lines(path: Path) -> int:
     return len(lines - docs)
 
 
+def imported_names(path: Path) -> int:
+    """The number of names that the import statements in path bind."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sum(len(node.names) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
 def main(argv: list[str]) -> int:
     roots = [Path(p) for p in argv] or [Path("src/tmbench")]
     files = sorted(f for root in roots
@@ -55,6 +64,9 @@ def main(argv: list[str]) -> int:
         total += n
         print(f"{n:6d}  {f}")
     print(f"{total:6d}  total")
+    for f in files:
+        if f.name == "__init__.py":
+            print(f"{imported_names(f):6d}  names imported by {f}")
     return 0
 
 
