@@ -148,9 +148,11 @@ class TrieMachineReport:
         is the empty prefix and the start state), which keeps words with
         leading zeros distinct, so sorted names list the prefixes in
         preorder, then the halting states. The names are the one list
-        kept; each state's transitions on 0, 1 and blank follow in that
-        order, generated once, as they are read, and its blank goes to
-        accept or reject by the answer at its prefix's heap index.
+        kept, and each transition names its target by that list's own
+        object, so the machine holds one string per state. Each state's
+        transitions on 0, 1 and blank follow in that order, generated
+        once, as they are read, and its blank goes to accept or reject by
+        the answer at its prefix's heap index.
         Consumed symbols are overwritten with blank, and the bits of the
         depth-n prefixes go to reject."""
         answers, n, accept, reject = self.answers, self.n, "q_accept", "q_reject"
@@ -161,8 +163,12 @@ class TrieMachineReport:
             names = ["q_"] + ["q_0" + q[2:] for q in names] + ["q_1" + q[2:] for q in names]
 
         def rows():
-            for q in names:
-                zero, one = (q + "0", q + "1") if len(q) < n + 2 else (reject, reject)
+            for i, q in enumerate(names):
+                # in preorder, prefix p's 0-child follows it, and its 1-child
+                # follows the 0-child's subtree of 2^(n - |p|) - 1 prefixes
+                depth = len(q) - 2
+                zero, one = ((names[i + 1], names[i + (1 << (n - depth))]) if depth < n
+                             else (reject, reject))
                 yield (q, "0"), (zero, BLANK, RIGHT)
                 yield (q, "1"), (one, BLANK, RIGHT)
                 # the answer of prefix p sits at heap index int("1" + p, 2) - 1

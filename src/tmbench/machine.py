@@ -31,7 +31,8 @@ live paths instead. Trie verification is likewise one entry point,
 `verify_trie` (see tmbench.convergence).
 
 The compiled table of a Machine is filled entry by entry as runs reach its
-entries, so a single run on a large machine costs only the entries it
+entries, and its rows are numbered state by state as runs reach its
+states, so a single run on a large machine costs only the entries it
 uses, and the CLI's profile, whose `--lengths` may reach only a few entries
 of a large machine, stays lazy. A caller that has the whole table in
 integers builds the compiled form from it (`_CompiledMachine.from_columns`)
@@ -279,17 +280,20 @@ class _Sweep:
     at the sentinels, tape indices 0 and len(tape) - 1.
 
     `entry` is the table index of the self-loop, whose step goes into this
-    sweep's marker row (see _CompiledMachine). `plain` is the entry as one
-    step into its own row, which the loop puts back once the sweep has had
-    TRIAL `runs` or more and they average fewer than SHORT `cells`, each
-    run's first step counted.
+    sweep's marker row (see _CompiledMachine). A sweep is judged once, at
+    its TRIAL-th run: `cells` tallies the cells of its first TRIAL runs,
+    each run's first step counted, and if they average fewer than SHORT,
+    the loop puts back `plain`, the entry as one step into its own row.
+    A sweep that passes stays a sweep for good, whatever its later runs
+    (the choice moves only the speed of a run, never its result). `runs`
+    counts every run, and `last` is read and kept by the mask scan alone.
     """
 
     __slots__ = ("entry", "plain", "row", "d", "stop", "inside", "writes", "counted", "runs",
                  "cells", "last")
 
-    # after this many runs, a sweep whose runs average fewer cells than
-    # SHORT costs more in the loop's exceptions than it saves
+    # a sweep whose first TRIAL runs average fewer cells than SHORT costs
+    # more in the loop's exceptions than it saves
     TRIAL = 16
     SHORT = 4
 
@@ -341,9 +345,11 @@ class _CompiledMachine:
     """A valid machine's transition table under one cost model, in integers.
 
     Symbols are numbered with blank 0; the next number, `edge`, is a sentinel
-    cell at both ends of the tape. States are numbered with the two halting
-    states last and stored premultiplied by the row width edge + 1, so the
-    entry for (state, symbol) is table[state + symbol]. The table ends
+    cell at both ends of the tape. States are numbered with the start state
+    first and the two halting states last, the others in the order runs
+    first reach them (`number`, so a run builds no map over the states it
+    never reaches), and stored premultiplied by the row width edge + 1, so
+    the entry for (state, symbol) is table[state + symbol]. The table ends
     before the halting rows: indexing one raises IndexError, which is how
     the step loop notices a halt. An entry is (target, written symbol, head
     move -1/+1, counted 0/1), filled in the first time a run needs it, so a
@@ -355,7 +361,8 @@ class _CompiledMachine:
 
     An entry whose target is its own state is a plain step too, but into
     the marker row `marks` + j, past the halting rows, with j its _Sweep's
-    index in `sweeps`: indexing a marker row raises IndexError as a halt
+    index in `sweeps` and in `markers`, which holds what the step loop
+    reads of each: indexing a marker row raises IndexError as a halt
     does, so the step loop needs no test to notice a sweep, traced or not,
     and it then takes the rest of the run of cells the state loops over in
     that direction as one macro-step (see _Sweep and execute).
@@ -390,13 +397,16 @@ class _CompiledMachine:
     def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
         self.transitions = m.transitions
         self.counted_keys = counted_keys  # None counts every entry
-        self.states = list(m.states - {m.accept_state, m.reject_state})
-        self.states += [m.accept_state, m.reject_state]
+        # the start state and the halting two are numbered now, the others
+        # as runs reach them (number)
+        self.states = [m.start_state] + [None] * (len(m.states) - 3) + [m.accept_state,
+                                                                      m.reject_state]
         width = len(m.tape_alphabet) + 1
-        self.row = dict(zip(self.states, range(0, len(self.states) * width, width)))
         # plain entries, sweeps and None, for every state but the halting two
-        self._columns([BLANK] + sorted(m.tape_alphabet - {BLANK}), m.input_alphabet,
-                      [None] * ((len(self.states) - 2) * width), self.row[m.start_state])
+        table = [None] * ((len(m.states) - 2) * width)
+        self.row = {m.start_state: 0, m.accept_state: len(table),
+                    m.reject_state: len(table) + width}
+        self._columns([BLANK] + sorted(m.tape_alphabet - {BLANK}), m.input_alphabet, table, 0)
 
     @classmethod
     def from_columns(cls, symbols: list[str], inputs: frozenset[str], table: list):
@@ -416,7 +426,7 @@ class _CompiledMachine:
         returns self."""
         self.symbols, self.inputs, self.table, self.start = symbols, inputs, table, start
         self.edge, self.width = len(symbols), len(symbols) + 1
-        self.marks, self.sweeps = len(table) + 2 * self.width, []
+        self.marks, self.sweeps, self.markers = len(table) + 2 * self.width, [], []
         self.code = {s: i for i, s in enumerate(symbols)}
         self.verdicts = [Verdict.FUEL_EXHAUSTED] * (len(table) // self.width) + [
             Verdict.ACCEPTED, Verdict.REJECTED]
@@ -437,13 +447,25 @@ class _CompiledMachine:
         counted = self.counted_keys is None or key in self.counted_keys
         return state, read, write, move, target, counted
 
+    def number(self, state: str) -> int:
+        """state's row, numbered now if no run has reached it before: the
+        rows between the start state's and the halting ones go to states
+        in the order runs first reach them."""
+        row = self.row.get(state)
+        if row is None:
+            q = len(self.row) - 2  # the start state and the halting two have theirs
+            self.states[q] = state
+            row = self.row[state] = q * self.width
+        return row
+
     def _fill(self, entry: int) -> None:
         """Fill the table entry if it is empty: its plain entry (row, code,
         +-1, counted), or if it loops on its state, the same step into a
         new sweep's marker row."""
         if self.table[entry] is None:
             state, _, write, move, target, counted = self._fields(entry)
-            plain = (self.row[target], self.code[write], 1 if move == RIGHT else -1, int(counted))
+            plain = (self.number(target), self.code[write], 1 if move == RIGHT else -1,
+                     int(counted))
             self.table[entry] = self._sweep(entry, state, move, plain) if target == state else plain
 
     def _sweep(self, entry: int, state: str, move: str, plain: tuple) -> tuple:
@@ -462,9 +484,13 @@ class _CompiledMachine:
                     counted.append(code)
             else:
                 stops.append(code)
-        self.sweeps.append(_Sweep(entry, plain, bytes(loop), bytes(stops),
-                                  None if writes == bytes(range(256)) else bytes(writes),
-                                  None if counted == loop else bytes(counted)))
+        sweep = _Sweep(entry, plain, bytes(loop), bytes(stops),
+                       None if writes == bytes(range(256)) else bytes(writes),
+                       None if counted == loop else bytes(counted))
+        self.sweeps.append(sweep)
+        # what the step loop reads of the sweep, in one unpack (see execute)
+        self.markers.append((sweep.row, sweep.d, sweep.stop, sweep.inside, sweep.counted,
+                             sweep.writes, sweep))
         return (self.marks + len(self.sweeps) - 1,) + plain[1:]
 
     def encode(self, word: str, alphabet: frozenset[str]) -> bytes:
@@ -524,14 +550,16 @@ class _CompiledMachine:
         halting row ends the run, and a marker row (at least marks) runs its
         sweep in place, with exact total and counted steps, and goes on in
         the sweep's own row; the sweep's scan finds where its run ends (see
-        _Sweep). A traced run's keys get one key per cell of the run, in
+        _Sweep). It reads what it needs of the sweep with one unpack of its
+        tuple in `markers`, which ends with the _Sweep, and judges the sweep
+        at its TRIAL-th run only. A traced run's keys get one key per cell of the run, in
         step order, before any write. A run whose fuel ends on a sweep's
         first step maps the marker back to the sweep's row too."""
-        table, sweeps, marks = self.table, self.sweeps, self.marks
+        table, markers, marks = self.table, self.markers, self.marks
         sentinel, blank, right_end = self.sentinel, self.blank, self.right_end
         edge, fill = self.edge, self._fill
         verdicts, width, size = self.verdicts, self.width, len(table)
-        trial, short = _Sweep.TRIAL, _Sweep.SHORT
+        trial, few = _Sweep.TRIAL, _Sweep.TRIAL * _Sweep.SHORT
         q0 = self.start if q is None else q
         for label, cells, head in starts:
             pad = head - first - len(cells)
@@ -560,8 +588,7 @@ class _CompiledMachine:
                     total += k
                     if q < marks:
                         break
-                    sweep = sweeps[q - marks]
-                    q, d, stop, inside = sweep.row, sweep.d, sweep.stop, sweep.inside
+                    q, d, stop, inside, c, writes, sweep = markers[q - marks]
                     # the run is tape[start:end], within bound: the fuel left,
                     # clipped to the cells between the sentinels
                     if d > 0:
@@ -604,7 +631,6 @@ class _CompiledMachine:
                         i = start - 1
                     n = end - start
                     total += n
-                    c, writes = sweep.counted, sweep.writes
                     if c is None:
                         counted += n
                     if keys is not None or writes is not None or c:
@@ -617,11 +643,13 @@ class _CompiledMachine:
                             counted += n - len(seg.translate(None, c))
                         if writes is not None:
                             tape[start:end] = seg.translate(writes)
-                    sweep.runs += 1
-                    sweep.cells += n + 1  # and the run's first, plain step
-                    sweep.last = n
-                    if sweep.runs >= trial and sweep.cells < short * sweep.runs:
-                        table[sweep.entry] = sweep.plain
+                    if stop is None:
+                        sweep.last = n
+                    runs = sweep.runs = sweep.runs + 1
+                    if runs <= trial:  # judged once, at the trial's last run
+                        sweep.cells += n + 1  # and the run's first, plain step
+                        if runs == trial and sweep.cells < few:
+                            table[sweep.entry] = sweep.plain
                 except TypeError:  # a sentinel or an unfilled entry
                     total += k
                     if tape[i] != edge:
@@ -637,7 +665,7 @@ class _CompiledMachine:
                 else:
                     total = fuel
                     if q >= marks:  # the last step was a sweep's first
-                        q = sweeps[q - marks].row
+                        q = markers[q - marks][0]
                     break
             end = label, verdicts[q // width], total, counted
             yield end if lean else end + (q, tape, i, origin)
@@ -715,7 +743,7 @@ def run_configuration(
     leftmost such cell's symbol; either leaves config as it was.
     """
     compiled = _compile(m, cost)
-    if config.state not in compiled.row:
+    if config.state not in m.states:
         raise ValueError(f"configuration state {config.state!r} is not a state of the machine")
     fuel, head = _positive(fuel), config.head
     # every stored cell, near or far, leftmost first, before any is laid out
@@ -728,7 +756,7 @@ def run_configuration(
     for i, sym in near.items():
         cells[i - lo] = sym
     result = compiled.launch(compiled.encode("".join(cells), m.tape_alphabet),
-                             head, fuel, record_trace, lo, compiled.row[config.state])
+                             head, fuel, record_trace, lo, compiled.number(config.state))
     far.update(result.final.tape)
     config.state, config.head, config.tape = result.final.state, result.final.head, far
     return replace(result, final=config)

@@ -38,6 +38,7 @@ from tmbench import (
     parse_machine_file,
     run,
 )
+from tmbench.cli import main
 from tmbench.machine import (_compile, _CompiledMachine, all_words, initial_configuration,
                              run_configuration)
 from tmbench.measures import IDENTITY
@@ -726,10 +727,7 @@ def test_traced_and_untraced_runs_share_one_compiled_object(first_traced):
 def test_ping_pong_entries_go_back_to_plain_steps():
     """One-cell runs cost more as sweeps than as steps: after a trial the
     entries hold their plain tuples again, and the run stays exact."""
-    t = {("q", "0"): ("q", "0", RIGHT), ("q", "1"): ("q", "1", LEFT),
-         ("q", BLANK): ("acc", BLANK, RIGHT)}
-    m = Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"q", "acc", "rej"}),
-                "q", "acc", "rej", t)
+    m = ping_pong()
     check_against_reference(m, "01", COUNT_ALL, 1001)
     compiled = _compile(m, COUNT_ALL)
     entries = [compiled.table[compiled.row["q"] + compiled.code[s]] for s in "01"]
@@ -746,6 +744,43 @@ def test_long_sweeps_keep_their_sweep():
         run(scanner, "0" * n + "1", fuel=100, record_trace=False)
     (sweep,) = sweeps_of(scanner)
     assert sweep.runs == 20
+
+
+def ping_pong():
+    """q steps right on 0 and left on 1: on 01 each of its two self-loops
+    runs no cell past its first step, so every step is one run of a sweep,
+    the right sweep's and the left one's by turns."""
+    t = {("q", "0"): ("q", "0", RIGHT), ("q", "1"): ("q", "1", LEFT),
+         ("q", BLANK): ("acc", BLANK, RIGHT)}
+    return Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"q", "acc", "rej"}),
+                   "q", "acc", "rej", t)
+
+
+def test_a_sweep_of_short_runs_is_put_back_at_its_trial_run_and_not_before():
+    m = ping_pong()
+    # fuel F takes F - 1 sweep runs: the last step's sweep is not run
+    check_against_reference(m, "01", COUNT_ALL, 31)
+    sweeps = _compile(m, COUNT_ALL).sweeps
+    assert [sweep.runs for sweep in sweeps] == [15, 15]
+    assert len(sweeps_of(m)) == 2
+    check_against_reference(m, "01", COUNT_ALL, 3)
+    assert [sweep.runs for sweep in sweeps] == [16, 16]
+    assert not sweeps_of(m)
+    check_against_reference(m, "01", COUNT_ALL, 101)
+    assert [sweep.runs for sweep in sweeps] == [16, 16]
+
+
+def test_a_sweep_that_passes_its_trial_stays_a_sweep_through_short_runs():
+    """16 runs of 99 cells pass the trial; 600 runs of none after it would
+    bring the average below 4 cells, but the sweep is judged only once."""
+    scanner = build_demo_machines()[0]
+    for _ in range(16):
+        check_against_reference(scanner, "0" * 100, COUNT_ALL, 200)
+    for _ in range(600):
+        check_against_reference(scanner, "01", COUNT_ALL, 10)
+    (sweep,) = sweeps_of(scanner)
+    assert sweep.runs == 616
+    assert sweep.cells == 16 * 100  # the trial's tally, each run's first step counted
 
 
 # a sweep's first cell is a plain step into its marker row, and the next
@@ -1060,7 +1095,11 @@ def test_linear_bound_on_long_input_exceeds_budget_at_once():
 def filled_one_by_one(m, cost):
     """m's compiled table under cost, as the runs use it, with every entry
     filled by _fill, as the runs fill them lazily; an entry filled already
-    keeps its sweep or the plain entry a sweep was put back as."""
+    keeps its sweep or the plain entry a sweep was put back as. Rows are
+    numbered as fills first target their states, breadth first from the
+    start state's, so each row is numbered before this loop reaches it: it
+    touches only states that runs reach, as every state of the machines
+    here is reachable from the start."""
     compiled = _compile(m, cost)
     for row in range(0, len(compiled.table), compiled.width):
         for symbol in range(compiled.edge):
@@ -1087,15 +1126,55 @@ def test_fill_builds_sweeps_for_self_loops_and_keeps_a_put_back_one():
     filled_one_by_one(m, COUNT_ALL)
     assert len(sweeps_of(m)) == 4  # r and l over 0 and 1
     # a ping-pong self-loop goes back to its plain entry, and _fill keeps it
-    t = {("q", "0"): ("q", "0", RIGHT), ("q", "1"): ("q", "1", LEFT),
-         ("q", BLANK): ("acc", BLANK, RIGHT)}
-    ping = Machine(frozenset("01"), frozenset("01" + BLANK), frozenset({"q", "acc", "rej"}),
-                   "q", "acc", "rej", t)
+    ping = ping_pong()
     check_against_reference(ping, "01", COUNT_ALL, 1001)
     compiled = filled_one_by_one(ping, COUNT_ALL)
     entries = [compiled.table[compiled.row["q"] + compiled.code[s]] for s in "01"]
     assert all(type(entry) is tuple and entry[0] == compiled.row["q"] for entry in entries)
     check_against_reference(ping, "01", COUNT_ALL, 999)
+
+
+# --- rows numbered as runs reach their states --------------------------------
+
+def trie_file(tmp_path, n):
+    """The text of gen-trie's depth-n div3 machine file."""
+    path = tmp_path / f"div3-{n}.tm"
+    assert main(["gen-trie", "--lang", "div3", "--n", str(n), "--out", str(path)]) == 0
+    return path.read_text(encoding="utf-8")
+
+
+def test_a_run_on_a_large_machine_numbers_only_the_states_it_reaches(tmp_path, capsys):
+    m = parse_machine_file(trie_file(tmp_path, 10))
+    result = run(m, "1101")
+    compiled = _compile(m, COUNT_ALL)
+    # the start state, the halting two and one target per step
+    assert len(compiled.row) <= result.total_steps + 3 < len(m.states)
+    assert compiled.states.count(None) == len(m.states) - len(compiled.row)
+    assert {compiled.states[row // compiled.width]: row
+            for row in compiled.row.values()} == compiled.row
+    check_against_reference(m, "0110", COUNT_ALL, 100)
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("state", ["q_0110", "q_1", "q_accept", "q_reject"])
+def test_run_configuration_from_a_state_no_run_has_reached(tmp_path, capsys, state,
+                                                          record_trace):
+    text = trie_file(tmp_path, 6)
+    for warm in (False, True):  # on a fresh table, then after a run
+        m = parse_machine_file(text)
+        if warm:
+            run(m, "0")
+        tape = {0: "1", 1: "0", 3: "1"}
+        for fuel in (1, 3, 100):
+            config, twin = Configuration(state, dict(tape), 0), Configuration(state, dict(tape), 0)
+            verdict, total, counted, trace, final = reference(m, twin, m.transitions, fuel)
+            result = run_configuration(m, config, COUNT_ALL, fuel, record_trace)
+            assert (result.verdict, result.total_steps, result.counted_steps) == (
+                verdict, total, counted)
+            assert result.trace == (trace if record_trace else None)
+            assert (config.state, config.head, config.tape) == (
+                final.state, final.head, final.tape)
+            check_against_reference(m, "011", COUNT_ALL, fuel)
 
 
 # --- the batch driver: many starts through one lazy loop ---------------------

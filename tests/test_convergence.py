@@ -601,6 +601,15 @@ def test_a_report_built_by_hand_lists_and_builds_its_machine(n):
     assert verify_trie(report, lambda w: w.count("1") % 2 == 1) == ([], True)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+def test_a_built_machine_names_every_target_by_a_state_object_of_its_own(n):
+    machine = build_trie_machine(BUILTIN_LANGUAGES["div3"], n).machine
+    states = {id(q) for q in machine.states}
+    assert len(states) == len(machine.states) == 2 ** (n + 1) + 1
+    assert all(id(target) in states for target, _, _ in machine.transitions.values())
+    assert all(id(q) in states for q, _ in machine.transitions)
+
+
 def test_gen_trie_at_the_benchmark_depth_writes_the_pinned_bytes(capsys):
     assert main(["gen-trie", "--lang", "div3", "--n", "14", "--out", "-"]) == 0
     out, err = capsys.readouterr()
