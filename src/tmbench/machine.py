@@ -106,6 +106,14 @@ class StepRecord:
     distinct (entry, head) pair, so the equal records of one trace are one
     object: trace[i] is trace[j] can hold. Being frozen, a shared record
     cannot be changed through one step and seen at another.
+
+    The records pass builds each record as a draft (see _drafts), whose
+    fields are set by plain attribute stores, and then retypes it to
+    StepRecord by assigning its __class__. The draft's class has exactly
+    StepRecord's slots and no other state, so the two lay their instances
+    out alike: Python allows the assignment only then, and what it yields
+    is a genuine StepRecord, equal to and hashing like the one the
+    constructor builds from the same fields.
     """
 
     state: str
@@ -117,9 +125,15 @@ class StepRecord:
     counted: bool
 
 
-# the slots' descriptors set a record's fields, in field order, past the
-# frozen __setattr__
-_SETTERS = tuple(getattr(StepRecord, name).__set__ for name in StepRecord.__slots__)
+def _drafts(cls: type) -> type:
+    """A plain class with the slots of cls, a frozen slotted dataclass: its
+    instances take ordinary attribute stores, which cost a fraction of the
+    frozen __init__'s object.__setattr__ calls, and once filled become
+    values of cls by `draft.__class__ = cls` (see StepRecord)."""
+    return type(f"_{cls.__name__}Draft", (), {"__slots__": cls.__slots__})
+
+
+_StepRecordDraft = _drafts(StepRecord)
 
 
 @dataclass
@@ -256,28 +270,32 @@ def initial_configuration(m: Machine, input_word: str) -> Configuration:
 
 
 class _Sweep:
-    """A compiled self-loop: a state, whose row is `row`, that stays put on
-    every symbol of a set, writing it through `writes` (a bytes.translate
-    table, None when each symbol is written back) and moving d. The step
-    loop (_CompiledMachine.execute) runs the maximal run of those symbols
-    from the head in one macro-step, with no Python call. The cost model
-    counts the cells of the run whose symbol is in `counted` (None: all of
-    them; empty: none, and the loop adds 0 without reading the cells).
+    """A compiled self-loop: a state that stays put on every symbol of a
+    set, writing it and moving one way. The step loop
+    (_CompiledMachine.execute) runs the maximal run of those symbols from
+    the head in one macro-step, with no Python call. It reads what it needs
+    of the sweep once per run, from the sweep's tuple in `markers`:
+    (row, d, stop, inside, counted, writes, sweep). row is the state's row
+    and d its move, -1/+1; writes is a bytes.translate table, None when
+    each symbol is written back; the cost model counts the cells of the
+    run whose symbol is in counted (None: all of them; empty: none, and
+    the loop adds 0 without reading the cells). The sweep holds no
+    reference back to its tuple, so the two make no cycle.
 
     The run ends at the first cell whose symbol is a stop code, one of the
     tape codes outside the set; the sentinel ends every run. The machine
-    alone picks the scan that finds it. With exactly one stop code, `stop`,
-    bytearray.find (rfind moving left) looks for it in place, copying
-    nothing, and `scan` is 'find'. Otherwise `inside`, which maps each
-    symbol of the set to 1 and every other byte to 0, translates a copy of
-    each of a series of doubling windows and finds its first 0, and `scan`
-    is 'mask'; the first window ends a little past the last run's length,
-    `last`, so a run costs time in its own length and its predecessor's,
-    never the tape's. The mask stays for several stop codes because one
-    find per code is not bounded by the run: each scans to its own code or
-    to the bound, so a stop code that is rare on the tape would make every
-    run cost the tape's length. Either scan is clipped at the fuel left and
-    at the sentinels, tape indices 0 and len(tape) - 1.
+    alone picks the scan that finds it, `scan`. With exactly one stop code,
+    stop, bytearray.find (rfind moving left) looks for it in place, copying
+    nothing, and `scan` is 'find'. Otherwise stop is None and inside, which
+    maps each symbol of the set to 1 and every other byte to 0, translates
+    a copy of each of a series of doubling windows and finds its first 0,
+    and `scan` is 'mask'; the first window ends a little past the last
+    run's length, `last`, so a run costs time in its own length and its
+    predecessor's, never the tape's. The mask stays for several stop codes
+    because one find per code is not bounded by the run: each scans to its
+    own code or to the bound, so a stop code that is rare on the tape would
+    make every run cost the tape's length. Either scan is clipped at the
+    fuel left and at the sentinels, tape indices 0 and len(tape) - 1.
 
     `entry` is the table index of the self-loop, whose step goes into this
     sweep's marker row (see _CompiledMachine). A sweep is judged once, at
@@ -289,32 +307,16 @@ class _Sweep:
     counts every run, and `last` is read and kept by the mask scan alone.
     """
 
-    __slots__ = ("entry", "plain", "row", "d", "stop", "inside", "writes", "counted", "runs",
-                 "cells", "last")
+    __slots__ = ("entry", "plain", "scan", "runs", "cells", "last")
 
     # a sweep whose first TRIAL runs average fewer cells than SHORT costs
     # more in the loop's exceptions than it saves
     TRIAL = 16
     SHORT = 4
 
-    def __init__(self, entry: int, plain: tuple[int, int, int, int], loop: bytes,
-                 stops: bytes, writes: Optional[bytes], counted: Optional[bytes]):
-        self.entry, self.plain = entry, plain
-        self.row, self.d = plain[0], plain[2]
-        self.stop = stops[0] if len(stops) == 1 else None
-        self.inside = None
-        if self.stop is None:
-            inside = bytearray(256)
-            for code in loop:
-                inside[code] = 1
-            self.inside = bytes(inside)
-        self.writes, self.counted = writes, counted
+    def __init__(self, entry: int, plain: tuple[int, int, int, int], scan: str):
+        self.entry, self.plain, self.scan = entry, plain, scan
         self.runs = self.cells = self.last = 0
-
-    @property
-    def scan(self) -> str:
-        """How the step loop finds the end of this sweep's runs."""
-        return "mask" if self.stop is None else "find"
 
 
 def _positive(fuel) -> int:
@@ -470,8 +472,9 @@ class _CompiledMachine:
 
     def _sweep(self, entry: int, state: str, move: str, plain: tuple) -> tuple:
         """A new sweep over every symbol that state loops on, moving move,
-        at entry, whose plain entry is plain; returns entry's step into the
-        sweep's marker row. Its stop codes are the other tape codes."""
+        at entry, whose plain entry is plain, and its tuple in markers (see
+        _Sweep); returns entry's step into the sweep's marker row. Its stop
+        codes are the other tape codes."""
         loop, stops, counted = bytearray(), bytearray(), bytearray()
         writes = bytearray(range(256))
         for code, symbol in enumerate(self.symbols):
@@ -484,13 +487,13 @@ class _CompiledMachine:
                     counted.append(code)
             else:
                 stops.append(code)
-        sweep = _Sweep(entry, plain, bytes(loop), bytes(stops),
-                       None if writes == bytes(range(256)) else bytes(writes),
-                       None if counted == loop else bytes(counted))
+        stop = stops[0] if len(stops) == 1 else None
+        inside = None if stop is not None else bytes(code in loop for code in range(256))
+        sweep = _Sweep(entry, plain, "mask" if stop is None else "find")
         self.sweeps.append(sweep)
-        # what the step loop reads of the sweep, in one unpack (see execute)
-        self.markers.append((sweep.row, sweep.d, sweep.stop, sweep.inside, sweep.counted,
-                             sweep.writes, sweep))
+        self.markers.append((plain[0], plain[2], stop, inside,
+                             None if counted == loop else bytes(counted),
+                             None if writes == bytes(range(256)) else bytes(writes), sweep))
         return (self.marks + len(self.sweeps) - 1,) + plain[1:]
 
     def encode(self, word: str, alphabet: frozenset[str]) -> bytes:
@@ -676,16 +679,16 @@ class _CompiledMachine:
 
         A key is entry + size * head, size the table's length; as
         0 <= entry < size, divmod gives back the head, negative too, and the
-        entry. A record is built on a key's first step only: made by
-        object.__new__, its fields set through the slots' descriptors (the
-        frozen __init__ sets each field with object.__setattr__, and a
-        record built by it costs about twice as much), and its fields but
-        the head worked out from the names once per entry (_fields): a
-        sweep passes cells whose own entries the table may never fill, so
-        the table is no source for them. The memos of records and of
-        fields live for this call only, so nothing grows across runs."""
-        size, new = len(self.table), object.__new__
-        set_state, set_head, set_read, set_write, set_move, set_target, set_counted = _SETTERS
+        entry. A record is built on a key's first step only, as a draft of
+        StepRecord's slots filled by plain stores and then retyped to
+        StepRecord (see StepRecord): the frozen __init__ sets each field
+        with object.__setattr__, and a record built by it costs about four
+        times as much (Python 3.11). Its fields but the head are worked out
+        from the names once per entry (_fields): a sweep passes cells whose
+        own entries the table may never fill, so the table is no source for
+        them. The memos of records and of fields live for this call only,
+        so nothing grows across runs."""
+        size, draft, record = len(self.table), _StepRecordDraft, StepRecord
         shared: dict = {}
         named: dict = {}
         get = shared.get
@@ -698,15 +701,10 @@ class _CompiledMachine:
                 fields = named.get(entry)
                 if fields is None:
                     fields = named[entry] = self._fields(entry)
-                state, read, write, move, target, counted = fields
-                r = shared[key] = new(StepRecord)
-                set_state(r, state)
-                set_head(r, head)
-                set_read(r, read)
-                set_write(r, write)
-                set_move(r, move)
-                set_target(r, target)
-                set_counted(r, counted)
+                r = shared[key] = draft()
+                r.state, r.read, r.write, r.move, r.target, r.counted = fields
+                r.head = head
+                r.__class__ = record
             append(r)
         return tuple(records)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from tmbench.cost import CostModel
-from tmbench.machine import DEFAULT_FUEL, Machine, Verdict, _compile
+from tmbench.machine import DEFAULT_FUEL, Machine, Verdict, _compile, _drafts
 
 # the measure families, each with the parameters parse_measure accepts for it
 FAMILY_PARAMS = {"identity": (), "linear": ("a", "b"), "log": ("a", "b"),
@@ -143,7 +143,10 @@ class BoundSpec:
 @dataclass(frozen=True, slots=True)
 class BoundRow:
     """One word's check: a slotted value, with no __dict__ and no weak
-    references, built as StepRecord is (see _CompiledMachine.trace)."""
+    references. check_bound builds it as a trace builds a StepRecord: a
+    draft of its slots filled by plain stores, then retyped by assigning
+    its __class__, which Python allows because the draft's class has
+    exactly these slots (see tmbench.machine.StepRecord)."""
 
     input: str
     length: int
@@ -152,8 +155,7 @@ class BoundRow:
     passed: bool
 
 
-# the slots' descriptors set a row's fields, in field order, past the frozen __setattr__
-_ROW_SETTERS = tuple(getattr(BoundRow, name).__set__ for name in BoundRow.__slots__)
+_BoundRowDraft = _drafts(BoundRow)
 
 
 @dataclass(frozen=True)
@@ -194,8 +196,7 @@ def check_bound(
     limits = {n: (b, bound_limit(b)) for n, b in bounds.items()}
     rows = []
     verdict, worst = True, -math.inf
-    new, exhausted = object.__new__, Verdict.FUEL_EXHAUSTED
-    set_input, set_length, set_counted, set_bound, set_passed = _ROW_SETTERS
+    draft, exhausted = _BoundRowDraft, Verdict.FUEL_EXHAUSTED
     for word, end, _, counted in compiled.on_words(inputs, fuel):
         n = len(word)
         bound, limit = limits[n]
@@ -206,12 +207,10 @@ def check_bound(
         if margin > worst:
             worst = margin
         verdict = verdict and passed
-        row = new(BoundRow)
-        set_input(row, word)
-        set_length(row, n)
-        set_counted(row, counted)
-        set_bound(row, bound)
-        set_passed(row, passed)
+        row = draft()
+        row.input, row.length, row.counted_steps, row.bound, row.passed = (
+            word, n, counted, bound, passed)
+        row.__class__ = BoundRow
         rows.append(row)
     return BoundReport(per_input=tuple(rows), verdict=verdict, worst_margin=worst)
 

@@ -26,11 +26,14 @@ from tmbench import (
     InvalidInputError,
     Configuration,
     CostModel,
+    BoundSpec,
     Machine,
     MeasureFunction,
+    StepRecord,
     Verdict,
     build_demo_machines,
     build_trie_machine,
+    check_bound,
     counted_set,
     decide_nc,
     decide_nt,
@@ -41,10 +44,11 @@ from tmbench import (
 from tmbench.cli import main
 from tmbench.machine import (_compile, _CompiledMachine, all_words, initial_configuration,
                              run_configuration)
-from tmbench.measures import IDENTITY
+from tmbench.measures import IDENTITY, BoundRow
 from tmbench.nondet import _max_length, deliver
 
-from reference import cost_models, fuels, looping_machines, machines, reference, step
+from reference import reference, step
+from strategies import cost_models, fuels, looping_machines, machines
 
 
 def check_against_reference(m, word, cost, fuel, record_trace=False):
@@ -566,12 +570,18 @@ def test_a_tape_alphabet_of_255_symbols_matches_the_dict_stepper():
 
 # --- sweeps: a self-loop over a run of cells as one macro-step --------------
 
-def sweeps_of(m, cost=COUNT_ALL):
-    """The sweeps of m's compiled table under cost whose entry still steps
-    into their marker row, i.e. those not put back as plain entries."""
+def markers_of(m, cost=COUNT_ALL):
+    """The tuples (row, d, stop, inside, counted, writes, sweep) in markers
+    of m's compiled table under cost whose sweep's entry still steps into
+    their marker row, i.e. those not put back as plain entries."""
     compiled = _compile(m, cost)
-    return [sweep for j, sweep in enumerate(compiled.sweeps)
-            if compiled.table[sweep.entry][0] == compiled.marks + j]
+    return [marker for j, marker in enumerate(compiled.markers)
+            if compiled.table[marker[-1].entry][0] == compiled.marks + j]
+
+
+def sweeps_of(m, cost=COUNT_ALL):
+    """The sweeps of markers_of(m, cost)."""
+    return [marker[-1] for marker in markers_of(m, cost)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -700,7 +710,7 @@ def test_sweep_writes_changed_symbols():
     for fuel in (len(word), len(word) + 1, 3 * len(word), 5000):
         result = check_against_reference(m, word, COUNT_ALL, fuel)
     assert result.final.tape != {}
-    assert all(sweep.writes is not None for sweep in sweeps_of(m))
+    assert all(writes is not None for *_, writes, _ in markers_of(m))
 
 
 def test_custom_predicate_counts_some_symbols_of_a_run():
@@ -710,7 +720,7 @@ def test_custom_predicate_counts_some_symbols_of_a_run():
     for fuel in (1, 50, 137, len(word), 600, 5000):
         result = check_against_reference(m, word, ones, fuel)
     assert 0 < result.counted_steps < result.total_steps
-    assert all(sweep.counted is not None for sweep in sweeps_of(m, ones))
+    assert all(counted is not None for *_, counted, _, _ in markers_of(m, ones))
 
 
 @pytest.mark.parametrize("first_traced", [False, True])
@@ -836,7 +846,7 @@ def test_one_state_sweeps_both_ways(record_trace):
     for fuel in [*range(1, 130), 500, 2000]:
         check_against_reference(m, word, COUNT_ALL, fuel, record_trace)
     row = _compile(m, COUNT_ALL).row["q"]
-    assert sorted(sweep.d for sweep in sweeps_of(m) if sweep.row == row) == [-1, 1]
+    assert sorted(d for r, d, *_ in markers_of(m) if r == row) == [-1, 1]
     assert all(sweep.runs > 16 for sweep in sweeps_of(m))
 
 
@@ -953,6 +963,73 @@ def test_pickle_and_copies_keep_a_shared_trace():
         assert twin == result and twin.final.tape == result.final.tape
         assert len({id(r) for r in twin.trace}) == objects
         assert shares_equal_records(twin.trace)
+
+
+# --- drafted values: records and rows retyped from drafts are genuine ---------
+
+def check_genuine(values, cls):
+    """Each of values, a StepRecord or BoundRow that the library built as a
+    draft and retyped, is a genuine cls: equal to, and hashing like, what
+    the public constructor builds from its fields; frozen against setting
+    and deleting each field; without a __dict__; and the same value after
+    pickle, copy.copy and dataclasses.replace."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    for value in {id(value): value for value in values}.values():
+        assert type(value) is cls
+        built = cls(**dataclasses.asdict(value))
+        assert value == built and hash(value) == hash(built) and repr(value) == repr(built)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(built, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert not hasattr(value, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     dataclasses.replace(value)):
+            assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+
+
+def test_drafted_records_of_bb5_are_genuine_step_records():
+    trace = check_traced(bb5(), "", COUNT_ALL, 20_000).trace
+    check_genuine(trace, StepRecord)
+
+
+def test_drafted_records_of_a_bouncer_growing_both_ends_are_genuine():
+    trace = check_traced(bouncer(), "0110", CostModel(free_states={"L"}), 3000).trace
+    assert min(r.head for r in trace) < -1 and max(r.head for r in trace) > 5
+    check_genuine(trace, StepRecord)
+
+
+def test_drafted_records_of_a_sweeps_cells_are_genuine():
+    scanner = build_demo_machines()[0]
+    trace = check_traced(scanner, "0" * 2000, COUNT_ALL, 2002).trace
+    assert sweeps_of(scanner) and len(trace) == 2001
+    check_genuine(trace, StepRecord)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_drafted_records_of_random_machines_are_genuine(data):
+    m = data.draw(st.one_of(machines(), looping_machines()))
+    cost = data.draw(cost_models(m))
+    word = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=12))
+    trace = check_traced(m, word, cost, data.draw(fuels)).trace
+    check_genuine(trace, StepRecord)
+    # equal keys share one object: equal records are the same object
+    first = {}
+    assert all(first.setdefault(r, r) is r for r in trace)
+
+
+def test_drafted_bound_rows_are_genuine():
+    scanner = build_demo_machines()[0]
+    words = ["", "0", "01", "0" * 40, "1" * 3]
+    passed = set()
+    for spec in (BoundSpec(g=IDENTITY), BoundSpec(g=MeasureFunction("exp2"))):
+        rows = check_bound(scanner, COUNT_ALL, spec, words, fuel=30).per_input
+        assert [row.input for row in rows] == words
+        passed |= {row.passed for row in rows}
+        check_genuine(rows, BoundRow)
+    assert passed == {True, False}
 
 
 # --- encoding words onto a tape -------------------------------------------------

@@ -4,7 +4,10 @@ work per sweep.
 Prints, for four runs, the best-of-five CPU time (process time, which
 other processes on a shared machine disturb less than wall time) of run()
 untraced and with record_trace=True, the traced run's cost per step, the
-number of distinct StepRecord objects its trace holds, the sweeps the
+number of distinct StepRecord objects its trace holds, the best-of-five
+CPU time per distinct record of the records pass alone
+(_CompiledMachine.trace on the keys of one traced run, its lookups of
+the steps that share a record included), the sweeps the
 untraced run takes and how they find their runs' ends ('find' for one
 stop code, 'mask' otherwise; see _Sweep.scan), and the
 untraced run's opcodes and Python calls per sweep (measure.work; '-' for
@@ -30,8 +33,8 @@ one. The runs are:
   took about 44 ms against 10 ms with it (Python 3.11 on a shared 2-vCPU
   VM).
 
-The untraced and traced runs are timed in turn, round by round, so that
-both see the same load.
+The untraced and traced runs and the records pass are timed in turn,
+round by round, so that all three see the same load.
 
     python3 tools/trace_scale.py
 
@@ -77,14 +80,19 @@ def main(argv: list[str]) -> int:
     from tmbench.machine import _compile
 
     print(f"{'run':8} {'steps':>7} {'untraced ms':>12} {'traced ms':>10} "
-          f"{'traced ns/step':>15} {'records':>8} {'sweeps':>7} {'scan':>5} "
+          f"{'traced ns/step':>15} {'records':>8} {'ns/record':>10} {'sweeps':>7} {'scan':>5} "
           f"{'opcodes/sweep':>14} {'calls/sweep':>12}")
     for name, m, word, fuel in machines():
-        untraced, traced = best_of(lambda: run(m, word, COUNT_ALL, fuel),
-                                   lambda: run(m, word, COUNT_ALL, fuel, record_trace=True))
+        compiled = _compile(m, COUNT_ALL)
+        keys = []  # the keys of one traced run, for the records pass alone
+        next(compiled.execute([(None, compiled.encode(word, compiled.inputs), 0)], fuel,
+                              keys=keys))
+        untraced, traced, records_pass = best_of(
+            lambda: run(m, word, COUNT_ALL, fuel),
+            lambda: run(m, word, COUNT_ALL, fuel, record_trace=True),
+            lambda: compiled.trace(keys))
         trace = run(m, word, COUNT_ALL, fuel, record_trace=True).trace
         records = len({id(r) for r in trace})
-        compiled = _compile(m, COUNT_ALL)
         before = [sweep.runs for sweep in compiled.sweeps]  # the timed runs filled the table
         opcodes, calls = work(lambda: run(m, word, COUNT_ALL, fuel))
         taken = {sweep: sweep.runs - runs for sweep, runs in zip(compiled.sweeps, before)
@@ -94,8 +102,9 @@ def main(argv: list[str]) -> int:
         per_sweep = (f"{opcodes / sweeps:14.1f} {calls / sweeps:12.2f}" if sweeps
                      else f"{'-':>14} {'-':>12}")
         print(f"{name:8} {len(trace):7} {untraced * 1e3:12.3f} {traced * 1e3:10.3f} "
-              f"{traced * 1e9 / len(trace):15.0f} {records:8} {sweeps:7} {scans:>5} "
-              f"{per_sweep}", flush=True)
+              f"{traced * 1e9 / len(trace):15.0f} {records:8} "
+              f"{records_pass * 1e9 / records:10.0f} {sweeps:7} {scans:>5} {per_sweep}",
+              flush=True)
     return 0
 
 
