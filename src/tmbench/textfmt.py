@@ -63,16 +63,24 @@ def parse_machine_file(text: str) -> Machine:
     The lines are split a block at a time, so the text's whole line list is
     never held. A line whose first token is 'trans:', the bulk of a large
     file, goes straight to the trans checks; any other spelling of the key
-    is split at its ':' first. Consecutive trans lines of one state share
-    one name object in their keys. Each header is checked on its own line,
-    so the first error in file order is the one reported.
+    is split at its ':' first. Only a block that holds a '#' has its lines'
+    comments stripped. Each header is checked on its own line, so the first
+    error in file order is the one reported.
+
+    The parsed machine holds one name object per state: the state and the
+    target of each trans line after the 'states:' line, and the start,
+    accept and reject names, are looked up among that line's tokens and
+    replaced by the token's own string. A trans line before the 'states:'
+    line shares nothing and keeps its own strings (emitted files put the
+    headers first).
     """
     headers: dict[str, list[str]] = {}
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
-    last = None
-    lines = chain.from_iterable(map(str.splitlines, _pieces(text)))
-    for line_no, raw in enumerate(lines, start=1):
-        line = strip_comment(raw) if "#" in raw else raw
+    names: dict[str, str] = {}  # each 'states:' token to itself
+    name = names.get
+    lines = chain.from_iterable(map(strip_comment, piece.splitlines()) if "#" in piece
+                                else piece.splitlines() for piece in _pieces(text))
+    for line_no, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
             continue
@@ -80,13 +88,16 @@ def parse_machine_file(text: str) -> Machine:
             key, sep, rest = line.partition(":")
             key = key.strip()
             if not sep:
-                raise MachineParseError(line_no, f"expected '<key>: ...', got {raw.strip()!r}")
+                raw = text.splitlines()[line_no - 1].strip()
+                raise MachineParseError(line_no, f"expected '<key>: ...', got {raw!r}")
             if key != "trans":
                 if key not in HEADER_KEYS:
                     raise MachineParseError(line_no, f"unknown key {key!r}")
                 if key in headers:
                     raise MachineParseError(line_no, f"duplicate {key!r} line")
                 headers[key] = tokens = rest.split()
+                if key == "states":
+                    names.update(zip(tokens, tokens))
                 if key in ("start", "accept", "reject") and len(tokens) != 1:
                     raise MachineParseError(line_no, f"{key!r} takes exactly one state")
                 if key.endswith("_alphabet"):
@@ -106,13 +117,11 @@ def parse_machine_file(text: str) -> Machine:
         _, src, read, _, target, write, move = tokens
         if len(read) != 1 or len(write) != 1:
             raise MachineParseError(line_no, "symbols must be single characters")
-        if move not in (LEFT, RIGHT):
+        if move != RIGHT and move != LEFT:
             raise MachineParseError(line_no, f"move must be L or R, got {move!r}")
-        # a state's consecutive lines share the first one's name object
-        last = src = last if src == last else src
         # each line's action is a new tuple, so an earlier one is never it
-        action = (target, write, move)
-        if transitions.setdefault((src, read), action) is not action:
+        action = (name(target, target), write, move)
+        if transitions.setdefault((name(src, src), read), action) is not action:
             raise MachineParseError(line_no, f"duplicate transition for ({src}, {read})")
 
     for required in HEADER_KEYS:
@@ -122,10 +131,10 @@ def parse_machine_file(text: str) -> Machine:
     machine = Machine(
         input_alphabet=frozenset(headers["input_alphabet"]),
         tape_alphabet=frozenset(headers["tape_alphabet"]),
-        states=frozenset(headers["states"]),
-        start_state=headers["start"][0],
-        accept_state=headers["accept"][0],
-        reject_state=headers["reject"][0],
+        states=frozenset(names.values()),  # the objects that name() hands out
+        start_state=name(headers["start"][0], headers["start"][0]),
+        accept_state=name(headers["accept"][0], headers["accept"][0]),
+        reject_state=name(headers["reject"][0], headers["reject"][0]),
         transitions=transitions,
     )
     try:

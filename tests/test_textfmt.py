@@ -20,6 +20,8 @@ from tmbench import (
 )
 from tmbench.machine import all_words
 
+from strategies import machines
+
 SCANNER_TEXT = """\
 # scans right, accepts on the first '1'
 states: q_scan q_accept q_reject
@@ -187,12 +189,24 @@ def test_duplicate_trans_line_reports_the_second(first, second):
 
 
 def test_the_keys_of_one_state_share_its_name():
+    # every name in the machine is the 'states:' line's own object
     machine = parse_machine_file(
-        emit_machine(build_trie_machine(BUILTIN_LANGUAGES["div3"], 4).machine))
-    names = {}
-    for src, _ in machine.transitions:
-        assert names.setdefault(src, src) is src
-    assert len(machine.transitions) == 3 * len(names)
+        emit_machine(build_trie_machine(BUILTIN_LANGUAGES["div3"], 8).machine))
+    own = {id(q) for q in machine.states}
+    names = [machine.start_state, machine.accept_state, machine.reject_state]
+    names += [src for src, _ in machine.transitions]
+    names += [target for target, _, _ in machine.transitions.values()]
+    assert all(id(q) in own for q in names)
+    assert len({id(q) for q in names}) == len(machine.states)
+    assert len(machine.transitions) == 3 * (len(machine.states) - 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(machines(), st.data())
+def test_lines_in_any_order_parse_to_the_same_machine(machine, data):
+    # headers shuffled too, so trans lines come before the 'states:' line
+    lines = emit_machine(machine).splitlines(keepends=True)
+    assert parse_machine_file("".join(data.draw(st.permutations(lines)))) == machine
 
 
 # every line break that str.splitlines knows
@@ -327,3 +341,15 @@ def test_every_valid_machine_survives_the_round_trip(states, symbols):
     assert sum("whitespace" in d for d in defects) == len(unwritable)
     if not defects:
         assert parse_machine_file(emit_machine(m)) == m
+
+
+@pytest.mark.parametrize("block", [1, 9, 1 << 16])
+def test_a_line_without_its_colon_is_quoted_raw(monkeypatch, block):
+    # the quote is the file's line, comment and escapes included, whatever
+    # block the line falls in
+    monkeypatch.setattr(textfmt, "_BLOCK", block)
+    text = SCANNER_TEXT.replace(SCANNER_LINE, "trans q_scan \\# -> q_scan 0 R  # no colon")
+    with pytest.raises(MachineParseError) as excinfo:
+        parse_machine_file(text.replace("\n", "\r\n"))
+    assert str(excinfo.value) == ("line 8: expected '<key>: ...', got "
+                                  "'trans q_scan \\\\# -> q_scan 0 R  # no colon'")

@@ -13,7 +13,11 @@ and run at fuel 64 on each of the words ε, 1, 11 and 111 twice:
 - untraced, through the lean driver (on_words) under FREE_BLIND, on the
   four words as one batch: the verdict and the total and counted steps
   must agree with the same reference run, whose steps count under
-  FREE_BLIND when their entry is in the model's counted set.
+  FREE_BLIND when their entry is in the model's counted set;
+- untraced, through run() under free-states:A (parse_cost_model's
+  syntax): the verdict, the total and counted steps, and the final state,
+  tape and head must agree with the same reference run, whose steps count
+  when their entry is in that model's counted set.
 
 It then prints what the runs reached of the step loop's paths: the sweeps
 built, by the scan that ends their runs ('find' or 'mask'; see
@@ -64,16 +68,24 @@ def live(compiled) -> list:
             if compiled.table[sweep.entry][0] == compiled.marks + j]
 
 
+def differ(fields: str, got: tuple, want: tuple) -> list[str]:
+    """The names, among the space-separated fields that name got's and
+    want's places in order, of the places where they differ."""
+    return [f for f, g, w in zip(fields.split(), got, want) if g != w]
+
+
 def main(argv: list[str]) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from reference import reference
-    from tmbench import COUNT_ALL, FREE_BLIND, Configuration, Verdict, counted_set, run
+    from tmbench import (COUNT_ALL, FREE_BLIND, Configuration, Verdict, counted_set,
+                         parse_cost_model, run)
     from tmbench.machine import _compile, _Sweep
 
+    free_a = parse_cost_model("free-states:A")
     start = time.process_time()
     mismatches, count = [], Counter()
     for name, m in machines():
-        blind = counted_set(m, FREE_BLIND)
+        blind, counted_a = counted_set(m, FREE_BLIND), counted_set(m, free_a)
         expected = {}
         for word in WORDS:
             config = Configuration("A", dict(enumerate(word)), 0)
@@ -86,9 +98,8 @@ def main(argv: list[str]) -> int:
             got = (result.verdict, result.total_steps, result.counted_steps, result.trace,
                    result.final.state, result.final.tape, result.final.head)
             want = (verdict, total, counted, trace, final.state, final.tape, final.head)
-            if got != want:
-                fields = ("verdict", "total", "counted", "trace", "state", "tape", "head")
-                wrong = [f for f, g, w in zip(fields, got, want) if g != w]
+            wrong = differ("verdict total counted trace state tape head", got, want)
+            if wrong:
                 mismatches.append(f"{name} on {word!r}, traced under COUNT_ALL: {wrong}")
             if verdict is Verdict.FUEL_EXHAUSTED and trace[-1].target == trace[-1].state:
                 compiled, last = _compile(m, COUNT_ALL), trace[-1]
@@ -96,6 +107,14 @@ def main(argv: list[str]) -> int:
                 sweeping = (compiled.row[last.state], 1 if last.move == "R" else -1)
                 count["fuel ends in a sweep"] += (target == final.state and move == last.move
                                                   and sweeping in live(compiled))
+            result = run(m, word, free_a, FUEL)
+            got = (result.verdict, result.total_steps, result.counted_steps,
+                   result.final.state, result.final.tape, result.final.head)
+            want = (verdict, total, sum((r.state, r.read) in counted_a for r in trace),
+                    final.state, final.tape, final.head)
+            wrong = differ("verdict total counted state tape head", got, want)
+            if wrong:
+                mismatches.append(f"{name} on {word!r}, untraced under free-states:A: {wrong}")
         for outcome in _compile(m, FREE_BLIND).on_words(WORDS, FUEL):
             if outcome != expected[outcome[0]]:
                 mismatches.append(f"{name} on {outcome[0]!r}, lean under FREE_BLIND: got "

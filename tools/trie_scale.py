@@ -16,13 +16,22 @@ verify together. converge keeps nothing once it returns, so the later
 layers reuse its memory. parse and run run in a child process that reads
 the written file (this script with --parse, the file and n), so their
 peaks are their own: the interpreter, the text, the parse and the run.
+A child reads a file as run and check-bound do (cli._load_machine): in
+UTF-8, with an optional byte order mark.
 
     python3 tools/trie_scale.py              # depths 14 and 16
     python3 tools/trie_scale.py 12 14 16     # the depths given
 
 Each depth runs in a child process of its own (this script with
 --in-process and the depth), one after another, so one depth's peak does
-not carry into the next.
+not carry into the next. Last, a child process (this script with --work)
+writes the div3 trie of the fixed depth WORK_DEPTH to a file, reads it
+back and prints the Python work (measure.work) of its parse, in opcodes
+and calls per file line, and of the first run() of what it parsed, on the
+word of WORK_DEPTH 1s. The depth is small because counting slows a job
+many times over. Work in C (str.split, dict and tuple building) counts no
+opcodes, and the counts differ between Python versions, so compare them
+within one version only.
 """
 
 from __future__ import annotations
@@ -33,9 +42,17 @@ import tempfile
 import time
 from pathlib import Path
 
-from measure import SRC, peak_mb
+from measure import SRC, peak_mb, work
 
 DEFAULT_DEPTHS = (14, 16)
+WORK_DEPTH = 10
+
+
+def read(path) -> str:
+    """The text of the machine file at path, read as cli._load_machine
+    reads it."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
 
 
 def parse(path: str, n: int) -> None:
@@ -46,14 +63,36 @@ def parse(path: str, n: int) -> None:
     from tmbench import run
     from tmbench.textfmt import parse_machine_file
 
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read(path)
     start = time.process_time()
     machine = parse_machine_file(text)
     print(time.process_time() - start, peak_mb())
     start = time.process_time()
     run(machine, "1" * n)
     print(time.process_time() - start, peak_mb())
+
+
+def count(n: int) -> None:
+    """Write the div3 trie of depth n to a file, read it back and print the
+    Python work of its parse per file line and of the first run() of what
+    it parsed, on the word of n 1s."""
+    sys.path.insert(0, str(SRC))
+    from tmbench import run
+    from tmbench.convergence import BUILTIN_LANGUAGES, build_trie_machine
+    from tmbench.textfmt import emit_machine, parse_machine_file
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, f"div3-{n}.tm")
+        path.write_text(emit_machine(build_trie_machine(BUILTIN_LANGUAGES["div3"], n).listing()),
+                        encoding="utf-8")
+        text = read(path)
+    lines = len(text.splitlines())
+    parsed = []
+    opcodes, calls = work(lambda: parsed.append(parse_machine_file(text)))
+    print(f"div3 n={n:<2}  parse  {opcodes / lines:9.2f} opcodes {calls / lines:7.3f} calls "
+          f"per line, {lines} lines")
+    opcodes, calls = work(lambda: run(parsed[0], "1" * n))
+    print(f"div3 n={n:<2}  run    {opcodes:9} opcodes {calls:7} calls", flush=True)
 
 
 def measure(n: int) -> None:
@@ -104,8 +143,12 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--parse"]:
         parse(argv[1], int(argv[2]))
         return 0
-    for n in map(int, argv or DEFAULT_DEPTHS):
-        done = subprocess.run([sys.executable, __file__, "--in-process", str(n)])
+    if argv[:1] == ["--work"]:
+        count(WORK_DEPTH)
+        return 0
+    depths = [["--in-process", str(n)] for n in map(int, argv or DEFAULT_DEPTHS)]
+    for args in [*depths, ["--work"]]:
+        done = subprocess.run([sys.executable, __file__, *args])
         if done.returncode:
             return done.returncode
     return 0
