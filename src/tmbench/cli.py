@@ -31,7 +31,7 @@ from tmbench.nondet import (
     decide_nc,
     decide_nt,
 )
-from tmbench.textfmt import MachineParseError, emit_machine, parse_machine_file, strip_comment
+from tmbench.textfmt import emit_machine, parse_machine_file, strip_comment
 
 EMPTY_WORD_TOKEN = "eps"
 
@@ -331,8 +331,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    # a MemoryError, from a tape that a large --fuel lets grow, has no message
-    except (MachineParseError, CertificateBudgetError, ValueError, OSError, MemoryError) as exc:
+    # a MachineParseError is a ValueError; a MemoryError, from a tape that a
+    # large --fuel lets grow, has no message
+    except (CertificateBudgetError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

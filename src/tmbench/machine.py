@@ -31,14 +31,17 @@ live paths instead. Trie verification is likewise one entry point,
 `verify_trie` (see tmbench.convergence).
 
 The compiled table of a Machine is filled entry by entry as runs reach its
-entries, and its rows are numbered state by state as runs reach its
-states, so a single run on a large machine costs only the entries it
-uses, and the CLI's profile, whose `--lengths` may reach only a few entries
-of a large machine, stays lazy. A caller that has the whole table in
-integers builds the compiled form from it (`_CompiledMachine.from_columns`)
-with no Machine at all: `verify_trie` and each trie of
-`find_convergence_index` run a built trie on the table its oracle's answers
-give.
+entries, and holds a row only for a state that runs have reached: it starts
+as the start state's row, and each state a run first reaches appends its
+own. The halting rows sit at the table's logical size, fixed by the
+machine, not at its length, and a run reads its Verdict off its final row
+with no list as long as the machine. So a single run on a large machine
+costs only the entries it uses, and the CLI's profile, whose `--lengths`
+may reach only a few entries of a large machine, stays lazy. A caller that
+has the whole table in integers builds the compiled form from it
+(`_CompiledMachine.from_columns`) with no Machine at all: `verify_trie` and
+each trie of `find_convergence_index` run a built trie on the table its
+oracle's answers give.
 
 `all_words` is the one enumeration of words in length-then-lexicographic
 order: the certificate search, trie synthesis and verification, and the
@@ -284,13 +287,13 @@ class _Sweep:
 
     The run ends at the first cell whose symbol is a stop code, one of the
     tape codes outside the set; the sentinel ends every run. The machine
-    alone picks the scan that finds it, `scan`. With exactly one stop code,
-    stop, bytearray.find (rfind moving left) looks for it in place, copying
-    nothing, and `scan` is 'find'. Otherwise stop is None and inside, which
-    maps each symbol of the set to 1 and every other byte to 0, translates
-    a copy of each of a series of doubling windows and finds its first 0,
-    and `scan` is 'mask'; the first window ends a little past the last
-    run's length, `last`, so a run costs time in its own length and its
+    alone picks the scan that finds it. With exactly one stop code, stop,
+    bytearray.find (rfind moving left) looks for it in place, copying
+    nothing: the 'find' scan. Otherwise stop is None and inside, which maps
+    each symbol of the set to 1 and every other byte to 0, translates a
+    copy of each of a series of doubling windows and finds its first 0:
+    the 'mask' scan. Its first window ends a little past the last run's
+    length, `last`, so a run costs time in its own length and its
     predecessor's, never the tape's. The mask stays for several stop codes
     because one find per code is not bounded by the run: each scans to its
     own code or to the bound, so a stop code that is rare on the tape would
@@ -307,15 +310,15 @@ class _Sweep:
     counts every run, and `last` is read and kept by the mask scan alone.
     """
 
-    __slots__ = ("entry", "plain", "scan", "runs", "cells", "last")
+    __slots__ = ("entry", "plain", "runs", "cells", "last")
 
     # a sweep whose first TRIAL runs average fewer cells than SHORT costs
     # more in the loop's exceptions than it saves
     TRIAL = 16
     SHORT = 4
 
-    def __init__(self, entry: int, plain: tuple[int, int, int, int], scan: str):
-        self.entry, self.plain, self.scan = entry, plain, scan
+    def __init__(self, entry: int, plain: tuple[int, int, int, int]):
+        self.entry, self.plain = entry, plain
         self.runs = self.cells = self.last = 0
 
 
@@ -347,31 +350,37 @@ class _CompiledMachine:
     """A valid machine's transition table under one cost model, in integers.
 
     Symbols are numbered with blank 0; the next number, `edge`, is a sentinel
-    cell at both ends of the tape. States are numbered with the start state
-    first and the two halting states last, the others in the order runs
-    first reach them (`number`, so a run builds no map over the states it
-    never reaches), and stored premultiplied by the row width edge + 1, so
-    the entry for (state, symbol) is table[state + symbol]. The table ends
-    before the halting rows: indexing one raises IndexError, which is how
-    the step loop notices a halt. An entry is (target, written symbol, head
-    move -1/+1, counted 0/1), filled in the first time a run needs it, so a
-    run costs the entries it uses rather than the whole table;
-    `from_columns` takes a table that is complete already, with no names
-    (a built trie's). Unfilled entries and the sentinel column hold None:
-    unpacking it raises TypeError, which is how the step loop notices a
-    tape end or an entry to fill without testing for either on every step.
+    cell at both ends of the tape. States are numbered by rows premultiplied
+    by the row width edge + 1, so the entry for (state, symbol) is
+    table[state + symbol]. The table starts as the start state's row, 0,
+    and `number` appends a row for each other state when a run first
+    reaches it, so a run builds nothing for the states it never reaches.
+    `row` maps each numbered state to its row, and `states` each row back
+    to its state. `size`, fixed at compile time, is the table's logical
+    length: a row for every state but the halting two, whose rows sit at
+    size (accept) and size + width (reject), past every row the table can
+    hold, so indexing one raises IndexError, which is how the step loop
+    notices a halt. An entry is (target, written symbol, head move -1/+1,
+    counted 0/1), filled in the first time a run needs it, so a run costs
+    the entries it uses rather than the whole table; `from_columns` takes
+    a table that is complete already, with no names (a built trie's).
+    Unfilled entries and the sentinel column hold None: unpacking it raises
+    TypeError, which is how the step loop notices a tape end or an entry to
+    fill without testing for either on every step.
 
     An entry whose target is its own state is a plain step too, but into
-    the marker row `marks` + j, past the halting rows, with j its _Sweep's
-    index in `sweeps` and in `markers`, which holds what the step loop
-    reads of each: indexing a marker row raises IndexError as a halt
-    does, so the step loop needs no test to notice a sweep, traced or not,
-    and it then takes the rest of the run of cells the state loops over in
-    that direction as one macro-step (see _Sweep and execute).
+    the marker row `marks` + j, past the halting rows, with j its sweep's
+    index in `markers`, whose tuple holds what the step loop reads of the
+    sweep and ends with its _Sweep: indexing a marker row raises IndexError
+    as a halt does, so the step loop needs no test to notice a sweep,
+    traced or not, and it then takes the rest of the run of cells the state
+    loops over in that direction as one macro-step (see _Sweep and
+    execute).
 
     A traced run steps the same table and records one integer per step,
-    its key: entry + size * head, with size the table's length and head
-    the cell number; a sweep records the keys of the cells it passes.
+    its key: entry + size * head, with size the logical size, so a table
+    that grows during the run leaves its keys valid, and head the cell
+    number; a sweep records the keys of the cells it passes.
     After the loop, `trace` builds one StepRecord per distinct key and
     shares it among the steps with that key. Untraced runs allocate
     nothing for traces, and traced runs nothing that outlives the call.
@@ -385,10 +394,9 @@ class _CompiledMachine:
 
     `execute` holds the one step loop: it lays out a tape per (label,
     cells, head) start of a batch and yields each run's end, the start's
-    label first and its Verdict next. `verdicts`, built once here, is the
-    one map from a final state to a Verdict: indexed by row // width, it
-    holds FUEL_EXHAUSTED for every state but the halting two. A run reads
-    it once, as it ends, and no step reads it.
+    label first and its Verdict next. A run reads its Verdict off its final
+    row once, as it ends, and no step reads it: a row below size ran out of
+    fuel, size accepted and the row past it rejected.
     `launch` takes the single result of a batch of one, labelled None, to
     build a RunResult; `outcomes`, the lean driver of the loops that run a
     machine on many inputs, yields only the label, the verdict and the
@@ -399,39 +407,34 @@ class _CompiledMachine:
     def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
         self.transitions = m.transitions
         self.counted_keys = counted_keys  # None counts every entry
-        # the start state and the halting two are numbered now, the others
-        # as runs reach them (number)
-        self.states = [m.start_state] + [None] * (len(m.states) - 3) + [m.accept_state,
-                                                                      m.reject_state]
         width = len(m.tape_alphabet) + 1
-        # plain entries, sweeps and None, for every state but the halting two
-        table = [None] * ((len(m.states) - 2) * width)
-        self.row = {m.start_state: 0, m.accept_state: len(table),
-                    m.reject_state: len(table) + width}
-        self._columns([BLANK] + sorted(m.tape_alphabet - {BLANK}), m.input_alphabet, table, 0)
+        # the start state's row of None; number appends the others' as runs reach them
+        self._columns([BLANK] + sorted(m.tape_alphabet - {BLANK}), m.input_alphabet,
+                      [None] * width, (len(m.states) - 2) * width)
+        self.row = {m.start_state: 0, m.accept_state: self.size,
+                    m.reject_state: self.size + width}
+        self.states = {row: state for state, row in self.row.items()}
 
     @classmethod
     def from_columns(cls, symbols: list[str], inputs: frozenset[str], table: list):
         """A compiled machine from a ready table in integers, with no names:
         symbols are numbered in their order, blank first, and table holds
         the rows of every state but the halting two, the start state's
-        first, and the halting rows, accept's then reject's, follow its
-        end. Every entry but the sentinel column's must be plain, so
-        nothing is filled or swept by name. It runs through the lean
-        driver (outcomes, on_words), which yields (label, verdict, total,
-        counted) per start: without state names it has no final
-        configuration or trace to build."""
-        return cls.__new__(cls)._columns(symbols, inputs, table, 0)
+        first, so its length is the logical size, and the halting rows,
+        accept's then reject's, follow its end. Every entry but the
+        sentinel column's must be plain, so nothing is filled or swept by
+        name. It runs through the lean driver (outcomes, on_words), which
+        yields (label, verdict, total, counted) per start: without state
+        names it has no final configuration or trace to build."""
+        return cls.__new__(cls)._columns(symbols, inputs, table, len(table))
 
-    def _columns(self, symbols: list[str], inputs: frozenset[str], table: list, start: int):
-        """Set the attributes that follow from the symbols and the table;
-        returns self."""
-        self.symbols, self.inputs, self.table, self.start = symbols, inputs, table, start
+    def _columns(self, symbols: list[str], inputs: frozenset[str], table: list, size: int):
+        """Set the attributes that follow from the symbols, the table and
+        its logical size; returns self."""
+        self.symbols, self.inputs, self.table, self.size = symbols, inputs, table, size
         self.edge, self.width = len(symbols), len(symbols) + 1
-        self.marks, self.sweeps, self.markers = len(table) + 2 * self.width, [], []
+        self.marks, self.markers = size + 2 * self.width, []
         self.code = {s: i for i, s in enumerate(symbols)}
-        self.verdicts = [Verdict.FUEL_EXHAUSTED] * (len(table) // self.width) + [
-            Verdict.ACCEPTED, Verdict.REJECTED]
         # encode's translate table per alphabet
         self.cell_tables = {a: _Cells(self.code, a, what)
                             for a, what in ((inputs, "input"), (frozenset(symbols), "tape"))}
@@ -443,21 +446,21 @@ class _CompiledMachine:
     def _fields(self, entry: int) -> tuple:
         """The transition at entry by name: the fields of its StepRecord but
         the head, (state, read, write, move, target, counted)."""
-        q, symbol = divmod(entry, self.width)
-        state, read = key = (self.states[q], self.symbols[symbol])
+        symbol = entry % self.width
+        state, read = key = (self.states[entry - symbol], self.symbols[symbol])
         target, write, move = self.transitions[key]
         counted = self.counted_keys is None or key in self.counted_keys
         return state, read, write, move, target, counted
 
     def number(self, state: str) -> int:
-        """state's row, numbered now if no run has reached it before: the
-        rows between the start state's and the halting ones go to states
-        in the order runs first reach them."""
+        """state's row, numbered now if no run has reached it before: a new
+        row of None is appended to the table in place, so the rows after the
+        start state's go to states in the order runs first reach them."""
         row = self.row.get(state)
         if row is None:
-            q = len(self.row) - 2  # the start state and the halting two have theirs
-            self.states[q] = state
-            row = self.row[state] = q * self.width
+            row = self.row[state] = len(self.table)
+            self.states[row] = state
+            self.table.extend([None] * self.width)
         return row
 
     def _fill(self, entry: int) -> None:
@@ -468,33 +471,32 @@ class _CompiledMachine:
             state, _, write, move, target, counted = self._fields(entry)
             plain = (self.number(target), self.code[write], 1 if move == RIGHT else -1,
                      int(counted))
-            self.table[entry] = self._sweep(entry, state, move, plain) if target == state else plain
+            self.table[entry] = self._sweep(entry, move, plain) if target == state else plain
 
-    def _sweep(self, entry: int, state: str, move: str, plain: tuple) -> tuple:
-        """A new sweep over every symbol that state loops on, moving move,
-        at entry, whose plain entry is plain, and its tuple in markers (see
-        _Sweep); returns entry's step into the sweep's marker row. Its stop
-        codes are the other tape codes."""
+    def _sweep(self, entry: int, move: str, plain: tuple) -> tuple:
+        """A new sweep over every symbol that entry's state loops on, moving
+        move, at entry, whose plain entry is plain, and its tuple in markers
+        (see _Sweep); returns entry's step into the sweep's marker row. Its
+        stop codes are the other tape codes."""
         loop, stops, counted = bytearray(), bytearray(), bytearray()
         writes = bytearray(range(256))
-        for code, symbol in enumerate(self.symbols):
-            key = (state, symbol)
-            target, write, m = self.transitions[key]
+        row = entry - entry % self.width
+        for code in range(self.edge):
+            state, _, write, m, target, c = self._fields(row + code)
             if target == state and m == move:
                 loop.append(code)
                 writes[code] = self.code[write]
-                if self.counted_keys is None or key in self.counted_keys:
+                if c:
                     counted.append(code)
             else:
                 stops.append(code)
         stop = stops[0] if len(stops) == 1 else None
         inside = None if stop is not None else bytes(code in loop for code in range(256))
-        sweep = _Sweep(entry, plain, "mask" if stop is None else "find")
-        self.sweeps.append(sweep)
         self.markers.append((plain[0], plain[2], stop, inside,
                              None if counted == loop else bytes(counted),
-                             None if writes == bytes(range(256)) else bytes(writes), sweep))
-        return (self.marks + len(self.sweeps) - 1,) + plain[1:]
+                             None if writes == bytes(range(256)) else bytes(writes),
+                             _Sweep(entry, plain)))
+        return (self.marks + len(self.markers) - 1,) + plain[1:]
 
     def encode(self, word: str, alphabet: frozenset[str]) -> bytes:
         """word's cells as symbol numbers; alphabet is the machine's input or
@@ -503,7 +505,7 @@ class _CompiledMachine:
         return word.translate(self.cell_tables[alphabet]).encode("latin-1")
 
     def launch(self, cells, head: int, fuel: int, record_trace: bool = False,
-               first: int = 0, q: Optional[int] = None) -> RunResult:
+               first: int = 0, q: int = 0) -> RunResult:
         """execute's run of one start as a RunResult, with its trace if
         record_trace."""
         fuel = _positive(fuel)
@@ -511,7 +513,7 @@ class _CompiledMachine:
         batch = self.execute([(None, cells, head)], fuel, False, first, q, keys)
         _, verdict, total, counted, q, tape, i, origin = next(batch)
         final = Configuration.__new__(Configuration)
-        final.state = self.states[q // self.width]
+        final.state = self.states[q]
         final.head = i - origin
         final._packed = (self.symbols, tape, origin)
         return RunResult(verdict, total, counted,
@@ -532,14 +534,16 @@ class _CompiledMachine:
         return self.outcomes(((word, encode(word, inputs), 0) for word in words), fuel)
 
     def execute(self, starts: Iterable[tuple], fuel: int, lean: bool = False, first: int = 0,
-                q: Optional[int] = None, keys: Optional[list] = None) -> Iterator[tuple]:
+                q: int = 0, keys: Optional[list] = None) -> Iterator[tuple]:
         """Run once per (label, cells, head) of starts, lazily: from state
-        row q, the start state by default, on a fresh tape that holds the
+        row q, the start state's by default, on a fresh tape that holds the
         encoded cells from cell first on, blank elsewhere, with the head on
         cell head (at least first), until a halt or fuel total steps; a
         traced run passes the list that gets each step's key, the steps
-        of a sweep's too (see trace). Yields per start its label, whatever
-        the caller chose, the Verdict, the total and counted steps, and
+        of a sweep's too (see trace), each taken with the logical size
+        as multiplier, so that rows numbered during the run leave earlier
+        keys valid. Yields per start its label, whatever the caller chose,
+        the Verdict, read off the final row, the total and counted steps, and
         unless lean, the final state row, the tape, the head's index in it
         and cell 0's.
 
@@ -560,10 +564,10 @@ class _CompiledMachine:
         first step maps the marker back to the sweep's row too."""
         table, markers, marks = self.table, self.markers, self.marks
         sentinel, blank, right_end = self.sentinel, self.blank, self.right_end
-        edge, fill = self.edge, self._fill
-        verdicts, width, size = self.verdicts, self.width, len(table)
+        edge, fill, size = self.edge, self._fill, self.size
+        exhausted, accepted, rejected = Verdict.FUEL_EXHAUSTED, Verdict.ACCEPTED, Verdict.REJECTED
         trial, few = _Sweep.TRIAL, _Sweep.TRIAL * _Sweep.SHORT
-        q0 = self.start if q is None else q
+        q0 = q
         for label, cells, head in starts:
             pad = head - first - len(cells)
             tape = sentinel + cells + (blank * pad + right_end if pad > 0 else right_end)
@@ -670,16 +674,18 @@ class _CompiledMachine:
                     if q >= marks:  # the last step was a sweep's first
                         q = markers[q - marks][0]
                     break
-            end = label, verdicts[q // width], total, counted
+            verdict = exhausted if q < size else accepted if q == size else rejected
+            end = label, verdict, total, counted
             yield end if lean else end + (q, tape, i, origin)
 
     def trace(self, keys: list) -> tuple[StepRecord, ...]:
         """The StepRecords of a traced run's keys, one record per distinct
         key: steps with the same entry and head share one record object.
 
-        A key is entry + size * head, size the table's length; as
-        0 <= entry < size, divmod gives back the head, negative too, and the
-        entry. A record is built on a key's first step only, as a draft of
+        A key is entry + size * head, size the table's logical size, which
+        no row reaches, however far the table has grown; as 0 <= entry <
+        size, divmod gives back the head, negative too, and the entry. A
+        record is built on a key's first step only, as a draft of
         StepRecord's slots filled by plain stores and then retyped to
         StepRecord (see StepRecord): the frozen __init__ sets each field
         with object.__setattr__, and a record built by it costs about four
@@ -688,7 +694,7 @@ class _CompiledMachine:
         own entries the table may never fill, so the table is no source for
         them. The memos of records and of fields live for this call only,
         so nothing grows across runs."""
-        size, draft, record = len(self.table), _StepRecordDraft, StepRecord
+        size, draft, record = self.size, _StepRecordDraft, StepRecord
         shared: dict = {}
         named: dict = {}
         get = shared.get

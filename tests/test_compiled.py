@@ -42,8 +42,8 @@ from tmbench import (
     run,
 )
 from tmbench.cli import main
-from tmbench.machine import (_compile, _CompiledMachine, all_words, initial_configuration,
-                             run_configuration)
+from tmbench.machine import (_compile, _CompiledMachine, _Sweep, all_words,
+                             initial_configuration, run_configuration)
 from tmbench.measures import IDENTITY, BoundRow
 from tmbench.nondet import _max_length, deliver
 
@@ -584,6 +584,12 @@ def sweeps_of(m, cost=COUNT_ALL):
     return [marker[-1] for marker in markers_of(m, cost)]
 
 
+def scan(marker):
+    """The scan that ends the runs of a markers tuple's sweep: 'find' for its
+    one stop code, 'mask' when it has several (stop None)."""
+    return "mask" if marker[2] is None else "find"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sweeps_match_dict_stepper(data):
@@ -648,7 +654,7 @@ def test_both_scans_end_runs_as_the_dict_stepper_does(extra, scans, record_trace
             result = check_against_reference(m, w, COUNT_ALL, fuel, record_trace)
         assert (result.verdict, result.total_steps) == (Verdict.ACCEPTED, steps)
         assert min(result.final.tape) == 0
-        assert [sweep.scan for sweep in _compile(m, COUNT_ALL).sweeps] == scans
+        assert [scan(marker) for marker in _compile(m, COUNT_ALL).markers] == scans
 
 
 @pytest.mark.parametrize("stops, kind", [("", "mask"), ("x", "find"), ("xy", "mask")])
@@ -667,7 +673,7 @@ def test_sweeps_reach_the_sentinel_at_both_ends_and_grow_the_tape(stops, kind):
                 result = check_against_reference(m, word, COUNT_ALL, fuel, record_trace)
                 assert result.final.head == (fuel if move == RIGHT else -fuel)
                 assert result.final.state == "q"
-        assert [sweep.scan for sweep in sweeps_of(m)] == [kind]
+        assert [scan(marker) for marker in markers_of(m)] == [kind]
 
 
 def test_a_sweep_makes_no_python_call():
@@ -684,14 +690,14 @@ def test_a_sweep_makes_no_python_call():
             nonlocal calls
             calls += 1
 
-        before = sum(sweep.runs for sweep in compiled.sweeps)
+        before = sum(marker[-1].runs for marker in compiled.markers)
         previous = sys.gettrace()
         sys.settrace(on_call)
         try:
             run(m, "0110", fuel=fuel)
         finally:
             sys.settrace(previous)
-        return calls, sum(sweep.runs for sweep in compiled.sweeps) - before
+        return calls, sum(marker[-1].runs for marker in compiled.markers) - before
 
     (few, short), (many, long) = calls_and_sweeps(300), calls_and_sweeps(20_000)
     assert short < 30 and long > 150
@@ -743,7 +749,7 @@ def test_ping_pong_entries_go_back_to_plain_steps():
     entries = [compiled.table[compiled.row["q"] + compiled.code[s]] for s in "01"]
     # a marker entry is a tuple too: a put-back entry targets q's own row
     assert all(type(entry) is tuple and entry[0] == compiled.row["q"] for entry in entries)
-    assert len(compiled.sweeps) == 2 and not sweeps_of(m)
+    assert len(compiled.markers) == 2 and not sweeps_of(m)
     check_against_reference(m, "01", COUNT_ALL, 999)
 
 
@@ -770,7 +776,7 @@ def test_a_sweep_of_short_runs_is_put_back_at_its_trial_run_and_not_before():
     m = ping_pong()
     # fuel F takes F - 1 sweep runs: the last step's sweep is not run
     check_against_reference(m, "01", COUNT_ALL, 31)
-    sweeps = _compile(m, COUNT_ALL).sweeps
+    sweeps = [marker[-1] for marker in _compile(m, COUNT_ALL).markers]
     assert [sweep.runs for sweep in sweeps] == [15, 15]
     assert len(sweeps_of(m)) == 2
     check_against_reference(m, "01", COUNT_ALL, 3)
@@ -1119,9 +1125,11 @@ def test_file_round_trip_of_random_machines(m):
 def test_a_run_fills_only_the_entries_it_uses():
     trie = build_trie_machine(BUILTIN_LANGUAGES["palindrome"], 12).machine
     assert run(trie, "0110", fuel=100, record_trace=False).verdict is Verdict.ACCEPTED
-    table = _compile(trie, COUNT_ALL).table
-    assert sum(entry is not None for entry in table) == 5
-    assert len(table) > 20_000
+    compiled = _compile(trie, COUNT_ALL)
+    assert sum(entry is not None for entry in compiled.table) == 5
+    # a large machine, of whose rows the table holds only the five reached
+    assert compiled.size > 20_000
+    assert len(compiled.table) == 5 * compiled.width
 
 
 def test_parsed_machine_is_not_validated_again(monkeypatch):
@@ -1174,13 +1182,16 @@ def filled_one_by_one(m, cost):
     filled by _fill, as the runs fill them lazily; an entry filled already
     keeps its sweep or the plain entry a sweep was put back as. Rows are
     numbered as fills first target their states, breadth first from the
-    start state's, so each row is numbered before this loop reaches it: it
-    touches only states that runs reach, as every state of the machines
-    here is reachable from the start."""
+    start state's, and appended to the table as they are, so this loop
+    reaches each row after it is numbered: it touches only states that runs
+    reach, as every state of the machines here is reachable from the
+    start."""
     compiled = _compile(m, cost)
-    for row in range(0, len(compiled.table), compiled.width):
+    row = 0
+    while row < len(compiled.table):
         for symbol in range(compiled.edge):
             compiled._fill(row + symbol)
+        row += compiled.width
     return compiled
 
 
@@ -1226,10 +1237,37 @@ def test_a_run_on_a_large_machine_numbers_only_the_states_it_reaches(tmp_path, c
     compiled = _compile(m, COUNT_ALL)
     # the start state, the halting two and one target per step
     assert len(compiled.row) <= result.total_steps + 3 < len(m.states)
-    assert compiled.states.count(None) == len(m.states) - len(compiled.row)
-    assert {compiled.states[row // compiled.width]: row
-            for row in compiled.row.values()} == compiled.row
+    # the table holds the rows reached, and states maps each back to its name
+    assert len(compiled.table) <= (result.total_steps + 1) * compiled.width
+    assert len(compiled.states) == len(compiled.row)
+    assert {compiled.states[row]: row for row in compiled.row.values()} == compiled.row
     check_against_reference(m, "0110", COUNT_ALL, 100)
+
+
+@pytest.mark.parametrize("word", ["", "1101", "0110011", "10" * 6])
+def test_a_traced_run_numbers_rows_under_its_keys(tmp_path, capsys, word):
+    """On a fresh trie every step but the last reaches a state no run has
+    reached, so the table grows under the traced run's keys."""
+    m = parse_machine_file(trie_file(tmp_path, 10))
+    result = check_against_reference(m, word, COUNT_ALL, 100, record_trace=True)
+    compiled = _compile(m, COUNT_ALL)
+    assert len(compiled.table) == result.total_steps * compiled.width
+    assert result.total_steps == min(len(word), 10) + 1
+
+
+def test_a_compiled_machine_holds_no_more_rows_than_its_runs_reached(tmp_path, capsys):
+    m = parse_machine_file(trie_file(tmp_path, 14))
+    result = run(m, "0110")
+    compiled = _compile(m, COUNT_ALL)
+    # each list or dict of the compiled machine, in rows for the table; the
+    # transitions are the machine's own mapping, shared and not copied
+    rows = {name: len(value) for name, value in vars(compiled).items()
+            if isinstance(value, (list, dict)) and value is not m.transitions}
+    rows["table"] //= compiled.width
+    # the start state, the four it steps into and the halting two
+    assert max(rows.values()) <= len(compiled.row) == result.total_steps + 2 == 7, rows
+    assert not {"verdicts", "sweeps", "start"} & set(vars(compiled))
+    assert "scan" not in _Sweep.__slots__
 
 
 @pytest.mark.parametrize("record_trace", [False, True])
@@ -1312,8 +1350,7 @@ def test_a_batch_hands_back_its_labels_in_start_order():
     # a fresh machine: its entries are filled as the batch's runs reach them
     m = sweeper()
     compiled = _compile(m, COUNT_ALL)
-    unfilled = compiled.table.count(None)
-    assert unfilled == len(compiled.table)
+    assert compiled.table == [None] * compiled.width  # the start state's row alone
     long = "0110" * 25 + "0" * 100  # 402 steps from cell 0
     # halts, and fuel cut-offs inside the right and the left sweep; labels
     # of any kind, one of them twice
@@ -1322,7 +1359,7 @@ def test_a_batch_hands_back_its_labels_in_start_order():
     outcomes = list(compiled.outcomes(
         [(label, compiled.encode(word, m.input_alphabet), head) for label, word, head in starts],
         150))
-    assert compiled.table.count(None) < unfilled
+    assert compiled.table.count(None) < len(compiled.table)
     assert [label for label, *_ in outcomes] == [label for label, _, _ in starts]
     assert [outcome[1:] for outcome in outcomes] == [
         reference_from(m, COUNT_ALL, word, head, 150) for _, word, head in starts]

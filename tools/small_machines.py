@@ -20,11 +20,12 @@ and run at fuel 64 on each of the words ε, 1, 11 and 111 twice:
   when their entry is in that model's counted set.
 
 It then prints what the runs reached of the step loop's paths: the sweeps
-built, by the scan that ends their runs ('find' or 'mask'; see
-tmbench.machine._Sweep), those that reached their trial run and those put
-back as plain entries there, the traced runs whose tape grew at its left
-and at its right end, and the traced runs whose fuel ran out inside a
-sweep's run (the last step and the next one are the same live sweep's).
+built, by the scan that ends their runs ('find' for a sweep with one stop
+code, 'mask' for one with several; see tmbench.machine._Sweep), those
+that reached their trial run and those put back as plain entries there,
+the traced runs whose tape grew at its left and at its right end, and
+the traced runs whose fuel ran out inside a sweep's run (the last step
+and the next one are the same live sweep's).
 Any mismatch is printed with the machine's four entries and the word, and
 the tool exits 1; it exits 0 when every run agrees.
 
@@ -121,10 +122,10 @@ def main(argv: list[str]) -> int:
                                   f"{outcome[1:]}, expected {expected[outcome[0]][1:]}")
         for cost in (COUNT_ALL, FREE_BLIND):
             compiled = _compile(m, cost)
-            for sweep in compiled.sweeps:
-                count[f"{sweep.scan} sweeps"] += 1
+            for _, _, stop, *_, sweep in compiled.markers:
+                count["mask sweeps" if stop is None else "find sweeps"] += 1
                 count["trials"] += sweep.runs >= _Sweep.TRIAL
-            count["put back"] += len(compiled.sweeps) - len(live(compiled))
+            count["put back"] += len(compiled.markers) - len(live(compiled))
         count["machines"] += 1
     for key in ("machines", "find sweeps", "mask sweeps", "trials", "put back", "left growths",
                 "right growths", "fuel ends in a sweep"):

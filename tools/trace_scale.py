@@ -9,7 +9,7 @@ CPU time per distinct record of the records pass alone
 (_CompiledMachine.trace on the keys of one traced run, its lookups of
 the steps that share a record included), the sweeps the
 untraced run takes and how they find their runs' ends ('find' for one
-stop code, 'mask' otherwise; see _Sweep.scan), and the
+stop code, 'mask' otherwise; see _Sweep), and the
 untraced run's opcodes and Python calls per sweep (measure.work; '-' for
 a run that takes no sweep). The work is the whole run's, its plain steps'
 included, over its sweeps. Work done in C, such as a sweep's find,
@@ -93,12 +93,13 @@ def main(argv: list[str]) -> int:
             lambda: compiled.trace(keys))
         trace = run(m, word, COUNT_ALL, fuel, record_trace=True).trace
         records = len({id(r) for r in trace})
-        before = [sweep.runs for sweep in compiled.sweeps]  # the timed runs filled the table
+        before = [sweep.runs for *_, sweep in compiled.markers]  # the timed runs filled the table
         opcodes, calls = work(lambda: run(m, word, COUNT_ALL, fuel))
-        taken = {sweep: sweep.runs - runs for sweep, runs in zip(compiled.sweeps, before)
-                 if sweep.runs > runs}
-        sweeps = sum(taken.values())
-        scans = "+".join(sorted({sweep.scan for sweep in taken})) or "-"
+        # (stop code, runs) of each sweep the run took
+        taken = [(stop, sweep.runs - runs) for (_, _, stop, *_, sweep), runs
+                 in zip(compiled.markers, before) if sweep.runs > runs]
+        sweeps = sum(runs for _, runs in taken)
+        scans = "+".join(sorted({"mask" if stop is None else "find" for stop, _ in taken})) or "-"
         per_sweep = (f"{opcodes / sweeps:14.1f} {calls / sweeps:12.2f}" if sweeps
                      else f"{'-':>14} {'-':>12}")
         print(f"{name:8} {len(trace):7} {untraced * 1e3:12.3f} {traced * 1e3:10.3f} "

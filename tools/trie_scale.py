@@ -10,14 +10,17 @@ written file) and run (the first run() of the parsed machine, on the
 word of n 1s, which compiles it), with the layer's CPU time (process
 time, which other processes on a shared machine disturb less than wall
 time) and the process's peak resident set size (ru_maxrss) once the
-layer is done. The layers run in that order, so the peak after converge
-is its own, and the peak after verify is that of converge, build and
-verify together. converge keeps nothing once it returns, so the later
-layers reuse its memory. parse and run run in a child process that reads
-the written file (this script with --parse, the file and n), so their
-peaks are their own: the interpreter, the text, the parse and the run.
-A child reads a file as run and check-bound do (cli._load_machine): in
-UTF-8, with an optional byte order mark.
+layer is done. The run line also prints the rows the first run numbered
+(`rows`): the rows its compiled table holds after it, the start state's
+and one per state it reached, however many states the machine has. The
+layers run in that order, so the peak after converge is its own, and the
+peak after verify is that of converge, build and verify together.
+converge keeps nothing once it returns, so the later layers reuse its
+memory. parse and run run in a child process that reads the written file
+(this script with --parse, the file and n), so their peaks are their
+own: the interpreter, the text, the parse and the run. A child reads a
+file as run and check-bound do (cli._load_machine): in UTF-8, with an
+optional byte order mark.
 
     python3 tools/trie_scale.py              # depths 14 and 16
     python3 tools/trie_scale.py 12 14 16     # the depths given
@@ -58,9 +61,10 @@ def read(path) -> str:
 def parse(path: str, n: int) -> None:
     """Read the machine file at path, parse it and run it once on the word
     of n 1s in this process; print the CPU time of each and this process's
-    peak RSS after each."""
+    peak RSS after each, and after the run's the rows its table holds."""
     sys.path.insert(0, str(SRC))
-    from tmbench import run
+    from tmbench import COUNT_ALL, run
+    from tmbench.machine import _compile
     from tmbench.textfmt import parse_machine_file
 
     text = read(path)
@@ -69,7 +73,9 @@ def parse(path: str, n: int) -> None:
     print(time.process_time() - start, peak_mb())
     start = time.process_time()
     run(machine, "1" * n)
-    print(time.process_time() - start, peak_mb())
+    seconds = time.process_time() - start
+    compiled = _compile(machine, COUNT_ALL)
+    print(seconds, peak_mb(), len(compiled.table) // compiled.width)
 
 
 def count(n: int) -> None:
@@ -128,11 +134,13 @@ def measure(n: int) -> None:
         path.write_text(text, encoding="utf-8")
         done = subprocess.run([sys.executable, __file__, "--parse", str(path), str(n)],
                               stdout=subprocess.PIPE, text=True, check=True)
-    for layer, line in zip(("parse", "run"), done.stdout.splitlines()):
-        seconds, peak = map(float, line.split())
-        layers.append((layer, seconds, peak))
+    lines = [line.split() for line in done.stdout.splitlines()]
+    for layer, (seconds, peak, *_) in zip(("parse", "run"), lines):
+        layers.append((layer, float(seconds), float(peak)))
     for layer, seconds, peak in layers:
-        print(f"div3 n={n:<2}  {layer:<8}  {seconds:8.4f} s  peak_rss {peak:7.1f} MB", flush=True)
+        rows = f"  rows {lines[1][2]}" if layer == "run" else ""
+        print(f"div3 n={n:<2}  {layer:<8}  {seconds:8.4f} s  peak_rss {peak:7.1f} MB{rows}",
+              flush=True)
     print(f"div3 n={n:<2}  k={k} states={report.state_count} file={len(text)} B", flush=True)
 
 
