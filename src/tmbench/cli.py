@@ -132,7 +132,7 @@ def cmd_verify_trie(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    report = find_convergence_index(load_language(args.lang), args.k, args.budget)
+    report = find_convergence_index(load_language(args.lang), args.k)
     print(f"k={report.k} n_k={report.n_k} verified_words={report.verified_words}")
     return 0
 
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("converge", cmd_converge, "find the least agreeing sequence index")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=int, help="ignored")
 
     p = add("profile", cmd_profile, "worst-case counted steps per input length, CSV")
     p.add_argument("--lengths", required=True, help="e.g. 1..8")

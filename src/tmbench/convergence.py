@@ -258,9 +258,11 @@ def verify_step_count(report: TrieMachineReport) -> bool:
     return verify_trie(report)[1]
 
 
-def find_convergence_index(L: Callable[[str], bool], k: int, budget: int) -> ConvergenceReport:
+def find_convergence_index(L: Callable[[str], bool], k: int) -> ConvergenceReport:
     """Least sequence index n_k from which every trie machine agrees with L
-    on all words of length <= k.
+    on all words of length <= k, for k in 0..MAX_CONVERGENCE_K. k alone
+    bounds the work: no trie deeper than k is built, so the walk takes no
+    other limit.
 
     The tries are run from n = k down to 0, and the walk stops at the first
     one that disagrees: n_k is the last trie that agreed, or None when the
@@ -277,8 +279,6 @@ def find_convergence_index(L: Callable[[str], bool], k: int, budget: int) -> Con
     """
     if k < 0 or k > MAX_CONVERGENCE_K:
         raise ValueError(f"k must be in 0..{MAX_CONVERGENCE_K}")
-    if budget < k:
-        raise ValueError("budget must be at least k")
     answers = build_trie_machine(L, k).answers
     words = list(all_words("01", k))
     n_k: Optional[int] = None

@@ -575,7 +575,6 @@ class _CompiledMachine:
             q = q0
             total = counted = 0
             while True:
-                k = 0
                 try:
                     if keys is None:
                         for k in range(fuel - total):

@@ -87,7 +87,7 @@ def test_criterion_4_convergence():
     for name in ORACLE_NAMES:
         oracle = BUILTIN_LANGUAGES[name]
         for k in range(9):
-            result = find_convergence_index(oracle, k, budget=12)
+            result = find_convergence_index(oracle, k)
             ok = ok and result.n_k is not None and result.n_k <= k
             ok = ok and result.verified_words == 2 ** (k + 1) - 1
             if name == "empty":

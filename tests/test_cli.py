@@ -18,6 +18,7 @@ from tmbench import (
     build_demo_machines,
     build_trie_machine,
     emit_machine,
+    find_convergence_index,
 )
 from tmbench.cli import _parser, build_parser, main
 
@@ -542,6 +543,21 @@ def test_converge_always_finds_n_k(capsys, tmp_path):
             fields = dict(item.split("=") for item in out.split())
             assert int(fields["k"]) == k
             assert 0 <= int(fields["n_k"]) <= k, (lang, k)
+
+
+@pytest.mark.parametrize("lang", sorted(BUILTIN_LANGUAGES))
+def test_converge_prints_the_same_line_whatever_its_budget(capsys, lang):
+    # --budget is parsed for the command lines that pass it, and ignored
+    for k in range(8):
+        runs = []
+        for budget in (["--budget", str(k)], ["--budget", "0"], []):
+            try:
+                runs.append(invoke(capsys, "converge", "--lang", lang, "--k", str(k), *budget))
+            except SystemExit as exc:  # argparse refuses the command line
+                runs.append((exc.code, *capsys.readouterr()))
+        report = find_convergence_index(BUILTIN_LANGUAGES[lang], k)
+        line = f"k={k} n_k={report.n_k} verified_words={report.verified_words}\n"
+        assert runs == [(0, line, "")] * 3, (lang, k)
 
 
 SHARED_OPTIONS = ("--machine", "--cost", "--fuel", "--lang", "--n", "--g", "--t")

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 from contextlib import contextmanager
 
 import pytest
@@ -111,7 +112,7 @@ def test_size_limits_name_themselves():
                                             r"over the budget \(max depth 20\)"):
         build_trie_machine(oracle, 21)
     with pytest.raises(ValueError, match=r"k must be in 0\.\.12"):
-        find_convergence_index(oracle, 13, 20)
+        find_convergence_index(oracle, 13)
 
 
 def test_an_oracle_is_its_membership_callable():
@@ -255,35 +256,38 @@ def test_monotone_refinement(m, n):
 
 
 def test_convergence_contains_1():
-    report = find_convergence_index(BUILTIN_LANGUAGES["contains-1"], 3, 10)
+    report = find_convergence_index(BUILTIN_LANGUAGES["contains-1"], 3)
     assert report.n_k is not None and report.n_k <= 3
     assert report.verified_words == 15
 
 
 def test_convergence_empty_language():
-    report = find_convergence_index(BUILTIN_LANGUAGES["empty"], 5, 10)
+    report = find_convergence_index(BUILTIN_LANGUAGES["empty"], 5)
     assert report.n_k == 0
     assert report.verified_words == 63
 
 
 def test_convergence_all_language():
-    report = find_convergence_index(BUILTIN_LANGUAGES["all"], 2, 10)
+    report = find_convergence_index(BUILTIN_LANGUAGES["all"], 2)
     assert report.n_k == 2
 
 
 def test_convergence_preconditions():
     oracle = BUILTIN_LANGUAGES["all"]
     with pytest.raises(ValueError):
-        find_convergence_index(oracle, 13, 20)
-    with pytest.raises(ValueError):
-        find_convergence_index(oracle, 5, 2)
+        find_convergence_index(oracle, 13)
+
+
+def test_convergence_takes_the_language_and_k_only():
+    # k alone bounds the walk, so there is no budget to pass
+    assert list(inspect.signature(find_convergence_index).parameters) == ["L", "k"]
 
 
 @pytest.mark.parametrize("lang", ALL_BUILTINS)
 def test_convergence_minimality(lang):
     oracle = BUILTIN_LANGUAGES[lang]
     for k in range(5):
-        report = find_convergence_index(oracle, k, 12)
+        report = find_convergence_index(oracle, k)
         assert report.n_k is not None
         assert report.n_k <= k
         if report.n_k > 0:
@@ -309,7 +313,7 @@ def test_convergence_walk_stops_at_the_first_disagreeing_trie(monkeypatch):
 
     monkeypatch.setattr(convergence, "build_trie_machine", building)
     monkeypatch.setattr(convergence, "_trie_table", walking)
-    report = find_convergence_index(BUILTIN_LANGUAGES["palindrome"], 8, 8)
+    report = find_convergence_index(BUILTIN_LANGUAGES["palindrome"], 8)
     assert (report.n_k, report.verified_words) == (8, 511)
     assert walked == [8, 7]
     assert built == [8]
@@ -326,7 +330,7 @@ def test_convergence_walk_matches_the_agreement_table(oracle):
             for n in range(k + 1)
         ]
         least = next((n for n in range(k + 1) if all(agreement[n:])), None)
-        assert find_convergence_index(oracle, k, k).n_k == least
+        assert find_convergence_index(oracle, k).n_k == least
 
 
 # --- the convergence walk's closed form -------------------------------------
@@ -334,7 +338,7 @@ def test_convergence_walk_matches_the_agreement_table(oracle):
 def assert_closed_form(L, k, longest):
     """n_k is the greatest length <= k of a word of L (0 when L has none),
     and the walk checks every word of length <= k."""
-    report = find_convergence_index(L, k, k)
+    report = find_convergence_index(L, k)
     assert (report.n_k, report.verified_words) == (longest, 2 ** (k + 1) - 1)
 
 
@@ -420,8 +424,8 @@ def test_convergence_reads_an_answer_by_its_truth_as_the_trie_does(member):
         report = build_trie_machine(oracle, k)
         assert verify_trie(report, oracle) == ([], True)
         assert report.machine == build_trie_machine(as_bool, k).machine
-        assert find_convergence_index(oracle, k, k) == find_convergence_index(as_bool, k, k)
-        assert find_convergence_index(oracle, k, k).n_k is not None
+        assert find_convergence_index(oracle, k) == find_convergence_index(as_bool, k)
+        assert find_convergence_index(oracle, k).n_k is not None
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 10])
@@ -434,10 +438,10 @@ def test_convergence_asks_the_oracle_once_per_word_in_all(k):
         asked.append(word)
         return word.count("1") % 2 == 0
 
-    report = find_convergence_index(recording, k, k)
+    report = find_convergence_index(recording, k)
     assert asked == list(all_words("01", k))
     assert (report.n_k, report.verified_words) == (k, 2 ** (k + 1) - 1)
-    assert report == find_convergence_index(BUILTIN_LANGUAGES["parity-even-ones"], k, k)
+    assert report == find_convergence_index(BUILTIN_LANGUAGES["parity-even-ones"], k)
 
 
 # --- the trie from its answers against the per-prefix construction ----------
@@ -468,7 +472,7 @@ def test_each_trie_the_walk_runs_is_the_built_trie_of_its_depth(name, oracle, mo
     monkeypatch.setattr(convergence, "_trie_table", walking)
     for k in range(7):
         walked.clear()
-        report = find_convergence_index(oracle, k, k)
+        report = find_convergence_index(oracle, k)
         assert [trie.n for trie in walked] == list(range(k, k - len(walked), -1))
         assert walked[-1].n == max(report.n_k - 1, 0)
         for trie in walked:
@@ -545,7 +549,7 @@ def test_build_and_verify_at_depth_12_build_no_transitions_dict(monkeypatch):
     assert verify_restriction(report, oracle) == (True, [])
     assert verify_step_count(report)
     assert "machine" not in vars(report)
-    assert find_convergence_index(oracle, 6, 6).n_k == 6
+    assert find_convergence_index(oracle, 6).n_k == 6
 
 
 def test_a_built_report_builds_its_machine_once_and_equals_a_hand_built_one():

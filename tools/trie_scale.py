@@ -112,7 +112,7 @@ def measure(n: int) -> None:
     oracle = BUILTIN_LANGUAGES["div3"]
     k = min(n, MAX_CONVERGENCE_K)
     start = time.process_time()
-    if find_convergence_index(oracle, k, k).n_k is None:
+    if find_convergence_index(oracle, k).n_k is None:
         raise SystemExit(f"depth {n}: no convergence index at k = {k}")
     layers = [("converge", time.process_time() - start, peak_mb())]
     start = time.process_time()
