@@ -31,7 +31,7 @@ from tmbench.nondet import (
     decide_nc,
     decide_nt,
 )
-from tmbench.textfmt import emit_machine, parse_machine_file, strip_comment
+from tmbench.textfmt import emit_machine, lines, parse_machine_file
 
 EMPTY_WORD_TOKEN = "eps"
 
@@ -49,13 +49,7 @@ def _read_words(path: str) -> list[str]:
     lines break at every str.splitlines break, a '#' that no backslash
     precedes starts a comment and '\\#' is the symbol '#'. A UTF-8 byte
     order mark at the start is skipped, as for a machine file."""
-    words = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for raw in fh.read().splitlines():
-            line = strip_comment(raw).strip()
-            if line:
-                words.append(_word(line))
-    return words
+    return [_word(line) for line in map(str.strip, lines(_read(path))) if line]
 
 
 def load_language(spec: str):
@@ -69,9 +63,15 @@ def load_language(spec: str):
     return BUILTIN_LANGUAGES[spec]
 
 
-def _load_machine(path: str):
+def _read(path: str) -> str:
+    """The text of the file at path, as UTF-8, a byte order mark at its
+    start skipped: the one way a machine file or a word file is read."""
     with open(path, encoding="utf-8-sig") as fh:
-        return parse_machine_file(fh.read())
+        return fh.read()
+
+
+def _load_machine(path: str):
+    return parse_machine_file(_read(path))
 
 
 def _parse_lengths(text: str) -> range:

@@ -203,7 +203,10 @@ def _trie_table(report: TrieMachineReport) -> _CompiledMachine:
     come last. With the symbols numbered blank, 0, 1, prefix h is row 4h,
     its bit b moves to row 4(2h+1+b), or to reject past the last prefix,
     and blank to accept or reject by h's answer; accept and reject are the
-    rows after the last prefix's.
+    rows after the last prefix's, so the table's length is its logical
+    size. It is built as a Machine's is, from its columns, but stays
+    unnamed (no row, states, transitions or counted_keys), so it runs
+    through the lean driver only.
     """
     answers = report.answers
     accept, reject = (4 * len(answers), 0, 1, 1), (4 * len(answers) + 4, 0, 1, 1)
@@ -211,7 +214,7 @@ def _trie_table(report: TrieMachineReport) -> _CompiledMachine:
     moves = [(row, 0, 1, 1) for row in range(4, accept[0], 4)] + [reject] * (len(answers) + 1)
     lookups = [accept if member else reject for member in answers]
     table = list(chain.from_iterable(zip(lookups, moves[0::2], moves[1::2], repeat(None))))
-    return _CompiledMachine.from_columns([BLANK, "0", "1"], frozenset("01"), table)
+    return _CompiledMachine([BLANK, "0", "1"], frozenset("01"), table, len(table))
 
 
 def _long_word_sample(n: int) -> list[str]:

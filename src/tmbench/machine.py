@@ -37,10 +37,12 @@ own. The halting rows sit at the table's logical size, fixed by the
 machine, not at its length, and a run reads its Verdict off its final row
 with no list as long as the machine. So a single run on a large machine
 costs only the entries it uses, and the CLI's profile, whose `--lengths`
-may reach only a few entries of a large machine, stays lazy. A caller that
-has the whole table in integers builds the compiled form from it
-(`_CompiledMachine.from_columns`) with no Machine at all: `verify_trie` and
-each trie of `find_convergence_index` run a built trie on the table its
+may reach only a few entries of a large machine, stays lazy. A compiled
+form is built one way, from its columns: symbols, input alphabet, table
+and logical size. `_compile` builds a Machine's from the start state's row
+and then names it, while a caller that has the whole table in integers
+builds one with no Machine and no names at all: `verify_trie` and each
+trie of `find_convergence_index` run a built trie on the table its
 oracle's answers give.
 
 `all_words` is the one enumeration of words in length-then-lexicographic
@@ -362,8 +364,9 @@ class _CompiledMachine:
     hold, so indexing one raises IndexError, which is how the step loop
     notices a halt. An entry is (target, written symbol, head move -1/+1,
     counted 0/1), filled in the first time a run needs it, so a run costs
-    the entries it uses rather than the whole table; `from_columns` takes
-    a table that is complete already, with no names (a built trie's).
+    the entries it uses rather than the whole table. A built trie's table
+    is complete already and has no names: no `row`, `states`,
+    `transitions` or `counted_keys`, which only _compile sets.
     Unfilled entries and the sentinel column hold None: unpacking it raises
     TypeError, which is how the step loop notices a tape end or an entry to
     fill without testing for either on every step.
@@ -404,33 +407,18 @@ class _CompiledMachine:
     the start configuration, each labelled with its word.
     """
 
-    def __init__(self, m: Machine, counted_keys: Optional[frozenset[tuple[str, str]]]):
-        self.transitions = m.transitions
-        self.counted_keys = counted_keys  # None counts every entry
-        width = len(m.tape_alphabet) + 1
-        # the start state's row of None; number appends the others' as runs reach them
-        self._columns([BLANK] + sorted(m.tape_alphabet - {BLANK}), m.input_alphabet,
-                      [None] * width, (len(m.states) - 2) * width)
-        self.row = {m.start_state: 0, m.accept_state: self.size,
-                    m.reject_state: self.size + width}
-        self.states = {row: state for state, row in self.row.items()}
-
-    @classmethod
-    def from_columns(cls, symbols: list[str], inputs: frozenset[str], table: list):
-        """A compiled machine from a ready table in integers, with no names:
-        symbols are numbered in their order, blank first, and table holds
-        the rows of every state but the halting two, the start state's
-        first, so its length is the logical size, and the halting rows,
-        accept's then reject's, follow its end. Every entry but the
-        sentinel column's must be plain, so nothing is filled or swept by
-        name. It runs through the lean driver (outcomes, on_words), which
-        yields (label, verdict, total, counted) per start: without state
-        names it has no final configuration or trace to build."""
-        return cls.__new__(cls)._columns(symbols, inputs, table, len(table))
-
-    def _columns(self, symbols: list[str], inputs: frozenset[str], table: list, size: int):
-        """Set the attributes that follow from the symbols, the table and
-        its logical size; returns self."""
+    def __init__(self, symbols: list[str], inputs: frozenset[str], table: list, size: int):
+        """A compiled machine from its columns, with no names: symbols are
+        numbered in their order, blank first, inputs is the input alphabet,
+        table holds the rows in integers, the start state's first, and size
+        is the logical size, where the halting rows, accept's then
+        reject's, sit. A table that is complete already (a built trie's:
+        size is its length) must hold only plain entries but in the
+        sentinel column, so nothing is filled or swept by name, and it runs
+        through the lean driver (outcomes, on_words), which yields (label,
+        verdict, total, counted) per start: without state names it has no
+        final configuration or trace to build. _compile alone names a
+        Machine's table: it sets transitions, counted_keys, row and states."""
         self.symbols, self.inputs, self.table, self.size = symbols, inputs, table, size
         self.edge, self.width = len(symbols), len(symbols) + 1
         self.marks, self.markers = size + 2 * self.width, []
@@ -441,7 +429,6 @@ class _CompiledMachine:
         self.blank = bytearray([0])
         self.sentinel = bytearray([self.edge])
         self.right_end = self.blank + self.sentinel
-        return self
 
     def _fields(self, entry: int) -> tuple:
         """The transition at entry by name: the fields of its StepRecord but
@@ -716,12 +703,22 @@ class _CompiledMachine:
 
 def _compile(m: Machine, cost: CostModel) -> _CompiledMachine:
     """m compiled under cost: validated and built on first use, then cached
-    on m per CostModel value."""
+    on m per CostModel value. The table starts as the start state's row of
+    None, and number appends the others' as runs reach them; this is the
+    one place that gives a compiled machine its names."""
     cache = require_valid(m)
     compiled = cache.get(cost)
     if compiled is None:
         counted = None if cost == COUNT_ALL else counted_set(m, cost)
-        compiled = cache[cost] = _CompiledMachine(m, counted)
+        width = len(m.tape_alphabet) + 1
+        size = (len(m.states) - 2) * width
+        compiled = _CompiledMachine([BLANK] + sorted(m.tape_alphabet - {BLANK}),
+                                    m.input_alphabet, [None] * width, size)
+        compiled.transitions = m.transitions
+        compiled.counted_keys = counted  # None counts every entry
+        compiled.row = {m.start_state: 0, m.accept_state: size, m.reject_state: size + width}
+        compiled.states = {row: state for state, row in compiled.row.items()}
+        cache[cost] = compiled
     return compiled
 
 

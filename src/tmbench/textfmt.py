@@ -56,16 +56,24 @@ def _pieces(text: str):
     yield text[start:]
 
 
+def lines(text: str):
+    """text's lines without their comments, lazily: the lines of
+    str.splitlines, split a block at a time (see _pieces), and only a block
+    that holds a '#' has its lines' comments stripped. Machine files and
+    word files share this syntax."""
+    return chain.from_iterable(map(strip_comment, piece.splitlines()) if "#" in piece
+                               else piece.splitlines() for piece in _pieces(text))
+
+
 def parse_machine_file(text: str) -> Machine:
     """Parse the text format into a validated Machine, marked valid so that
     running it does not validate it again.
 
-    The lines are split a block at a time, so the text's whole line list is
-    never held. A line whose first token is 'trans:', the bulk of a large
-    file, goes straight to the trans checks; any other spelling of the key
-    is split at its ':' first. Only a block that holds a '#' has its lines'
-    comments stripped. Each header is checked on its own line, so the first
-    error in file order is the one reported.
+    The lines are split a block at a time (see lines), so the text's whole
+    line list is never held. A line whose first token is 'trans:', the bulk
+    of a large file, goes straight to the trans checks; any other spelling
+    of the key is split at its ':' first. Each header is checked on its own
+    line, so the first error in file order is the one reported.
 
     The parsed machine holds one name object per state: the state and the
     target of each trans line after the 'states:' line, and the start,
@@ -78,9 +86,7 @@ def parse_machine_file(text: str) -> Machine:
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     names: dict[str, str] = {}  # each 'states:' token to itself
     name = names.get
-    lines = chain.from_iterable(map(strip_comment, piece.splitlines()) if "#" in piece
-                                else piece.splitlines() for piece in _pieces(text))
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(lines(text), start=1):
         tokens = line.split()
         if not tokens:
             continue

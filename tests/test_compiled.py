@@ -42,6 +42,7 @@ from tmbench import (
     run,
 )
 from tmbench.cli import main
+from tmbench.convergence import _trie_table
 from tmbench.machine import (_compile, _CompiledMachine, _Sweep, all_words,
                              initial_configuration, run_configuration)
 from tmbench.measures import IDENTITY, BoundRow
@@ -1268,6 +1269,17 @@ def test_a_compiled_machine_holds_no_more_rows_than_its_runs_reached(tmp_path, c
     assert max(rows.values()) <= len(compiled.row) == result.total_steps + 2 == 7, rows
     assert not {"verdicts", "sweeps", "start"} & set(vars(compiled))
     assert "scan" not in _Sweep.__slots__
+
+
+def test_a_compiled_machine_has_one_constructor_and_only_compile_names_it():
+    assert not {"from_columns", "_columns"} & set(vars(_CompiledMachine))
+    names = {"row", "states", "transitions", "counted_keys"}
+    report = build_trie_machine(BUILTIN_LANGUAGES["palindrome"], 6)
+    assert not names & set(vars(_trie_table(report)))
+    compiled = _compile(report.machine, COUNT_ALL)
+    assert names <= set(vars(compiled))
+    assert compiled.states == {row: state for state, row in compiled.row.items()}
+    assert len(compiled.states) == len(compiled.row)
 
 
 @pytest.mark.parametrize("record_trace", [False, True])

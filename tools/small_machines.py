@@ -27,7 +27,10 @@ the traced runs whose tape grew at its left and at its right end, and
 the traced runs whose fuel ran out inside a sweep's run (the last step
 and the next one are the same live sweep's).
 Any mismatch is printed with the machine's four entries and the word, and
-the tool exits 1; it exits 0 when every run agrees.
+the tool exits 1. A path count that reads 0 is printed as unreached, and
+the tool exits 1 too: a change that stopped the class from reaching one
+of the step loop's paths would leave that path unchecked. It exits 0 when
+every run agrees and every path is reached.
 
     python3 tools/small_machines.py
 
@@ -47,6 +50,9 @@ FUEL = 64
 WORDS = ("", "1", "11", "111")
 KEYS = (("A", "_"), ("A", "1"), ("B", "_"), ("B", "1"))
 SHOWN = 20  # the most mismatches printed
+# the step loop's paths the runs must reach, as their counts are printed
+PATHS = ("find sweeps", "mask sweeps", "trials", "put back", "left growths", "right growths",
+         "fuel ends in a sweep")
 
 
 def machines():
@@ -127,13 +133,15 @@ def main(argv: list[str]) -> int:
                 count["trials"] += sweep.runs >= _Sweep.TRIAL
             count["put back"] += len(compiled.markers) - len(live(compiled))
         count["machines"] += 1
-    for key in ("machines", "find sweeps", "mask sweeps", "trials", "put back", "left growths",
-                "right growths", "fuel ends in a sweep"):
+    for key in ("machines", *PATHS):
         print(f"{count[key]:8d}  {key}")
     print(f"{len(mismatches):8d}  mismatches, in {time.process_time() - start:.1f} s of CPU time")
     for line in mismatches[:SHOWN]:
         print(f"mismatch: {line}", file=sys.stderr)
-    return 1 if mismatches else 0
+    unreached = [key for key in PATHS if not count[key]]
+    for key in unreached:
+        print(f"unreached: no run reached the path counted as {key!r}", file=sys.stderr)
+    return 1 if mismatches or unreached else 0
 
 
 if __name__ == "__main__":

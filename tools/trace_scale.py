@@ -1,7 +1,7 @@
 """CPU time of traced runs against untraced ones, and the untraced run's
 work per sweep.
 
-Prints, for four runs, the best-of-five CPU time (process time, which
+Prints, for five runs, the best-of-five CPU time (process time, which
 other processes on a shared machine disturb less than wall time) of run()
 untraced and with record_trace=True, the traced run's cost per step, the
 number of distinct StepRecord objects its trace holds, the best-of-five
@@ -31,7 +31,14 @@ one. The runs are:
   run guards that demotion: without it, each of A's two-cell runs goes
   through the step loop's exception and a sweep, and the untraced run
   took about 44 ms against 10 ms with it (Python 3.11 on a shared 2-vCPU
-  VM).
+  VM);
+- a bouncer on 0110 whose sweeps stop at two codes, to 400,000 steps:
+  states R and L loop on 0 and 1 and stop at the blank or at the mark x;
+  at x it writes a bit over the mark, sets a new mark one cell further
+  out and turns back, so each sweep is one cell longer than the last and
+  every sweep, right or left, takes the mask scan. This run times that
+  scan, whose first window starts from the last run's length
+  (_Sweep.last).
 
 The untraced and traced runs and the records pass are timed in turn,
 round by round, so that all three see the same load.
@@ -49,7 +56,7 @@ from measure import SRC, best_of, work
 
 
 def machines():
-    """(name, machine, word, fuel) of the four runs."""
+    """(name, machine, word, fuel) of the five runs."""
     from tmbench import BLANK, LEFT, RIGHT, Machine, build_demo_machines
 
     items = "A0 1RB A1 1LC B0 1RC B1 1RB C0 1RD C1 0LE D0 1LA D1 1LD E0 1RH E1 0LA".split()
@@ -70,8 +77,20 @@ def machines():
          ("B", "1"): ("A", "1", LEFT), ("B", BLANK): ("A", "1", RIGHT)}
     shuffler = Machine(frozenset("1"), frozenset("1" + BLANK), frozenset("ABHZ"), "A", "H", "Z",
                        t)
+    # R and L loop on 0 and 1 and stop at two codes, the blank and the mark x
+    t = {(q, s): (q, s, move) for q, move in (("R", RIGHT), ("L", LEFT)) for s in "01"}
+    t[("R", BLANK)] = t[("E", "x")] = ("L", "x", LEFT)
+    t[("L", BLANK)] = t[("F", "x")] = ("R", "x", RIGHT)
+    t[("R", "x")] = ("E", "0", RIGHT)
+    t[("L", "x")] = ("F", "1", LEFT)
+    for s in "01" + BLANK:
+        t[("E", s)] = ("L", "x", LEFT)
+        t[("F", s)] = ("R", "x", RIGHT)
+    masker = Machine(frozenset("01"), frozenset("01x" + BLANK), frozenset("RLEFYN"), "R", "Y",
+                     "N", t)
     return [("bb5", bb5, "", 100_000), ("bouncer", bouncer, "0110", 20_000),
-            ("scanner", scanner, "0" * 25_000, 25_002), ("shuffler", shuffler, "", 100_000)]
+            ("scanner", scanner, "0" * 25_000, 25_002), ("shuffler", shuffler, "", 100_000),
+            ("masker", masker, "0110", 400_000)]
 
 
 def main(argv: list[str]) -> int:
