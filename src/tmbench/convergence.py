@@ -17,18 +17,27 @@ prefix p sits at heap index int("1" + p, 2) - 1, and the depth-n trie's
 answers are the first 2^(n+1) - 1 of any deeper trie's. Every reader
 indexes the answers so, and none copies them into a dict keyed by word.
 Each view of a trie is computed from them when it is needed, and only
-then: the integer table that verification and convergence run
+then: the integer table that verification and convergence walk
 (_trie_table), the listing that gen-trie writes in sorted order, which
 is the trie's preorder (TrieMachineReport.listing), and the Machine with
 its transitions dict, for a caller that reads `machine`.
 
+A trie table is checked by one walk (_walk), which runs it on every word
+up to a length at once, a level of prefixes per step: every entry moves
+right, so the runs on words that share a prefix share their steps up to
+its end. Each word's run is still the table's, read entry by entry, and
+never the answers. verify_trie walks it to length n + 1, so every word
+of length n + 1 is checked, and find_convergence_index walks each trie
+to length k. No code here runs a trie table word by word through the
+compiled machine's drivers; the tests do, as the walk's reference.
+
 The trie sequence converges to L on the words of length <= k from some
 index n_k on. find_convergence_index finds it from one build, the
-depth-k trie, by running the tables of its heap prefixes from depth k
+depth-k trie, by walking the tables of its heap prefixes from depth k
 downward and stopping at the first that disagrees, so a language that
 only the depth-k trie decides costs two tables, not k + 1.
 
-verify_trie is the one verification entry point: one pass gives both the
+verify_trie is the one verification entry point: one walk gives both the
 words on which the trie misses L and whether every run took its step
 count. verify_restriction and verify_step_count, which read one half each,
 are not exported: the benchmark's tracer wraps them by name, and they stay
@@ -37,21 +46,17 @@ here, called only by it and the tests, until it wraps verify_trie instead.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
-from operator import index
+from itertools import chain, compress, count, repeat
+from operator import index, ne
 from typing import Callable, Optional
 
-from tmbench.machine import (BLANK, RIGHT, Machine, Verdict, _CompiledMachine, _mark_valid,
-                             all_words)
+from tmbench.machine import BLANK, RIGHT, Machine, _CompiledMachine, _mark_valid, all_words
 from tmbench.textfmt import Listing
 
 MAX_TRIE_DEPTH = 20
 MAX_CONVERGENCE_K = 12
-LONG_WORD_SAMPLE = 256
-LONG_WORD_SEED = 20260823
 
 
 class TrieSizeError(ValueError):
@@ -106,7 +111,7 @@ class TrieMachineReport:
     their depths and answers are.
 
     Every view is computed from the answers, read by heap index (prefix
-    p's answer is answers[int("1" + p, 2) - 1]): verification runs the
+    p's answer is answers[int("1" + p, 2) - 1]): verification walks the
     table they give (_trie_table), gen-trie writes their listing, and
     `machine`, with its transitions dict, is built from that listing only
     when it is first read. The answers[:2^(m+1) - 1] of a depth-n report
@@ -205,8 +210,9 @@ def _trie_table(report: TrieMachineReport) -> _CompiledMachine:
     and blank to accept or reject by h's answer; accept and reject are the
     rows after the last prefix's, so the table's length is its logical
     size. It is built as a Machine's is, from its columns, but stays
-    unnamed (no row, states, transitions or counted_keys), so it runs
-    through the lean driver only.
+    unnamed (no row, states, transitions or counted_keys). _walk reads its
+    entries; only the tests run it through the lean driver (on_words), as
+    the walk's per-word reference.
     """
     answers = report.answers
     accept, reject = (4 * len(answers), 0, 1, 1), (4 * len(answers) + 4, 0, 1, 1)
@@ -217,38 +223,61 @@ def _trie_table(report: TrieMachineReport) -> _CompiledMachine:
     return _CompiledMachine([BLANK, "0", "1"], frozenset("01"), table, len(table))
 
 
-def _long_word_sample(n: int) -> list[str]:
-    """Words of length n+1 to probe past the depth cap: exhaustive for small
-    n, a fixed-seed sample above."""
-    if n <= 10:
-        return list(all_words("01", n + 1, n + 1))
-    rng = random.Random(LONG_WORD_SEED)
-    return ["".join(rng.choice("01") for _ in range(n + 1))
-            for _ in range(LONG_WORD_SAMPLE)]
+def _walk(report: TrieMachineReport, levels: int) -> tuple[bytes, bool]:
+    """Run report's trie table (_trie_table) on every word of length <= levels
+    at once, one level of prefixes per step. Every entry of a trie table
+    moves right and every blank entry halts, so the runs on the words that
+    share a j-symbol prefix are in one row after j steps, and none reads a
+    cell it wrote: level j holds the rows of the 2^j prefixes of length j,
+    in heap order. A prefix's blank entry gives the verdict of the word
+    that ends there, in |w| + 1 steps, and its two bit entries give the
+    next level. Each halting row steps into itself, so a run that halted
+    early keeps its verdict. A table that breaks that premise (an entry
+    that moves left, or a blank entry into a row that does not halt) is
+    refused with ValueError, not walked.
+
+    Returns the verdicts in all_words order, one byte each (1 for
+    accepted), and whether every run took min(|w|, n) + 1 steps: no row of
+    the levels up to n halts and every row of level n + 1 does."""
+    table = _trie_table(report).table
+    accept, reject = len(table), len(table) + 4
+    # the row each entry goes to, then the halting rows' entries, which step
+    # into their own row
+    targets = [entry and entry[0] for entry in table] + [accept] * 4 + [reject] * 4
+    if any(entry[2] != 1 for entry in table if entry) or not set(targets[0::4]) <= {accept, reject}:
+        raise ValueError("not a trie table: an entry moves left or a blank entry does not halt")
+    # row r's entries on blank, 0 and 1 are entries r, r + 1 and r + 2, so
+    # accepted[r] is the verdict of a word whose run is in row r at its end
+    accepted = bytes(target == accept for target in targets)
+    verdicts, level, steps_ok = bytearray(), [0], True
+    for j in range(levels + 1):
+        if j:
+            level = [targets[row + bit] for row in level for bit in (1, 2)]
+        verdicts += bytes(map(accepted.__getitem__, level))
+        steps_ok = steps_ok and (max(level) < accept if j <= report.n else min(level) >= accept)
+    return bytes(verdicts), steps_ok
 
 
 def verify_trie(report: TrieMachineReport, L: Optional[Callable[[str], bool]] = None
                 ) -> tuple[list[str], bool]:
-    """Run the machine once on every word up to length n and on the sampled
-    words of length n+1. Returns the words on which it does not halt with
-    L's verdict (the longer ones must be rejected; none are looked for when
-    L is None) and whether every run took min(|w|, n) + 1 steps."""
-    trie, n = _trie_table(report), report.n
-    accepted, rejected = Verdict.ACCEPTED, Verdict.REJECTED
-    counterexamples, steps_ok = [], True
-    for word, verdict, total, _ in trie.on_words(
-            chain(all_words("01", n), _long_word_sample(n)), n + 4):
-        if L is not None and verdict is not (accepted if len(word) <= n and L(word) else rejected):
-            counterexamples.append(word)
-        steps_ok = steps_ok and total == min(len(word), n) + 1
-    return counterexamples, steps_ok
+    """Walk the machine's table on every word up to length n + 1 (_walk).
+    Returns the words on which it does not halt with L's verdict (the
+    longer ones must be rejected; none are looked for when L is None), in
+    all_words order, and whether every run took min(|w|, n) + 1 steps."""
+    n = report.n
+    verdicts, steps_ok = _walk(report, n + 1)
+    if L is None:
+        return [], steps_ok
+    expected = bytes(map(bool, map(L, all_words("01", n)))) + bytes(2 ** (n + 1))
+    # the word at heap index h is h + 1 in binary without its leading 1
+    return [format(h, "b")[1:] for h in compress(count(1), map(ne, verdicts, expected))], steps_ok
 
 
 # bench/tracer.py wraps this by name; it goes with ROADMAP item 1(a)
 def verify_restriction(report: TrieMachineReport, L: Callable[[str], bool]
                        ) -> tuple[bool, list[str]]:
     """Exhaustively check that the machine accepts exactly the words of L
-    up to length n, and rejects the sampled words of length n+1."""
+    up to length n, and rejects every word of length n+1 (verify_trie)."""
     counterexamples = verify_trie(report, L)[0]
     return not counterexamples, counterexamples
 
@@ -256,39 +285,37 @@ def verify_restriction(report: TrieMachineReport, L: Callable[[str], bool]
 # bench/tracer.py wraps this by name; it goes with ROADMAP item 1(a)
 def verify_step_count(report: TrieMachineReport) -> bool:
     """Check |w| + 1 total steps for words within the depth bound, and n + 1
-    for the sampled longer words (n consumptions to full depth, then the
-    capped transition rejects on the (n+1)-th symbol)."""
+    for every word of length n+1 (n consumptions to full depth, then the
+    capped transition rejects on the (n+1)-th symbol), by verify_trie."""
     return verify_trie(report)[1]
 
 
 def find_convergence_index(L: Callable[[str], bool], k: int) -> ConvergenceReport:
     """Least sequence index n_k from which every trie machine agrees with L
     on all words of length <= k, for k in 0..MAX_CONVERGENCE_K. k alone
-    bounds the work: no trie deeper than k is built, so the walk takes no
-    other limit.
+    bounds the work: no trie deeper than k is built, so the search takes
+    no other limit.
 
-    The tries are run from n = k down to 0, and the walk stops at the first
-    one that disagrees: n_k is the last trie that agreed, or None when the
+    The tries are walked (_walk) from n = k down to 0, each on every word
+    of length <= k at once, and the search stops at the first one that
+    disagrees: n_k is the last trie that agreed, or None when the
     depth-k trie already disagrees. Beyond k no run is needed: the depth-n
     trie decides words of length <= k exactly as L whenever n >= k.
 
     L is asked once, through build_trie_machine(L, k): once per word of
     length <= k, in all_words order, each answer read by its truth. Each
-    trie of the walk is the depth-n heap prefix of those answers, run as
-    its table, and its verdicts are checked against the same answers, so
-    L is never asked again. The depth-k trie thus holds the very answers
-    it is checked against, and None means a defect: a trie that disagrees
-    with the answers it was cut from.
+    trie of the search is the depth-n heap prefix of those answers, walked
+    as its table, and its verdicts, in all_words order, are compared with
+    the same answers, so L is never asked again. The depth-k trie thus
+    holds the very answers it is checked against, and None means a defect:
+    a trie that disagrees with the answers it was cut from.
     """
     if k < 0 or k > MAX_CONVERGENCE_K:
         raise ValueError(f"k must be in 0..{MAX_CONVERGENCE_K}")
     answers = build_trie_machine(L, k).answers
-    words = list(all_words("01", k))
     n_k: Optional[int] = None
     for n in range(k, -1, -1):
-        trie = _trie_table(TrieMachineReport(n, answers[:2 ** (n + 1) - 1]))
-        if any((verdict is Verdict.ACCEPTED) != member
-               for (_, verdict, _, _), member in zip(trie.on_words(words, n + 4), answers)):
+        if _walk(TrieMachineReport(n, answers[:2 ** (n + 1) - 1]), k)[0] != answers:
             break
         n_k = n
-    return ConvergenceReport(k=k, n_k=n_k, verified_words=len(words))
+    return ConvergenceReport(k=k, n_k=n_k, verified_words=len(answers))

@@ -15,9 +15,9 @@ from an (input, certificate) pair, goes through `_CompiledMachine.execute`,
 the one place that lays out a tape and steps, and the one place that reads
 a run's final state as its Verdict. It runs a batch of starts lazily: a
 single run is a batch of one (`launch`), and the loops that run a machine
-on many inputs (trie verification and convergence, `check_bound`, the
-CLI's profile, the certificate searches) take the lean driver `outcomes`,
-which binds the loop's locals once per batch. Each start carries a label
+on many inputs (`check_bound`, the CLI's profile, the certificate
+searches) take the lean driver `outcomes`, which binds the loop's locals
+once per batch. Each start carries a label
 of the caller's, which the driver hands back with the run's end: (label,
 verdict, total, counted) per start, the last three as a RunResult holds
 them, so no caller pairs outcomes with its inputs. The tests keep a
@@ -41,9 +41,12 @@ may reach only a few entries of a large machine, stays lazy. A compiled
 form is built one way, from its columns: symbols, input alphabet, table
 and logical size. `_compile` builds a Machine's from the start state's row
 and then names it, while a caller that has the whole table in integers
-builds one with no Machine and no names at all: `verify_trie` and each
-trie of `find_convergence_index` run a built trie on the table its
-oracle's answers give.
+builds one with no Machine and no names at all: a built trie's table,
+which its oracle's answers give. `verify_trie` and
+`find_convergence_index` do not run that table through `execute`: they
+walk its entries a level of prefixes at a time (see tmbench.convergence),
+and only the tests run it through the lean driver, as the walk's
+reference.
 
 `all_words` is the one enumeration of words in length-then-lexicographic
 order: the certificate search, trie synthesis and verification, and the
@@ -417,7 +420,8 @@ class _CompiledMachine:
         sentinel column, so nothing is filled or swept by name, and it runs
         through the lean driver (outcomes, on_words), which yields (label,
         verdict, total, counted) per start: without state names it has no
-        final configuration or trace to build. _compile alone names a
+        final configuration or trace to build. tmbench.convergence walks
+        such a table's entries itself, and only the tests run it so. _compile alone names a
         Machine's table: it sets transitions, counted_keys, row and states."""
         self.symbols, self.inputs, self.table, self.size = symbols, inputs, table, size
         self.edge, self.width = len(symbols), len(symbols) + 1

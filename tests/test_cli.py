@@ -145,8 +145,8 @@ def test_verify_trie(capsys):
 
 def test_verify_trie_prints_each_counterexample_of_a_wrong_build(capsys, monkeypatch):
     # the trie is built from 'empty' and checked against parity-even-ones,
-    # so each of its words up to length 2 is a counterexample; the longer
-    # sampled words are rejected by both, and the step counts still hold
+    # so each of its words up to length 2 is a counterexample; every word
+    # of length 3 is rejected by both, and the step counts still hold
     empty = BUILTIN_LANGUAGES["empty"]
     monkeypatch.setattr(tmbench.cli, "build_trie_machine",
                         lambda oracle, n: build_trie_machine(empty, n))

@@ -9,6 +9,7 @@ import tmbench.convergence as convergence
 from tmbench import (
     BLANK,
     COUNT_ALL,
+    ConvergenceReport,
     Machine,
     TrieSizeError,
     Verdict,
@@ -22,14 +23,12 @@ from tmbench import (
 from tmbench.cli import load_language, main
 from tmbench.convergence import (
     BUILTIN_LANGUAGES,
-    LONG_WORD_SAMPLE,
     TrieMachineReport,
-    _long_word_sample,
     _trie_table,
     verify_restriction,
     verify_step_count,
 )
-from tmbench.machine import _compile, all_words, initial_configuration
+from tmbench.machine import _CompiledMachine, _compile, all_words, initial_configuration
 
 from reference import reference
 
@@ -132,26 +131,72 @@ def test_verify_restriction(lang):
     assert counterexamples == []
 
 
+# --- the per-word reference and hand-edited trie tables ----------------------
+
+def per_word_verify(table, n, L):
+    """verify_trie as one run of table per word: every word up to length
+    n + 1, each checked for L's verdict (rejected past length n; not
+    checked when L is None) and for min(|w|, n) + 1 steps."""
+    counterexamples, steps_ok = [], True
+    for word, verdict, total, _ in table.on_words(all_words("01", n + 1), n + 4):
+        if L is not None and verdict is not (
+                Verdict.ACCEPTED if len(word) <= n and L(word) else Verdict.REJECTED):
+            counterexamples.append(word)
+        steps_ok = steps_ok and total == min(len(word), n) + 1
+    return counterexamples, steps_ok
+
+
+def per_word_convergence(L, k, table_of=_trie_table):
+    """find_convergence_index as one run per word of length <= k on the
+    table table_of gives for each depth-n heap prefix of L's answers, from
+    n = k down to the first trie that disagrees with the answers."""
+    answers = build_trie_machine(L, k).answers
+    words = list(all_words("01", k))
+    n_k = None
+    for n in range(k, -1, -1):
+        trie = table_of(TrieMachineReport(n, answers[:2 ** (n + 1) - 1]))
+        if any((verdict is Verdict.ACCEPTED) != member
+               for (_, verdict, _, _), member in zip(trie.on_words(words, n + 4), answers)):
+            break
+        n_k = n
+    return ConvergenceReport(k=k, n_k=n_k, verified_words=len(words))
+
+
+def row_of(table, state):
+    """The row of state, a prefix, 'accept' or 'reject', in a trie table."""
+    if state in ("accept", "reject"):
+        return table.size + table.width * (state == "reject")
+    return table.width * (int("1" + state, 2) - 1)
+
+
+def edited(report, *edits):
+    """report's trie table with the entry of each (state, symbol) of edits
+    replaced by one that goes to target with head move: (state, symbol,
+    target, move), states named as row_of names them. An edit that names a
+    prefix longer than report's depth is left out."""
+    table = _trie_table(report)
+    entries = list(table.table)
+    for state, symbol, target, move in edits:
+        if all(q in ("accept", "reject") or len(q) <= report.n for q in (state, target)):
+            entries[row_of(table, state) + table.code[symbol]] = (
+                row_of(table, target), 0, move, 1)
+    return _CompiledMachine(table.symbols, table.inputs, entries, table.size)
+
+
 @contextmanager
-def running(machine):
-    """Within the block, verify_trie and find_convergence_index run machine,
-    compiled as a run compiles it, in place of the table a report's answers
-    give: one simulated run per word, entries filled as the runs reach them."""
+def walking_edited(*edits):
+    """Within the block, verify_trie and find_convergence_index walk the
+    trie table with edits in place of the table a report's answers give."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(convergence, "_trie_table", lambda report: _compile(machine, COUNT_ALL))
+        patch.setattr(convergence, "_trie_table", lambda report: edited(report, *edits))
         yield
 
 
 def test_verify_restriction_catches_corruption():
     oracle = BUILTIN_LANGUAGES["contains-1"]
     report = build_trie_machine(oracle, 2)
-    m = report.machine
-    trans = dict(m.transitions)
     # flip one membership lookup: the word "11" now rejects
-    trans[("q_11", BLANK)] = (m.reject_state, BLANK, "R")
-    corrupted = Machine(m.input_alphabet, m.tape_alphabet, m.states,
-                        m.start_state, m.accept_state, m.reject_state, trans)
-    with running(corrupted):
+    with walking_edited(("11", BLANK, "reject", 1)):
         ok, counterexamples = verify_restriction(report, oracle)
     assert not ok
     assert counterexamples == ["11"]
@@ -160,62 +205,62 @@ def test_verify_restriction_catches_corruption():
 def test_verify_step_count_catches_corruption():
     oracle = BUILTIN_LANGUAGES["contains-1"]
     report = build_trie_machine(oracle, 2)
-    m = report.machine
-    trans = dict(m.transitions)
-    # the lookup for "1" detours through the state for "11", whose lookup
-    # accepts: the verdict stays right, the run takes one step more
-    trans[("q_1", BLANK)] = ("q_11", BLANK, "R")
-    corrupted = Machine(m.input_alphabet, m.tape_alphabet, m.states,
-                        m.start_state, m.accept_state, m.reject_state, trans)
-    with running(corrupted):
+    # "00" rejects a step early, on its last bit: every verdict stays right,
+    # but "00", "000" and "001" take one step too few
+    with walking_edited(("0", "0", "reject", 1)):
         assert verify_restriction(report, oracle) == (True, [])
         assert not verify_step_count(report)
+    # the lookup for "1" detours through the state for "11", whose lookup
+    # accepts: a blank entry into a row that does not halt is refused
+    with walking_edited(("1", BLANK, "11", 1)):
+        for verify in (lambda: verify_restriction(report, oracle),
+                       lambda: verify_step_count(report)):
+            with pytest.raises(ValueError, match="not a trie table"):
+                verify()
     assert verify_step_count(report)
 
 
 def test_verify_trie_reports_verdicts_and_step_counts_together():
     oracle = BUILTIN_LANGUAGES["contains-1"]
     report = build_trie_machine(oracle, 2)
-    m = report.machine
-    trans = dict(m.transitions)
-    # the lookup for "1" detours through the state for "00", whose lookup
-    # rejects: a wrong verdict and one step more
-    trans[("q_1", BLANK)] = ("q_00", BLANK, "R")
-    corrupted = Machine(m.input_alphabet, m.tape_alphabet, m.states,
-                        m.start_state, m.accept_state, m.reject_state, trans)
-    with running(corrupted):
-        assert verify_trie(report, oracle) == (["1"], False)
+    # "11" rejects a step early: a wrong verdict and one step too few
+    with walking_edited(("1", "1", "reject", 1)):
+        assert verify_trie(report, oracle) == (["11"], False)
         assert verify_trie(report) == ([], False)
+    # the lookup for "1" detours through the state for "00": refused
+    with walking_edited(("1", BLANK, "00", 1)):
+        with pytest.raises(ValueError, match="not a trie table"):
+            verify_trie(report, oracle)
     assert verify_trie(report, oracle) == ([], True)
     assert verify_trie(report) == ([], True)
 
 
-@pytest.mark.parametrize("n", [11, 14])
-def test_long_word_sample_past_depth_10(n):
-    # past n = 10 the words of length n+1 are a fixed-seed sample, the same
-    # on every call
-    sample = _long_word_sample(n)
-    assert len(sample) == LONG_WORD_SAMPLE == 256
-    assert all(len(word) == n + 1 and set(word) <= {"0", "1"} for word in sample)
-    assert sample == _long_word_sample(n)
-
-
-def test_verify_trie_passes_on_the_sample_past_depth_10():
-    oracle = BUILTIN_LANGUAGES["div3"]
-    assert verify_trie(build_trie_machine(oracle, 11), oracle) == ([], True)
-
-
-def test_verify_trie_counts_a_run_that_does_not_halt_as_a_counterexample():
+@pytest.mark.parametrize("edit", [
+    ("0", BLANK, "0", -1),  # the lookup for "0" walks left forever
+    ("0", BLANK, "reject", -1),  # halts, but moves left
+    ("0", "1", "accept", -1),
+    ("", "0", "0", -1),
+])
+def test_verify_trie_refuses_a_table_that_moves_left(edit):
     oracle = BUILTIN_LANGUAGES["empty"]
     report = build_trie_machine(oracle, 1)
-    m = report.machine
-    trans = dict(m.transitions)
-    # the lookup for "0" walks left forever: no verdict, where L rejects
-    trans[("q_0", BLANK)] = ("q_0", BLANK, "L")
-    looping = Machine(m.input_alphabet, m.tape_alphabet, m.states,
-                      m.start_state, m.accept_state, m.reject_state, trans)
-    with running(looping):
-        assert verify_trie(report, oracle) == (["0"], False)
+    with walking_edited(edit):
+        with pytest.raises(ValueError, match="not a trie table"):
+            verify_trie(report, oracle)
+        with pytest.raises(ValueError, match="not a trie table"):
+            find_convergence_index(oracle, 1)
+
+
+@pytest.mark.parametrize("n", [11, 14])
+def test_verify_trie_checks_every_word_one_past_the_depth(n):
+    # the bit entry of the depth-n prefix 0^n on 0 accepts, so the one word
+    # 0^(n+1) of length n + 1 is accepted, in n + 1 steps
+    oracle = BUILTIN_LANGUAGES["div3"]
+    report = build_trie_machine(oracle, n)
+    assert verify_trie(report, oracle) == ([], True)
+    with walking_edited(("0" * n, "0", "accept", 1)):
+        assert verify_trie(report, oracle) == (["0" * (n + 1)], True)
+        assert verify_trie(report) == ([], True)
 
 
 @pytest.mark.parametrize("lang", ALL_BUILTINS)
@@ -495,12 +540,56 @@ def test_verify_trie_from_the_answers_matches_running_the_per_prefix_machine(nam
     other = BUILTIN_LANGUAGES["parity-even-ones"]
     for n in range(9):
         built = build_trie_machine(oracle, n)
+        compiled = _compile(reference_trie(oracle, n)[0], COUNT_ALL)
         for L in (oracle, None, other):
-            with running(reference_trie(oracle, n)[0]):
-                expected = verify_trie(built, L)
-            assert verify_trie(built, L) == expected
+            assert verify_trie(built, L) == per_word_verify(compiled, n, L)
         assert "machine" not in vars(built)
         assert verify_trie(built, oracle) == ([], True)
+
+
+def word_at(h):
+    """The word at heap index h: h + 1 in binary without its leading 1."""
+    return format(h + 1, "b")[1:]
+
+
+@st.composite
+def edited_tries(draw):
+    """A trie of depth <= 10 with random answers, and hand edits that keep
+    every entry moving right and every blank entry halting: a bit entry
+    into any prefix's row or a halting row, a blank entry into the other
+    halting row."""
+    n = draw(st.integers(0, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0, 0.05, 0.5, 1]))
+    answers = bytes(rng.random() < density for _ in range(2 ** (n + 1) - 1))
+    prefixes = st.integers(0, len(answers) - 1)
+    edits = []
+    for _ in range(draw(st.integers(0, 3))):
+        h, symbol = draw(prefixes), draw(st.sampled_from([BLANK, "0", "1"]))
+        target = (("reject" if answers[h] else "accept") if symbol == BLANK else
+                  draw(st.sampled_from(["accept", "reject"]) | prefixes.map(word_at)))
+        edits.append((word_at(h), symbol, target, 1))
+    return TrieMachineReport(n, answers), edits
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_tries())
+def test_the_walk_matches_the_per_word_reference(trie):
+    report, edits = trie
+    n, answers = report.n, report.answers
+    own = lambda w: answers[int("1" + w, 2) - 1] == 1  # report's language, to length n
+    table = edited(report, *edits)
+    with walking_edited(*edits):
+        for L in [None, own] + [BUILTIN_LANGUAGES[name] for name in ALL_BUILTINS]:
+            assert verify_trie(report, L) == per_word_verify(table, n, L)
+        assert find_convergence_index(own, n) == per_word_convergence(
+            own, n, lambda trie: edited(trie, *edits))
+
+
+@pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
+def test_the_convergence_walk_matches_the_per_word_reference(name, oracle):
+    for k in range(11):
+        assert find_convergence_index(oracle, k) == per_word_convergence(oracle, k)
 
 
 @pytest.mark.parametrize("name,oracle", LANGUAGES, ids=LANGUAGE_IDS)
